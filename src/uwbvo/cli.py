@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,8 @@ import numpy as np
 from .baselines import BaselineKind, run_method
 from .clustering import ClusterParams
 from .config import ConfigError, load_config, resolve_scenario, save_config
-from .core import read_log, write_log
+from .core import FlightPlan, LogFormatError, read_log, write_log
+from .ekf import FilterError
 from .metrics import (
     COMPARE_HEADER,
     REPORT_HEADER,
@@ -90,32 +93,40 @@ def _meta_path(out: Path, seed: int) -> Path:
     return out / f"meta_{seed:04d}.json"
 
 
-def _write_truth_csv(path: Path, truth, rate_hz: float) -> None:
+def _truth_csv_bytes(truth, rate_hz: float) -> bytes:
+    """The truth CSV as bytes; it depends only on the plan, so one serves every seed."""
     ts = sample_times(rate_hz, truth.duration_ms)
     xy = np.round(truth.sample(ts), 1)
     stop_idx = np.full(len(ts), -1, dtype=np.int64)
     for w in truth.stop_windows:
         inside = (ts >= w.t0_ms) & (ts <= w.t1_ms)
         stop_idx[inside] = w.stop_index
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ms", "x_mm", "y_mm", "stop_index"])
-        for t, p, si in zip(ts, xy, stop_idx):
-            writer.writerow([int(t), f"{p[0]:.1f}", f"{p[1]:.1f}", int(si)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t_ms", "x_mm", "y_mm", "stop_index"])
+    writer.writerows(
+        [t, f"{x:.1f}", f"{y:.1f}", si]
+        for t, (x, y), si in zip(ts.tolist(), xy.tolist(), stop_idx.tolist())
+    )
+    return buf.getvalue().encode("utf-8")
 
 
 def cmd_simulate(args) -> int:
     scenario, params = resolve_scenario(args.scenario)
     params = _apply_overrides(params, args)
+    seeds = _seed_list(args)
+    if not seeds:
+        print("error: no seeds selected", file=sys.stderr)
+        return USAGE_ERROR
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = _seed_list(args)
     save_config(scenario, params, out / "scenario.ini")
     truth = build_truth(scenario.plan)
+    truth_csv = _truth_csv_bytes(truth, scenario.vo.rate_hz)
     for seed in seeds:
         pair, uwb_trace, vo_trace = simulate_pair(scenario, seed)
         write_log(pair, _stream_path(out, seed))
-        _write_truth_csv(_truth_path(out, seed), truth, scenario.vo.rate_hz)
+        _truth_path(out, seed).write_bytes(truth_csv)
         meta = {
             "schema_version": 1,
             "scenario": scenario.name,
@@ -159,56 +170,8 @@ def _parse_methods(values: list[str]) -> list[BaselineKind]:
     return out
 
 
-def _run_cell(
-    logs_dir: str, method_value: str, seed: int, params: PipelineParams
-) -> tuple:
-    """One (method, seed) evaluation; returns report or failure text."""
-    out = Path(logs_dir)
-    scenario, _ = load_config(out / "scenario.ini")
-    kind = BaselineKind(method_value)
-    pair = read_log(_stream_path(out, seed))
-    truth = build_truth(scenario.plan)
-    try:
-        samples, track = run_method(kind, pair, scenario.plan, params)
-    except StopDetectionFailure as exc:
-        return (method_value, seed, None, str(exc), None, None, None)
-    report = RunReport.build(kind.value, seed, track if track else samples, truth)
-    track_rows = [
-        [s.t_ms, f"{s.pos.x:.1f}", f"{s.pos.y:.1f}", m]
-        for s, m in zip(
-            samples, track.modes if track else ["vo"] * len(samples)
-        )
-    ]
-    # plot data: the error-vs-time curve, decimated to a plottable size
-    ts = np.fromiter((s.t_ms for s in samples), dtype=np.float64, count=len(samples))
-    xy = np.array([[s.pos.x, s.pos.y] for s in samples])
-    err = np.hypot(*(xy - truth.sample(ts)).T)
-    stride = max(1, len(ts) // 2000)
-    error_rows = [
-        [int(t), f"{e:.1f}"] for t, e in zip(ts[::stride], err[::stride])
-    ]
-    stop_rows = None
-    if track is not None:
-        stop_rows = [
-            [
-                e.stop_index,
-                e.t_ms,
-                f"{e.planned.x:.1f}",
-                f"{e.planned.y:.1f}",
-                f"{e.estimate.pos.x:.1f}",
-                f"{e.estimate.pos.y:.1f}",
-                e.estimate.support,
-                e.estimate.samples_consumed,
-                int(e.estimate.complete),
-                int(e.corrected),
-                int(e.restart),
-            ]
-            for e in track.stop_events
-        ]
-    return (method_value, seed, report, None, track_rows, stop_rows, error_rows)
-
-
 TRACK_HEADER = ("t_ms", "x_mm", "y_mm", "mode")
+ERRORS_HEADER = ("t_ms", "error_mm")
 STOPS_HEADER = (
     "stop_index",
     "decision_t_ms",
@@ -222,6 +185,99 @@ STOPS_HEADER = (
     "corrected",
     "restart",
 )
+FAILURES_HEADER = ("method", "seed", "error")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _score_and_write(
+    method_value: str, seed: int, samples, track, truth, tracks_dir: Path
+) -> RunReport:
+    """Score one method's output and write its track, error and stop files."""
+    report = RunReport.build(
+        method_value, seed, track if track is not None else samples, truth
+    )
+    name = f"{method_value}_{seed:04d}.csv"
+    modes = track.modes if track is not None else ["vo"] * len(samples)
+    _write_csv(
+        tracks_dir / f"track_{name}",
+        TRACK_HEADER,
+        (
+            [s.t_ms, f"{s.pos.x:.1f}", f"{s.pos.y:.1f}", m]
+            for s, m in zip(samples, modes)
+        ),
+    )
+    # plot data: the error-vs-time curve, decimated to a plottable size
+    ts = np.fromiter((s.t_ms for s in samples), dtype=np.float64, count=len(samples))
+    xy = np.array([[s.pos.x, s.pos.y] for s in samples])
+    err = np.hypot(*(xy - truth.sample(ts)).T)
+    stride = max(1, len(ts) // 2000)
+    _write_csv(
+        tracks_dir / f"errors_{name}",
+        ERRORS_HEADER,
+        ([int(t), f"{e:.1f}"] for t, e in zip(ts[::stride], err[::stride])),
+    )
+    if track is not None:
+        _write_csv(
+            tracks_dir / f"stops_{name}",
+            STOPS_HEADER,
+            (
+                [
+                    e.stop_index,
+                    e.t_ms,
+                    f"{e.planned.x:.1f}",
+                    f"{e.planned.y:.1f}",
+                    f"{e.estimate.pos.x:.1f}",
+                    f"{e.estimate.pos.y:.1f}",
+                    e.estimate.support,
+                    e.estimate.samples_consumed,
+                    int(e.estimate.complete),
+                    int(e.corrected),
+                    int(e.restart),
+                ]
+                for e in track.stop_events
+            ),
+        )
+    return report
+
+
+def _run_seed(
+    logs_dir: Path,
+    plan: FlightPlan,
+    params: PipelineParams,
+    methods: list[BaselineKind],
+    seed: int,
+) -> tuple[list[RunReport], list[tuple[str, int, str]]]:
+    """Every selected method on one seed's log, which is read once.
+
+    The read pair holds frozen tuples, so the methods share it. Each
+    method's files are written as soon as it finishes; only its report, or
+    its failure text, is returned. A malformed log fails every method of
+    the seed; a method that fails leaves the others of the seed running.
+    """
+    try:
+        pair = read_log(_stream_path(logs_dir, seed))
+    except LogFormatError as exc:
+        return [], [(kind.value, seed, str(exc)) for kind in methods]
+    truth = build_truth(plan)
+    tracks_dir = logs_dir / "tracks"
+    reports: list[RunReport] = []
+    failures: list[tuple[str, int, str]] = []
+    for kind in methods:
+        try:
+            samples, track = run_method(kind, pair, plan, params)
+        except (StopDetectionFailure, FilterError) as exc:
+            failures.append((kind.value, seed, str(exc)))
+            continue
+        reports.append(
+            _score_and_write(kind.value, seed, samples, track, truth, tracks_dir)
+        )
+    return reports, failures
 
 
 def cmd_run(args) -> int:
@@ -230,9 +286,9 @@ def cmd_run(args) -> int:
     if not scenario_path.exists():
         print(f"error: no scenario.ini in {logs_dir}", file=sys.stderr)
         return USAGE_ERROR
-    _, params = load_config(scenario_path)
+    scenario, params = load_config(scenario_path)
     params = _apply_overrides(params, args)
-    methods = [m.value for m in _parse_methods(args.method)]
+    methods = _parse_methods(args.method)
     seeds = _seed_list(args)
     if not seeds:
         print("error: no seeds selected", file=sys.stderr)
@@ -242,66 +298,24 @@ def cmd_run(args) -> int:
         print(f"error: no logs for seeds {missing} in {logs_dir}", file=sys.stderr)
         return USAGE_ERROR
 
-    cells = [(m, s) for m in methods for s in seeds]
-    results = []
+    (logs_dir / "tracks").mkdir(exist_ok=True)
+    task = partial(_run_seed, logs_dir, scenario.plan, params, methods)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, str(logs_dir), m, s, params) for m, s in cells
-            ]
-            results = [f.result() for f in futures]
+            per_seed = list(pool.map(task, seeds))
     else:
-        results = [_run_cell(str(logs_dir), m, s, params) for m, s in cells]
-    results.sort(key=lambda r: (r[0], r[1]))
-
-    tracks_dir = logs_dir / "tracks"
-    tracks_dir.mkdir(exist_ok=True)
+        per_seed = map(task, seeds)
     reports: list[RunReport] = []
     failures: list[tuple[str, int, str]] = []
-    for method_value, seed, report, failure, track_rows, stop_rows, error_rows in results:
-        if failure is not None:
-            failures.append((method_value, seed, failure))
-            continue
-        reports.append(report)
-        with open(
-            tracks_dir / f"track_{method_value}_{seed:04d}.csv",
-            "w",
-            newline="",
-            encoding="utf-8",
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACK_HEADER)
-            writer.writerows(track_rows)
-        with open(
-            tracks_dir / f"errors_{method_value}_{seed:04d}.csv",
-            "w",
-            newline="",
-            encoding="utf-8",
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("t_ms", "error_mm"))
-            writer.writerows(error_rows)
-        if stop_rows is not None:
-            with open(
-                tracks_dir / f"stops_{method_value}_{seed:04d}.csv",
-                "w",
-                newline="",
-                encoding="utf-8",
-            ) as fh:
-                writer = csv.writer(fh)
-                writer.writerow(STOPS_HEADER)
-                writer.writerows(stop_rows)
+    for seed_reports, seed_failures in per_seed:
+        reports += seed_reports
+        failures += seed_failures
+    reports.sort(key=lambda r: (r.method, r.seed))
+    failures.sort()
 
-    with open(logs_dir / "reports.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for r in reports:
-            writer.writerow(report_row(r))
+    _write_csv(logs_dir / "reports.csv", REPORT_HEADER, map(report_row, reports))
     if failures:
-        with open(logs_dir / "failures.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "seed", "error"])
-            writer.writerows(failures)
+        _write_csv(logs_dir / "failures.csv", FAILURES_HEADER, failures)
         for method_value, seed, text in failures:
             print(f"FAILED {method_value} seed {seed}: {text}", file=sys.stderr)
     print(f"wrote {len(reports)} reports to {logs_dir / 'reports.csv'}"
@@ -404,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", type=int, default=1)
     p_run.add_argument("--seed", type=int, action="append", default=[])
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="concurrent (method, seed) cells")
+                       help="concurrent seeds")
     _add_param_overrides(p_run)
     p_run.set_defaults(func=cmd_run)
 

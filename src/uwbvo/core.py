@@ -242,19 +242,3 @@ def read_log(path) -> StreamPair:
             raise LogFormatError(f"{path}: empty stream: {sensor}")
     return StreamPair(tuple(streams[UWB]), tuple(streams[VO]))
 
-
-def samples_to_arrays(samples: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    """Split a stream into (t_ms int64 array, (N, 2) float position array)."""
-    ts = np.fromiter((s.t_ms for s in samples), dtype=np.int64, count=len(samples))
-    xy = np.empty((len(samples), 2), dtype=np.float64)
-    for i, s in enumerate(samples):
-        xy[i, 0] = s.pos.x
-        xy[i, 1] = s.pos.y
-    return ts, xy
-
-
-def arrays_to_samples(ts: np.ndarray, xy: np.ndarray, source: str) -> list[Sample]:
-    return [
-        Sample(int(t), Position2D(float(p[0]), float(p[1])), source)
-        for t, p in zip(ts, xy)
-    ]

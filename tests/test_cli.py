@@ -3,9 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from uwbvo import cli
+from uwbvo.baselines import BaselineKind, run_method
 from uwbvo.cli import main
 from uwbvo.config import default_pipeline_params, save_config
-from uwbvo.core import Position2D, FlightPlan
+from uwbvo.core import Position2D, FlightPlan, read_log
+from uwbvo.ekf import FilterError
 from uwbvo.simulate import (
     RaySpec,
     ScaleFaultSpec,
@@ -85,11 +88,13 @@ def test_simulate_deterministic_bytes(tmp_path):
     scenario = small_scenario_file(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        assert main(["simulate", "--scenario", str(scenario), "--seeds", "1",
+        assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
                      "--out", str(out)]) == 0
         assert main(["run", "--logs", str(out), "--method", "self-corrective",
                      "--seeds", "1", "--k1", "40", "--k2", "120"]) == 0
     assert dir_bytes(out_a) == dir_bytes(out_b)
+    # the truth depends only on the plan
+    assert (out_a / "truth_0000.csv").read_bytes() == (out_a / "truth_0001.csv").read_bytes()
 
 
 def test_jobs_parallel_matches_serial(tmp_path):
@@ -116,6 +121,9 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--logs", str(out), "--method", "teleport"]) == 1
     assert main(["run", "--logs", str(out), "--seeds", "5"]) == 1  # missing logs
     assert main(["run", "--logs", str(out), "--seeds", "0"]) == 1  # no seeds
+    assert main(["simulate", "--scenario", "default", "--seeds", "0",
+                 "--out", str(tmp_path / "none")]) == 1
+    assert not (tmp_path / "none").exists()
 
 
 def test_stop_detection_failure_exits_two_and_batch_continues(tmp_path, capsys):
@@ -133,6 +141,72 @@ def test_stop_detection_failure_exits_two_and_batch_continues(tmp_path, capsys):
     with open(out / "reports.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows] == ["raw-uwb"]  # batch continued
+
+
+def test_run_reads_each_log_once(tmp_path, monkeypatch):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
+                 "--out", str(out)]) == 0
+    reads = []
+
+    def counting_read_log(path):
+        reads.append(Path(path).name)
+        return read_log(path)
+
+    monkeypatch.setattr(cli, "read_log", counting_read_log)
+    assert main(["run", "--logs", str(out), "--method", "all", "--seeds", "2",
+                 "--k1", "40", "--k2", "120"]) == 0
+    assert sorted(reads) == ["streams_0000.csv", "streams_0001.csv"]
+    with open(out / "reports.csv", newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 2 * len(BaselineKind)
+
+
+def test_malformed_log_fails_its_seed_and_batch_continues(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
+                 "--out", str(out)]) == 0
+    log = out / "streams_0000.csv"
+    data = log.read_bytes()
+    log.write_bytes(data[: data.index(b",", len(data) // 2) + 1])  # cut mid-row
+    code = main(["run", "--logs", str(out), "--method", "raw-uwb",
+                 "--method", "raw-vo", "--seeds", "2"])
+    assert code == 2
+    assert "FAILED raw-uwb seed 0" in capsys.readouterr().err
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in failures] == [("raw-uwb", "0"), ("raw-vo", "0")]
+    assert all("streams_0000.csv" in r["error"] for r in failures)
+    with open(out / "reports.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in rows] == [("raw-uwb", "1"), ("raw-vo", "1")]
+
+
+def test_filter_error_fails_only_its_cell(tmp_path, monkeypatch, capsys):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
+                 "--out", str(out)]) == 0
+
+    def diverging_run_method(kind, pair, plan, params):
+        if kind is BaselineKind.POZYX_CTRA:
+            raise FilterError("degenerate innovation covariance")
+        return run_method(kind, pair, plan, params)
+
+    monkeypatch.setattr(cli, "run_method", diverging_run_method)
+    code = main(["run", "--logs", str(out), "--method", "pozyx-ctra",
+                 "--method", "raw-uwb", "--seeds", "2"])
+    assert code == 2
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"], r["error"]) for r in failures] == [
+        ("pozyx-ctra", "0", "degenerate innovation covariance"),
+        ("pozyx-ctra", "1", "degenerate innovation covariance"),
+    ]
+    with open(out / "reports.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in rows] == [("raw-uwb", "0"), ("raw-uwb", "1")]
 
 
 def test_calibrate_converges(tmp_path, capsys):

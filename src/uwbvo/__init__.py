@@ -26,11 +26,8 @@ from .core import (
 from .ekf import (
     CtraFilter,
     CtraParams,
-    CtraState,
-    MeasurementBuilder,
     ctra_jacobian,
     predict_state,
-    pseudo_measurements,
     run_filter,
 )
 from .metrics import (

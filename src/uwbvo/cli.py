@@ -34,6 +34,7 @@ from .ekf import FilterError
 from .metrics import (
     COMPARE_HEADER,
     REPORT_HEADER,
+    CoverageError,
     RunReport,
     compare,
     compare_rows,
@@ -258,7 +259,8 @@ def _run_seed(
     The read pair holds frozen tuples, so the methods share it. Each
     method's files are written as soon as it finishes; only its report, or
     its failure text, is returned. A malformed log fails every method of
-    the seed; a method that fails leaves the others of the seed running.
+    the seed; a method that fails (stop detection, filter divergence, or a
+    track that misses a dwell window) leaves the others of the seed running.
     """
     try:
         pair = read_log(_stream_path(logs_dir, seed))
@@ -271,12 +273,11 @@ def _run_seed(
     for kind in methods:
         try:
             samples, track = run_method(kind, pair, plan, params)
-        except (StopDetectionFailure, FilterError) as exc:
+            reports.append(
+                _score_and_write(kind.value, seed, samples, track, truth, tracks_dir)
+            )
+        except (StopDetectionFailure, FilterError, CoverageError) as exc:
             failures.append((kind.value, seed, str(exc)))
-            continue
-        reports.append(
-            _score_and_write(kind.value, seed, samples, track, truth, tracks_dir)
-        )
     return reports, failures
 
 
@@ -314,10 +315,13 @@ def cmd_run(args) -> int:
     failures.sort()
 
     _write_csv(logs_dir / "reports.csv", REPORT_HEADER, map(report_row, reports))
+    failures_path = logs_dir / "failures.csv"
     if failures:
-        _write_csv(logs_dir / "failures.csv", FAILURES_HEADER, failures)
+        _write_csv(failures_path, FAILURES_HEADER, failures)
         for method_value, seed, text in failures:
             print(f"FAILED {method_value} seed {seed}: {text}", file=sys.stderr)
+    else:
+        failures_path.unlink(missing_ok=True)  # an earlier run's failures are stale
     print(f"wrote {len(reports)} reports to {logs_dir / 'reports.csv'}"
           + (f" ({len(failures)} failures)" if failures else ""))
     return EXPERIMENT_ERROR if failures else 0

@@ -3,12 +3,20 @@
 The filter runs over a single position stream. Its six-dimensional state is
 ``(x, y, v, psi, psi_dot, a)`` in millimetres, mm/s, radians, rad/s and
 mm/s^2. Measurements are full-state vectors synthesized from the position
-stream itself (see :class:`MeasurementBuilder`), so the measurement model is
-the identity and the gain reduces to ``K = P (P + R)^-1``.
+stream itself (see :func:`_segment_measurements`), so the measurement model
+is the identity and the gain reduces to ``K = P (P + R)^-1``.
 
 State prediction follows the circular-arc motion update; when the yaw rate
 magnitude drops below ``eps_yaw`` the analytic straight-line limit is used,
 which keeps the prediction continuous across the branch switch.
+
+The motion model and :class:`CtraFilter` take a single 6-vector state or a
+stack of them with leading axes. :func:`run_filter` uses the stack: a
+restart resets both the state and its covariance, so the restart segments
+of a stream share nothing, and it filters them in lockstep, one stacked
+step per local sample index. Stacked ``matmul`` and ``linalg.solve`` apply
+the same per-matrix kernels as the 2-D calls, so a row of the stack follows
+the same arithmetic as a lone filter.
 """
 from __future__ import annotations
 
@@ -22,21 +30,42 @@ from .core import Position2D, Sample
 
 STATE_DIM = 6
 TAU = 2.0 * math.pi
+_EYE = np.eye(STATE_DIM)
 
 
 class FilterError(RuntimeError):
     """Numerical failure inside the filter."""
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.remainder(angle, TAU)
-    if wrapped <= -math.pi:
-        wrapped += TAU
+def wrap_angle(angle):
+    """Wrap an angle, or each angle of an array, to (-pi, pi].
+
+    Equal bit for bit to ``math.remainder(angle, TAU)`` moved off -pi:
+    ``fmod`` is exact, and shifting its result by one turn is exact too
+    (Sterbenz), so both land on the same double.
+    """
+    wrapped = np.fmod(angle, TAU)
+    outside = (wrapped > math.pi) | (wrapped <= -math.pi)
+    if outside.any():
+        wrapped = _select(outside, wrapped - np.copysign(TAU, wrapped), wrapped)
     return wrapped
 
 
-def _arc_chord(v: float, psi: float, psi_dot: float, dt_s: float, eps_yaw: float):
+def _select(cond, a, b):
+    """``np.where``, with a plain branch for a scalar condition (far cheaper)."""
+    if np.ndim(cond):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def _components(state: np.ndarray):
+    """The six entries of a state as floats, or of a stack as columns."""
+    if state.ndim == 1:
+        return state.tolist()
+    return [state[..., i] for i in range(STATE_DIM)]
+
+
+def _arc(psi, psi_dot, dt_s, eps_yaw: float):
     """Shared pieces of the arc update, in cancellation-free form.
 
     The raw arc displacement ``(v / psi_dot) (sin(psi + dt psi_dot) - sin psi)``
@@ -44,86 +73,72 @@ def _arc_chord(v: float, psi: float, psi_dot: float, dt_s: float, eps_yaw: float
     ``sin a - sin b = 2 cos((a+b)/2) sin((a-b)/2)`` turns it into
     ``v * chord * cos(psi + h)`` with ``h = dt psi_dot / 2`` and
     ``chord = 2 sin(h) / psi_dot``, which degrades gracefully into the
-    straight-line limit ``chord = dt``.
+    straight-line limit ``chord = dt``. Returns ``h``, ``chord``, the
+    cosine and sine of ``psi + h``, the straight-line mask and a yaw rate
+    safe to divide by (1 where the mask is set).
     """
     h = 0.5 * dt_s * psi_dot
-    if abs(psi_dot) < eps_yaw:
-        chord = dt_s
-    else:
-        chord = 2.0 * math.sin(h) / psi_dot
-    return h, chord
+    straight = abs(psi_dot) < eps_yaw
+    safe_psi_dot = _select(straight, 1.0, psi_dot)
+    chord = _select(straight, dt_s, 2.0 * np.sin(h) / safe_psi_dot)
+    heading = psi + h
+    return h, chord, np.cos(heading), np.sin(heading), straight, safe_psi_dot
 
 
-def predict_state(state: np.ndarray, dt_s: float, eps_yaw: float = 1e-6) -> np.ndarray:
+def predict_state(state: np.ndarray, dt_s, eps_yaw: float = 1e-6) -> np.ndarray:
     """One motion-model step of length ``dt_s`` seconds.
 
     Heading advances by ``dt * psi_dot`` and speed by ``dt * a``; the position
     moves along a circular arc of radius ``v / psi_dot``, or along a straight
-    line in the small-yaw-rate limit.
+    line in the small-yaw-rate limit. ``state`` is one state or a stack of
+    them (shape ``(..., 6)``); ``dt_s`` is a scalar or one step per state.
     """
-    x, y, v, psi, psi_dot, a = state
-    h, chord = _arc_chord(v, psi, psi_dot, dt_s, eps_yaw)
-    nx = x + v * chord * math.cos(psi + h)
-    ny = y + v * chord * math.sin(psi + h)
-    return np.array(
-        [nx, ny, v + dt_s * a, wrap_angle(psi + dt_s * psi_dot), psi_dot, a],
-        dtype=np.float64,
-    )
+    x, y, v, psi, psi_dot, a = _components(state)
+    _, chord, cos_m, sin_m, _, _ = _arc(psi, psi_dot, dt_s, eps_yaw)
+    v_chord = v * chord
+    pred = np.empty(np.shape(state))
+    pred[..., 0] = x + v_chord * cos_m
+    pred[..., 1] = y + v_chord * sin_m
+    pred[..., 2] = v + dt_s * a
+    pred[..., 3] = wrap_angle(psi + dt_s * psi_dot)
+    pred[..., 4] = psi_dot
+    pred[..., 5] = a
+    return pred
 
 
-def ctra_jacobian(state: np.ndarray, dt_s: float, eps_yaw: float = 1e-6) -> np.ndarray:
-    """Analytic Jacobian of :func:`predict_state` w.r.t. the state vector."""
-    _, _, v, psi, psi_dot, _ = state
-    jac = np.eye(STATE_DIM, dtype=np.float64)
-    h, chord = _arc_chord(v, psi, psi_dot, dt_s, eps_yaw)
-    cos_m = math.cos(psi + h)
-    sin_m = math.sin(psi + h)
+def ctra_jacobian(state: np.ndarray, dt_s, eps_yaw: float = 1e-6) -> np.ndarray:
+    """Analytic Jacobian of :func:`predict_state` w.r.t. the state vector.
+
+    Shape ``(..., 6, 6)`` for states of shape ``(..., 6)``.
+    """
+    _, _, v, psi, psi_dot, _ = _components(state)
+    h, chord, cos_m, sin_m, straight, safe_psi_dot = _arc(psi, psi_dot, dt_s, eps_yaw)
     # d(chord)/d(psi_dot); series form below |h| ~ 1e-4 where the closed
-    # form cancels catastrophically
-    if abs(psi_dot) < eps_yaw:
-        dchord = 0.0
-    elif abs(h) < 1e-4:
-        dchord = -(dt_s**3) * psi_dot / 12.0
-    else:
-        dchord = (dt_s * math.cos(h) - chord) / psi_dot
-    jac[0, 2] = chord * cos_m
-    jac[0, 3] = -v * chord * sin_m
-    jac[0, 4] = v * (dchord * cos_m - 0.5 * dt_s * chord * sin_m)
-    jac[1, 2] = chord * sin_m
-    jac[1, 3] = v * chord * cos_m
-    jac[1, 4] = v * (dchord * sin_m + 0.5 * dt_s * chord * cos_m)
-    jac[2, 5] = dt_s
-    jac[3, 4] = dt_s
+    # form cancels catastrophically. float_power calls the C library pow
+    # for each element, as a scalar ``**`` does; np.power's SIMD loop can
+    # round the cube differently.
+    dchord = _select(
+        straight,
+        0.0,
+        _select(
+            abs(h) < 1e-4,
+            -np.float_power(dt_s, 3) * psi_dot / 12.0,
+            (dt_s * np.cos(h) - chord) / safe_psi_dot,
+        ),
+    )
+    v_chord = v * chord
+    half_dt_chord = 0.5 * dt_s * chord
+    jac = np.empty(np.shape(state) + (STATE_DIM,))
+    jac[...] = _EYE
+    jac[..., 0, 2] = chord * cos_m
+    jac[..., 0, 3] = -(v_chord * sin_m)
+    jac[..., 0, 4] = v * (dchord * cos_m - half_dt_chord * sin_m)
+    jac[..., 1, 2] = chord * sin_m
+    jac[..., 1, 3] = v_chord * cos_m
+    jac[..., 1, 4] = v * (dchord * sin_m + half_dt_chord * cos_m)
+    jac[..., 2, 5] = dt_s
+    jac[..., 3, 4] = dt_s
     return jac
-
-
-@dataclass(frozen=True)
-class CtraState:
-    """Filter state snapshot; positions in mm, angles in radians."""
-
-    x: float
-    y: float
-    v: float
-    psi: float
-    psi_dot: float
-    a: float
-
-    def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(f)
-            for f in (self.x, self.y, self.v, self.psi, self.psi_dot, self.a)
-        ):
-            raise ValueError("non-finite filter state")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.x, self.y, self.v, self.psi, self.psi_dot, self.a],
-            dtype=np.float64,
-        )
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "CtraState":
-        return CtraState(*(float(f) for f in arr))
 
 
 # Default noise diagonals, in mm, radians and seconds per state slot:
@@ -162,46 +177,6 @@ class CtraParams:
                 raise ValueError(f"{name}_diag entries must be nonnegative")
 
 
-def _ls_velocity(
-    ts_s: np.ndarray, xy: np.ndarray
-) -> tuple[float, float] | None:
-    """Least-squares velocity over a window; the first difference for n=2."""
-    t_centered = ts_s - ts_s.mean()
-    denom = float(t_centered @ t_centered)
-    if denom <= 0.0:
-        return None
-    # xy need not be centered: sum(t_centered) == 0 kills the offset term
-    vx, vy = (t_centered @ xy) / denom
-    return float(vx), float(vy)
-
-
-def pseudo_measurements(
-    window: Sequence[Sample],
-    prev_psi: float = 0.0,
-    min_speed_mm_s: float = 0.0,
-) -> np.ndarray:
-    """Build a full-state measurement from a position history window.
-
-    The newest sample provides the position. Speed and heading come from the
-    first difference of positions fitted over the window (a least-squares
-    slope, which reduces to the plain sample difference for two points); yaw
-    rate and acceleration come from second differences across the window's
-    two halves. Headings are differenced on the circle. A window whose net
-    motion is slower than ``min_speed_mm_s`` (or not measurable) reads as a
-    stationary platform: zero speed, zero rates, heading retained from
-    ``prev_psi``.
-    """
-    if len(window) < 3:
-        raise ValueError("insufficient history: need at least 3 samples")
-    ts = np.fromiter((s.t_ms for s in window), dtype=np.float64, count=len(window))
-    ts /= 1000.0
-    xy = np.empty((len(window), 2))
-    for i, s in enumerate(window):
-        xy[i, 0] = s.pos.x
-        xy[i, 1] = s.pos.y
-    return _pseudo_from_arrays(ts, xy, prev_psi, min_speed_mm_s)
-
-
 # Window motion must exceed a multiple of the straight-line fit's own
 # residual scatter to count as real; below it the platform reads stationary.
 # Small windows estimate the scatter poorly, so the multiple tightens as the
@@ -214,141 +189,65 @@ def _significance(n) -> float | np.ndarray:
     return np.maximum(_MOTION_SIGNIFICANCE, np.sqrt(_MOTION_SIGNIFICANCE_SMALL_N / n))
 
 
-def _pseudo_from_arrays(
-    ts: np.ndarray, xy: np.ndarray, prev_psi: float, min_speed_mm_s: float
-) -> np.ndarray:
-    span = ts[-1] - ts[0]
-    half_dt = 0.5 * span
-    if half_dt <= 0.0:
-        raise ValueError("window spans no time")
-    floor = max(min_speed_mm_s, 1e-9)
-
-    def heading_speed(sl: slice) -> tuple[float, float | None]:
-        vel = _ls_velocity(ts[sl], xy[sl])
-        if vel is None:
-            return 0.0, None
-        speed = math.hypot(vel[0], vel[1])
-        if speed < floor:
-            return 0.0, None
-        return speed, math.atan2(vel[1], vel[0])
-
-    v_full, psi_full = heading_speed(slice(None))
-    if v_full > 0.0:
-        fit_t = ts - ts.mean()
-        vel = _ls_velocity(ts, xy)
-        fitted = xy.mean(axis=0) + np.outer(fit_t, vel)
-        resid = math.sqrt(float(np.mean(np.sum((xy - fitted) ** 2, axis=1))))
-        if v_full * span < _significance(len(ts)) * resid:
-            v_full, psi_full = 0.0, None
-
-    if psi_full is None:
-        # stationary window: no speed, no rates, heading retained
-        return np.array([xy[-1, 0], xy[-1, 1], 0.0, prev_psi, 0.0, 0.0])
-
-    mid = len(ts) // 2
-    v_old, psi_old = heading_speed(slice(0, mid + 1))
-    v_new, psi_new = heading_speed(slice(mid, None))
-    if psi_new is not None and psi_old is not None:
-        psi_dot = wrap_angle(psi_new - psi_old) / half_dt
-    else:
-        psi_dot = 0.0
-    accel = (v_new - v_old) / half_dt
-    return np.array([xy[-1, 0], xy[-1, 1], v_full, psi_full, psi_dot, accel])
-
-
-class MeasurementBuilder:
-    """Incrementally derives measurement vectors from a raw position stream.
-
-    The history window lives in preallocated arrays (compacted when the
-    buffer fills) so a push costs a few vector operations regardless of
-    stream length.
-    """
-
-    _CAPACITY = 4096
-
-    def __init__(self, diff_span_s: float, min_speed_mm_s: float) -> None:
-        self.diff_span_ms = diff_span_s * 1000.0
-        self.min_speed_mm_s = min_speed_mm_s
-        self._t_ms = np.empty(self._CAPACITY, dtype=np.int64)
-        self._xy = np.empty((self._CAPACITY, 2))
-        self._lo = 0
-        self._hi = 0
-        self.prev_psi = 0.0
-
-    def reset(self, prev_psi: float = 0.0) -> None:
-        self._lo = 0
-        self._hi = 0
-        self.prev_psi = prev_psi
-
-    def push(self, sample: Sample) -> np.ndarray | None:
-        """Add a sample; returns a measurement once three samples are held."""
-        if self._hi == self._CAPACITY:
-            if self._lo == 0:
-                self._lo = 1  # window outgrew the buffer; drop the oldest
-            n = self._hi - self._lo
-            self._t_ms[:n] = self._t_ms[self._lo : self._hi]
-            self._xy[:n] = self._xy[self._lo : self._hi]
-            self._lo, self._hi = 0, n
-        self._t_ms[self._hi] = sample.t_ms
-        self._xy[self._hi, 0] = sample.pos.x
-        self._xy[self._hi, 1] = sample.pos.y
-        self._hi += 1
-        # keep at least 3 samples even if the span budget is tighter; span
-        # bounds compare in exact integer milliseconds
-        while (
-            self._hi - self._lo > 3
-            and self._t_ms[self._hi - 1] - self._t_ms[self._lo + 1]
-            >= self.diff_span_ms
-        ):
-            self._lo += 1
-        if self._hi - self._lo < 3:
-            return None
-        window_t = self._t_ms[self._lo : self._hi]
-        u = _pseudo_from_arrays(
-            (window_t - window_t[0]) / 1000.0,
-            self._xy[self._lo : self._hi],
-            prev_psi=self.prev_psi,
-            min_speed_mm_s=self.min_speed_mm_s,
-        )
-        self.prev_psi = float(u[3])
-        return u
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
 
 
 class CtraFilter:
-    """Sequential EKF over one stream; independent instances share nothing."""
+    """EKF over one stream, or over a stack of independent streams.
+
+    ``state`` is one state ``(6,)`` or a stack ``(B, 6)``, with ``P`` of
+    shape ``(6, 6)`` or ``(B, 6, 6)`` to match; rows of a stack share
+    nothing. Independent instances share nothing either.
+    """
 
     def __init__(self, params: CtraParams) -> None:
         self.params = params
         self._q = np.diag(params.q_diag).astype(np.float64)
         self._r = np.diag(params.r_diag).astype(np.float64)
-        self._eye = np.eye(STATE_DIM)
+        self._p0 = np.diag(params.p0_diag).astype(np.float64)
         self.state = np.zeros(STATE_DIM)
-        self.P = np.diag(params.p0_diag).astype(np.float64)
+        self.P = self._p0.copy()
 
-    def reset(self, x: float, y: float, psi: float = 0.0) -> None:
-        """Reseed from a position measurement with the rest of the state at zero."""
-        self.state = np.array([x, y, 0.0, psi, 0.0, 0.0])
-        self.P = np.diag(self.params.p0_diag).astype(np.float64)
+    def reset(self, x, y, psi=0.0) -> None:
+        """Reseed from a position measurement with the rest of the state at zero.
 
-    def predict(self, dt_s: float) -> None:
+        Array positions seed a stack, one row per position.
+        """
+        state = np.zeros(np.shape(x) + (STATE_DIM,))
+        state[..., 0] = x
+        state[..., 1] = y
+        state[..., 3] = psi
+        self.state = state
+        self.P = np.broadcast_to(self._p0, state.shape + (STATE_DIM,)).copy()
+
+    def predict(self, dt_s) -> None:
+        """Advance every row by its ``dt_s`` (a scalar, or one per row)."""
         jac = ctra_jacobian(self.state, dt_s, self.params.eps_yaw)
         self.state = predict_state(self.state, dt_s, self.params.eps_yaw)
-        self.P = jac @ self.P @ jac.T + self._q * dt_s
+        self.P = jac @ self.P @ _transpose(jac) + np.multiply.outer(dt_s, self._q)
 
     def update(self, u: np.ndarray) -> None:
+        """Correct every row with its full-state measurement (shaped like ``state``)."""
         innovation_cov = self.P + self._r
         try:
-            gain = np.linalg.solve(innovation_cov.T, self.P.T).T
+            gain_t = np.linalg.solve(_transpose(innovation_cov), _transpose(self.P))
         except np.linalg.LinAlgError:
             raise FilterError("degenerate innovation covariance") from None
+        gain = _transpose(gain_t)
         innovation = u - self.state
-        innovation[3] = wrap_angle(innovation[3])
-        self.state = self.state + gain @ innovation
-        self.state[3] = wrap_angle(self.state[3])
-        self.P = (self._eye - gain) @ self.P
-        self.P = 0.5 * (self.P + self.P.T)
+        innovation[..., 3] = wrap_angle(innovation[..., 3])
+        self.state = self.state + (gain @ innovation[..., None])[..., 0]
+        self.state[..., 3] = wrap_angle(self.state[..., 3])
+        self.P = (_EYE - gain) @ self.P
+        self.P = 0.5 * (self.P + _transpose(self.P))
 
-    def step(self, u: np.ndarray, dt_s: float) -> "CtraFilter":
+    def diverged(self) -> np.ndarray:
+        """Per row: a non-finite state or a covariance diagonal that is not >= 0."""
+        diag = self.P.diagonal(0, -2, -1)
+        return ~(np.isfinite(self.state) & (diag >= 0.0)).all(axis=-1)
+
+    def step(self, u: np.ndarray, dt_s) -> "CtraFilter":
         """Predict over ``dt_s`` then update with measurement ``u``."""
         self.predict(dt_s)
         self.update(np.asarray(u, dtype=np.float64))
@@ -366,12 +265,17 @@ def _forward_fill(values: np.ndarray, initial: float) -> np.ndarray:
 def _segment_measurements(
     t_ms: np.ndarray, xy: np.ndarray, span_s: float, min_speed_mm_s: float
 ) -> np.ndarray:
-    """Vectorized :func:`pseudo_measurements` over one restart segment.
+    """Full-state measurements over one restart segment.
 
     Row ``k`` holds the measurement derived from the trailing window ending
-    at sample ``k`` (NaN for the first two rows, where no window exists yet).
-    Matches the incremental :class:`MeasurementBuilder` output; window
-    bounds compare in exact integer milliseconds like the builder's.
+    at sample ``k`` (NaN for the first two rows, where no window exists yet);
+    window bounds compare in exact integer milliseconds. The newest sample
+    provides the position. Speed and heading come from the least-squares
+    velocity over the window; yaw rate and acceleration come from second
+    differences across the window's two halves, headings differenced on the
+    circle. A window whose net motion is slower than ``min_speed_mm_s``, or
+    not significant against the fit's residual scatter, reads as a
+    stationary platform: zero speed and rates, the previous heading kept.
     """
     n = len(t_ms)
     u = np.full((n, STATE_DIM), np.nan)
@@ -459,44 +363,83 @@ def run_filter(
     initial diagonal, state reseeded from that measurement. Each restart
     segment is processed exactly like a fresh run; the two samples after a
     (re)start run prediction-only while the differencing window refills.
+    A non-finite state or a negative covariance diagonal raises
+    :class:`FilterError` naming the sample where it appeared.
     """
     if not samples:
         return []
-    n = len(samples)
-    ts_ms = np.fromiter((s.t_ms for s in samples), dtype=np.int64, count=n)
-    xy = np.empty((n, 2))
-    for i, s in enumerate(samples):
-        xy[i, 0] = s.pos.x
-        xy[i, 1] = s.pos.y
-    ts_s = ts_ms / 1000.0
+    ts_ms = np.fromiter((s.t_ms for s in samples), dtype=np.int64, count=len(samples))
+    # the working arrays die with this call, before the output list is built
+    out_xy = _filter_positions(samples, ts_ms, params, restart_times_ms)
+    return [
+        Sample(t, Position2D(x, y), s.source)
+        for t, x, y, s in zip(
+            ts_ms.tolist(), out_xy[:, 0].tolist(), out_xy[:, 1].tolist(), samples
+        )
+    ]
 
+
+def _filter_positions(
+    samples: Sequence[Sample],
+    ts_ms: np.ndarray,
+    params: CtraParams,
+    restart_times_ms: Sequence[float],
+) -> np.ndarray:
+    """The filtered position of every sample of a stream, as an ``(n, 2)`` array.
+
+    Segments share nothing, so they are filtered in lockstep: one
+    :class:`CtraFilter` holds a stack with one row per segment, longest
+    first, and step ``k`` advances the ``k``-th sample of every segment
+    that has one. Inputs and estimates live on a (step, segment) grid, so
+    a step reads and writes plain slices.
+    """
+    n = len(samples)
+    xy = np.empty((n, 2))
+    xy[:, 0] = np.fromiter((s.pos.x for s in samples), dtype=np.float64, count=n)
+    xy[:, 1] = np.fromiter((s.pos.y for s in samples), dtype=np.float64, count=n)
+    ts_s = ts_ms / 1000.0
     start_idx = {0}
     for t in restart_times_ms:
         i = int(np.searchsorted(ts_ms, t, side="left"))
         if i < n:
             start_idx.add(i)
-    starts = sorted(start_idx)
-
-    u_all = np.full((n, STATE_DIM), np.nan)
-    for s0, s1 in zip(starts, starts[1:] + [n]):
-        u_all[s0:s1] = _segment_measurements(
-            ts_ms[s0:s1], xy[s0:s1], params.diff_span_s, params.min_speed_mm_s
+    starts = np.array(sorted(start_idx))
+    lengths = np.diff(starts, append=n)
+    order = np.argsort(-lengths, kind="stable")
+    first, lengths = starts[order], lengths[order]
+    # cell [k, r] of the grid is sample k of segment r; the segments still
+    # running at step k are a prefix, as lengths descend
+    grid_shape = (lengths[0], len(first))
+    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left").tolist()
+    u = np.full(grid_shape + (STATE_DIM,), np.nan)
+    dt = np.zeros(grid_shape)
+    for r, (s0, length) in enumerate(zip(first, lengths)):
+        seg = slice(s0, s0 + length)
+        u[:length, r] = _segment_measurements(
+            ts_ms[seg], xy[seg], params.diff_span_s, params.min_speed_mm_s
         )
+        dt[1:length, r] = np.diff(ts_s[seg])
 
     filt = CtraFilter(params)
-    out_xy = np.empty((n, 2))
-    restart_set = frozenset(starts)
-    for k in range(n):
-        if k in restart_set:
-            filt.reset(xy[k, 0], xy[k, 1])
+    filt.reset(xy[first, 0], xy[first, 1])
+    est = np.empty(grid_shape + (2,))
+    est[0] = filt.state[:, :2]
+    for k in range(1, lengths[0]):
+        m = active[k]
+        if m < len(filt.state):
+            filt.state, filt.P = filt.state[:m], filt.P[:m]
+        # the rows share local index k, and a segment's measurements are
+        # NaN in exactly its first two rows, so the rows agree
+        if np.isnan(u[k, :m, 2]).all():
+            filt.predict(dt[k, :m])
         else:
-            dt_s = ts_s[k] - ts_s[k - 1]
-            if np.isnan(u_all[k, 2]):
-                filt.predict(dt_s)
-            else:
-                filt.step(u_all[k], dt_s)
-        out_xy[k] = filt.state[:2]
-    return [
-        Sample(int(t), Position2D(float(p[0]), float(p[1])), s.source)
-        for t, p, s in zip(ts_ms, out_xy, samples)
-    ]
+            filt.step(u[k, :m], dt[k, :m])
+        bad = filt.diverged()
+        if bad.any():
+            i = first[:m][bad].min() + k
+            raise FilterError(f"filter diverged at sample {i} (t_ms {ts_ms[i]})")
+        est[k, :m] = filt.state[:, :2]
+    out_xy = np.empty((n, 2))
+    for r, (s0, length) in enumerate(zip(first, lengths)):
+        out_xy[s0 : s0 + length] = est[:length, r]
+    return out_xy

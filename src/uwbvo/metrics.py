@@ -19,6 +19,10 @@ from .pipeline import FusedTrack
 from .simulate import StopWindow
 
 
+class CoverageError(ValueError):
+    """The track lacks the samples a metric reads: a dwell window, or any at all."""
+
+
 class TruthLike(Protocol):
     stop_windows: tuple[StopWindow, ...]
 
@@ -92,7 +96,7 @@ def stop_accuracy(track, truth: TruthLike) -> StopAccuracy:
     """Average and population-std of per-stop positioning error."""
     ts, xy = _track_arrays(track)
     if len(ts) == 0:
-        raise ValueError("empty track")
+        raise CoverageError("empty track")
     last_window: dict[int, StopWindow] = {}
     for w in truth.stop_windows:
         last_window[w.stop_index] = w
@@ -102,7 +106,7 @@ def stop_accuracy(track, truth: TruthLike) -> StopAccuracy:
         mid = w.midpoint_ms
         j = int(np.argmin(np.abs(ts - mid)))
         if not (w.t0_ms <= ts[j] <= w.t1_ms):
-            raise ValueError(f"track does not cover stop {idx + 1} dwell window")
+            raise CoverageError(f"track does not cover stop {idx + 1} dwell window")
         planned = truth.pose_at(mid)
         err = math.hypot(xy[j, 0] - planned.x, xy[j, 1] - planned.y)
         errors.append((idx, err))
@@ -122,13 +126,13 @@ def trajectory_rmse(track, truth: TruthLike, segments_only: bool = False) -> flo
     """
     ts, xy = _track_arrays(track)
     if len(ts) == 0:
-        raise ValueError("empty track")
+        raise CoverageError("empty track")
     if segments_only:
         keep = np.ones(len(ts), dtype=bool)
         for w in truth.stop_windows:
             keep &= ~((ts >= w.t0_ms) & (ts <= w.t1_ms))
         if not np.any(keep):
-            raise ValueError("no samples outside dwell windows")
+            raise CoverageError("no samples outside dwell windows")
         ts, xy = ts[keep], xy[keep]
     true_xy = truth.sample(ts)
     err_sq = np.sum((xy - true_xy) ** 2, axis=1)

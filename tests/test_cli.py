@@ -209,6 +209,65 @@ def test_filter_error_fails_only_its_cell(tmp_path, monkeypatch, capsys):
     assert [(r["method"], r["seed"]) for r in rows] == [("raw-uwb", "0"), ("raw-uwb", "1")]
 
 
+def test_coverage_gap_fails_its_cell_and_batch_continues(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
+                 "--out", str(out)]) == 0
+    # a valid log whose VO stream ends after its first 100 rows
+    log = out / "streams_0000.csv"
+    lines = log.read_text().splitlines(keepends=True)
+    n_uwb = sum(1 for line in lines if ",uwb," in line)
+    log.write_text("".join(lines[: 1 + n_uwb + 100]))
+    assert len(read_log(log).vo) == 100
+    code = main(["run", "--logs", str(out), "--method", "raw-uwb",
+                 "--method", "raw-vo", "--seeds", "2"])
+    assert code == 2
+    assert "FAILED raw-vo seed 0" in capsys.readouterr().err
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in failures] == [("raw-vo", "0")]
+    assert "does not cover stop" in failures[0]["error"]
+    with open(out / "reports.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in rows] == [
+        ("raw-uwb", "0"), ("raw-uwb", "1"), ("raw-vo", "1"),
+    ]
+
+
+def test_filter_divergence_fails_its_cell(tmp_path):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "1",
+                 "--out", str(out)]) == 0
+    ini = out / "scenario.ini"
+    text = ini.read_text()
+    start = text.index("q_diag = ")
+    end = text.index("\n", start)
+    ini.write_text(text[:start] + "q_diag = " + ", ".join(["inf"] * 6) + text[end:])
+    with pytest.warns(RuntimeWarning):
+        code = main(["run", "--logs", str(out), "--method", "pozyx-ctra",
+                     "--method", "raw-uwb", "--seeds", "1"])
+    assert code == 2
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in failures] == [("pozyx-ctra", "0")]
+    assert failures[0]["error"].startswith("filter diverged at sample 2 ")
+    with open(out / "reports.csv", newline="") as fh:
+        assert [r["method"] for r in csv.DictReader(fh)] == ["raw-uwb"]
+
+
+def test_clean_rerun_removes_stale_failures(tmp_path):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    main(["simulate", "--scenario", str(scenario), "--seeds", "1", "--out", str(out)])
+    assert main(["run", "--logs", str(out), "--method", "self-corrective",
+                 "--k1", "8000", "--k2", "9000"]) == 2
+    assert (out / "failures.csv").exists()
+    assert main(["run", "--logs", str(out), "--method", "raw-uwb"]) == 0
+    assert not (out / "failures.csv").exists()
+
+
 def test_calibrate_converges(tmp_path, capsys):
     target = 131.9
     written = tmp_path / "calibrated.ini"

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from conftest import constant_position_stream, make_stream, path_length, positions
+from ekf_oracle import (
+    CtraState,
+    MeasurementBuilder,
+    ctra_jacobian_scalar,
+    loop_filter,
+    predict_state_scalar,
+    pseudo_measurements,
+    wrap_angle_scalar,
+)
 from uwbvo.ekf import (
     CtraFilter,
     CtraParams,
-    CtraState,
-    MeasurementBuilder,
+    FilterError,
     _segment_measurements,
     ctra_jacobian,
     predict_state,
-    pseudo_measurements,
     run_filter,
     wrap_angle,
 )
@@ -285,6 +292,120 @@ class TestRunFilter:
 
     def test_empty_stream(self):
         assert run_filter([], CtraParams()) == []
+
+    @pytest.mark.parametrize(
+        "restarts",
+        [
+            [],  # one segment
+            [1850.5, 5000.0],  # between samples; unequal segment lengths
+            [3700.0, 3700.0, 3699.5],  # duplicates, and a time mapping to the same sample
+            [-10.0, 0.0],  # at (and before) the first sample
+            [2000.0, 2011.0, 2036.0, 2071.0, 9e9],  # segments of 1, 1 and 2; past the end
+            [int(t) for t in np.arange(0, 7000, 370)],  # many short segments
+        ],
+    )
+    def test_lockstep_equals_per_sample_loop(self, restarts):
+        # merged-stream shape: a second sensor interleaved, tied timestamps
+        # (dt = 0) included, on a curving track so every branch is taken
+        rng = np.random.default_rng(7)
+        ts = np.sort(np.concatenate([np.arange(0, 7400, 37), np.arange(0, 7400, 10)[::3]]))
+        t_s = ts / 1000.0
+        xy = np.stack([800.0 * np.sin(0.6 * t_s), 500.0 * t_s], axis=1)
+        xy += rng.normal(0.0, 15.0, size=xy.shape)
+        stream = make_stream(ts, xy)
+        assert np.any(np.diff(ts) == 0)
+        if 2036.0 in restarts:
+            starts = sorted({0, *np.searchsorted(ts, restarts).tolist()} - {len(ts)})
+            assert np.diff(starts)[1:4].tolist() == [1, 1, 2]
+        params = CtraParams()
+        assert run_filter(stream, params, restarts) == loop_filter(stream, params, restarts)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence_names_the_sample(self):
+        raw = constant_position_stream(40.0, 50, seed=1)
+        with pytest.raises(FilterError, match=r"diverged at sample 2 \(t_ms 74\)"):
+            run_filter(raw, CtraParams(q_diag=(math.inf,) * 6))
+
+
+class TestStacks:
+    @staticmethod
+    def mixed_states(rng, n):
+        # straight-line, series (|h| < 1e-4) and closed-form arc rows
+        return random_states(rng, n, (0.0, 1e-9, 1e-3, -2e-3, 0.5, -1.7))
+
+    def test_motion_model_equals_scalar_oracle(self):
+        # single states and stacks, bit for bit against math-call arithmetic
+        rng = np.random.default_rng(21)
+        n = 400
+        states = self.mixed_states(rng, n)
+        dts = rng.uniform(0.0, 0.1, n)
+        dts[:5] = 0.0
+        # a zero mid-arc heading leaves the series d(chord) term alone in J[0, 4]
+        states[::2, 3] = -(0.5 * dts[::2] * states[::2, 4])
+        pred, jac = predict_state(states, dts), ctra_jacobian(states, dts)
+        assert pred.shape == (n, 6) and jac.shape == (n, 6, 6)
+        for i in range(n):
+            expected_pred = predict_state_scalar(states[i], dts[i])
+            expected_jac = ctra_jacobian_scalar(states[i], dts[i])
+            assert np.array_equal(pred[i], expected_pred)
+            assert np.array_equal(jac[i], expected_jac)
+            assert np.array_equal(predict_state(states[i], dts[i]), expected_pred)
+            assert np.array_equal(ctra_jacobian(states[i], dts[i]), expected_jac)
+
+    def test_stacked_filter_equals_lone_filters(self):
+        rng = np.random.default_rng(22)
+        params = CtraParams()
+        n = 17
+        stack = CtraFilter(params)
+        stack.reset(rng.normal(0, 500, n), rng.normal(0, 500, n))
+        lone = []
+        for x, y in stack.state[:, :2]:
+            f = CtraFilter(params)
+            f.reset(x, y)
+            lone.append(f)
+        for _ in range(40):
+            dts = rng.uniform(0.0, 0.05, n)
+            u = self.mixed_states(rng, n)
+            stack.step(u, dts)
+            for i, f in enumerate(lone):
+                f.step(u[i], dts[i])
+                assert np.array_equal(stack.state[i], f.state)
+                assert np.array_equal(stack.P[i], f.P)
+
+    def test_singular_row_raises(self):
+        filt = CtraFilter(CtraParams(r_diag=(0.0,) * 6))
+        filt.reset(np.zeros(3), np.zeros(3))
+        filt.P[1] = 0.0
+        with pytest.raises(FilterError, match="degenerate"):
+            filt.update(np.zeros((3, 6)))
+
+    def test_diverged_flags_rows(self):
+        filt = CtraFilter(CtraParams())
+        filt.reset(np.zeros(4), np.zeros(4))
+        assert not filt.diverged().any()
+        filt.state[1, 2] = np.nan
+        filt.P[2, 4, 4] = -1e-3
+        filt.state[3, 0] = np.inf
+        assert filt.diverged().tolist() == [False, True, True, True]
+
+
+def test_wrap_angle_equals_remainder():
+    pi = math.pi
+    special = [pi, -pi, 0.0, -0.0, 2 * pi, -2 * pi, 5e-324, -5e-324, 1e300, -1e300, 1e17]
+    special += [k * pi for k in range(-101, 102, 2)]  # odd multiples of pi
+    special += [k * 2 * pi for k in range(-60, 61)]
+    special += list(np.nextafter(special[:2], [4.0, -4.0]))
+    rng = np.random.default_rng(3)
+    angles = np.concatenate(
+        [special, rng.uniform(-50, 50, 5000), rng.uniform(-1e9, 1e9, 2000)]
+    )
+    expected = np.array([wrap_angle_scalar(a) for a in angles.tolist()])
+    wrapped = wrap_angle(angles)
+    # bit for bit, sign of zero included
+    assert np.array_equal(wrapped.view(np.int64), expected.view(np.int64))
+    for a, e in zip(special, expected.tolist()):
+        assert math.copysign(1.0, wrap_angle(a)) == math.copysign(1.0, e)
+        assert wrap_angle(a) == e
 
 
 def test_ctra_state_round_trip_and_validation():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_stream
 from uwbvo.metrics import (
+    CoverageError,
     RunReport,
     TruthTable,
     compare,
@@ -69,7 +70,7 @@ def test_stop_accuracy_uses_last_visit_of_revisited_stop():
 def test_stop_accuracy_requires_window_coverage():
     truth = build_truth(default_scenario().plan)
     samples = make_stream([0, 100], [(1000.0, 0.0), (1000.0, 0.0)])
-    with pytest.raises(ValueError, match="stop"):
+    with pytest.raises(CoverageError, match="stop"):
         stop_accuracy(samples, truth)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,11 +58,6 @@ ZERO = Position2D(0.0, 0.0)
 def euclidean(a: Position2D, b: Position2D) -> float:
     """Planar Euclidean distance in millimetres."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def quantize_mm(value: float) -> float:
-    """Snap a coordinate to the 0.1 mm log resolution."""
-    return float(np.round(value, MM_DECIMALS))
 
 
 @dataclass(frozen=True)
@@ -200,43 +195,64 @@ def write_log(pair: StreamPair, path) -> None:
                 writer.writerow(_format_row(s))
 
 
-def read_log(path) -> StreamPair:
-    """Read a stream pair written by :func:`write_log`.
-
-    Raises :class:`LogFormatError` naming the offending line for malformed
-    rows and for non-monotone timestamps within a stream.
-    """
-    streams: dict[str, list[Sample]] = {UWB: [], VO: []}
+def _log_rows(path) -> Iterator[list[str]]:
+    """CSV rows of a log; bytes that are not UTF-8 and CSV errors raise LogFormatError."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise LogFormatError(f"{path}: empty log file") from None
-        if tuple(header) != LOG_HEADER:
-            raise LogFormatError(f"{path}: line 1: bad header {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise LogFormatError(
-                    f"{path}: line {lineno}: expected 4 columns, got {len(row)}"
-                )
-            t_raw, sensor, x_raw, y_raw = row
-            if sensor not in SENSORS:
-                raise LogFormatError(
-                    f"{path}: line {lineno}: unknown sensor {sensor!r}"
-                )
-            try:
-                t = int(t_raw)
-                pos = Position2D(float(x_raw), float(y_raw))
-            except ValueError as exc:
-                raise LogFormatError(f"{path}: line {lineno}: {exc}") from None
-            bucket = streams[sensor]
-            if bucket and bucket[-1].t_ms >= t:
-                raise LogFormatError(
-                    f"{path}: line {lineno}: non-monotone timestamp {t} "
-                    f"in {sensor} stream"
-                )
-            bucket.append(Sample(t, pos, sensor))
+            yield from reader
+            return
+        except csv.Error as exc:  # e.g. an unterminated quote past the field size limit
+            raise LogFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            pass
+    # the decoder reads ahead of the reader in chunks: find the byte in the whole file
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LogFormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
+    raise LogFormatError(f"{path}: not UTF-8")  # the file changed while it was read
+
+
+def read_log(path) -> StreamPair:
+    """Read a stream pair written by :func:`write_log`.
+
+    Raises :class:`LogFormatError` naming the offending line for bytes that
+    are not UTF-8, malformed rows and non-monotone timestamps within a
+    stream.
+    """
+    streams: dict[str, list[Sample]] = {UWB: [], VO: []}
+    rows = _log_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise LogFormatError(f"{path}: empty log file")
+    if tuple(header) != LOG_HEADER:
+        raise LogFormatError(f"{path}: line 1: bad header {header!r}")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != 4:
+            raise LogFormatError(
+                f"{path}: line {lineno}: expected 4 columns, got {len(row)}"
+            )
+        t_raw, sensor, x_raw, y_raw = row
+        if sensor not in SENSORS:
+            raise LogFormatError(
+                f"{path}: line {lineno}: unknown sensor {sensor!r}"
+            )
+        try:
+            t = int(t_raw)
+            pos = Position2D(float(x_raw), float(y_raw))
+        except ValueError as exc:
+            raise LogFormatError(f"{path}: line {lineno}: {exc}") from None
+        bucket = streams[sensor]
+        if bucket and bucket[-1].t_ms >= t:
+            raise LogFormatError(
+                f"{path}: line {lineno}: non-monotone timestamp {t} "
+                f"in {sensor} stream"
+            )
+        bucket.append(Sample(t, pos, sensor))
     for sensor in SENSORS:
         if not streams[sensor]:
             raise LogFormatError(f"{path}: empty stream: {sensor}")

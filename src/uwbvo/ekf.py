@@ -173,8 +173,8 @@ class CtraParams:
         for name, diag in (("q", self.q_diag), ("r", self.r_diag), ("p0", self.p0_diag)):
             if len(diag) != STATE_DIM:
                 raise ValueError(f"{name}_diag must have {STATE_DIM} entries")
-            if any(d < 0 for d in diag):
-                raise ValueError(f"{name}_diag entries must be nonnegative")
+            if not all(math.isfinite(d) and d >= 0 for d in diag):
+                raise ValueError(f"{name}_diag entries must be finite and nonnegative")
 
 
 # Window motion must exceed a multiple of the straight-line fit's own

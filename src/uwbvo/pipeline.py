@@ -118,13 +118,6 @@ class FusedTrack:
     def corrections(self) -> int:
         return sum(1 for e in self.stop_events if e.corrected)
 
-    def positions(self) -> np.ndarray:
-        out = np.empty((len(self.samples), 2))
-        for i, s in enumerate(self.samples):
-            out[i, 0] = s.pos.x
-            out[i, 1] = s.pos.y
-        return out
-
 
 class _VoWindow:
     """Corrected VO vertices since the previous stop visit."""

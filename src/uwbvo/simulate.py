@@ -14,7 +14,10 @@ Sensor streams are synthesized from the truth:
 * Visual odometer: truth plus small Gaussian noise, but affected segments
   report scaled-down displacements (direction preserved); the resulting
   offset persists and accumulates across segments until a reboot re-anchors
-  the sensor.
+  the sensor. One model produces every VO sample: :class:`VoSensor`
+  evaluates ``true + (ref_bias + (scale - 1) * (true - ref_pos)) + noise``
+  in vectorised blocks, each running from a segment event or reboot to the
+  next, and :func:`synth_vo` is that sensor drained without reboots.
 
 Everything is a pure function of (config, seed): one seed is split into
 independent child generators for UWB noise, UWB rays, VO noise, and VO
@@ -28,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import UWB, VO, FlightPlan, Position2D, Sample, StreamPair, quantize_mm
+from .core import MM_DECIMALS, UWB, VO, FlightPlan, Position2D, Sample, StreamPair
 
 
 @dataclass(frozen=True)
@@ -289,12 +292,9 @@ def sample_times(rate_hz: float, duration_ms: float) -> np.ndarray:
     return np.round(np.arange(n) * period).astype(np.int64)
 
 
-def _quantized_samples(ts: np.ndarray, xy: np.ndarray, source: str) -> list[Sample]:
-    snapped = np.round(xy, 1)
-    return [
-        Sample(int(t), Position2D(float(p[0]), float(p[1])), source)
-        for t, p in zip(ts, snapped)
-    ]
+def _rows(ts: np.ndarray, xy: np.ndarray) -> Iterator[tuple[int, float, float]]:
+    """``(t_ms, x, y)`` rows at the log resolution of 0.1 mm."""
+    return zip(ts.tolist(), *np.round(xy, MM_DECIMALS).T.tolist())
 
 
 def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:
@@ -325,7 +325,7 @@ def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:
         xy[start:stop, 1] += magnitude * math.sin(theta)
         events.append(RayEvent(ordinal, window.stop_index, int(ts[start]), theta))
 
-    return UwbTrace(_quantized_samples(ts, xy, UWB), events)
+    return UwbTrace([Sample(t, Position2D(x, y), UWB) for t, x, y in _rows(ts, xy)], events)
 
 
 def _segment_scales(
@@ -343,53 +343,33 @@ def _segment_scales(
 
 
 def synth_vo(truth: GroundTruth, model: VoModel, seed: int) -> VoTrace:
-    """VO positions with per-segment scale faults and accumulating offset."""
-    _, _, rng_noise, rng_fault = _child_rngs(seed)
-    ts = sample_times(model.rate_hz, truth.duration_ms)
-    true_xy = truth.sample(ts)
-    noise = rng_noise.normal(0.0, model.sigma_mm, size=(len(ts), 2))
-    scales = _segment_scales(truth, model.underestimate, rng_fault)
+    """VO positions with per-segment scale faults and accumulating offset.
 
-    # cumulative offset entering each segment: bias_prefix[i] applies from
-    # the dwell before segment i up to that segment's start
-    n_seg = len(truth.segments)
-    bias_prefix = np.zeros((n_seg + 1, 2))
-    for seg in truth.segments:
-        vec = np.array([seg.end.x - seg.start.x, seg.end.y - seg.start.y])
-        bias_prefix[seg.index + 1] = (
-            bias_prefix[seg.index] + (scales[seg.index] - 1.0) * vec
-        )
-
-    seg_t0 = np.array([seg.t0_ms for seg in truth.segments])
-    seg_t1 = np.array([seg.t1_ms for seg in truth.segments])
-    seg_start = np.array([(seg.start.x, seg.start.y) for seg in truth.segments])
-
-    # index of the segment each sample is in, or of the next segment when
-    # dwelling (so the entering bias applies)
-    nxt = np.searchsorted(seg_t1, ts, side="left")
-    nxt = np.clip(nxt, 0, n_seg)
-    bias = bias_prefix[nxt].copy()
-    for i in range(n_seg):
-        in_seg = (nxt == i) & (ts >= seg_t0[i])
-        if np.any(in_seg):
-            bias[in_seg] += (scales[i] - 1.0) * (true_xy[in_seg] - seg_start[i])
-
-    xy = true_xy + bias + noise
-    faults = [
-        FaultEvent(seg.index, float(scales[seg.index]))
-        for seg in truth.segments
-        if scales[seg.index] != 1.0
-    ]
-    return VoTrace(_quantized_samples(ts, xy, VO), faults)
+    The stream is a :class:`VoSensor` drained without reboots, block by block.
+    """
+    sensor = VoSensor(truth, model, seed)
+    samples: list[Sample] = []
+    i = 0
+    while i < len(sensor.ts):
+        i, rows = sensor._block(i)
+        samples += [Sample(t, Position2D(x, y), VO) for t, x, y in rows]
+    faults = [FaultEvent(i, float(s)) for i, s in enumerate(sensor._scales) if s != 1.0]
+    return VoTrace(samples, faults)
 
 
 class VoSensor:
-    """Live VO stream with a reboot hook.
+    """Live VO stream with a reboot hook; the one VO sensor model.
 
-    Without reboots the emitted samples are identical to :func:`synth_vo`
-    for the same seed. ``reboot`` re-anchors the sensor origin at the given
-    position and cancels the active segment's scale fault from that moment
-    on; later segments keep their own fault draws.
+    The sensor's frame (reference position, offset accumulated there, active
+    scale) changes only at segment starts and ends and at reboots. Between
+    two such events every sample is
+    ``true + (ref_bias + (scale - 1) * (true - ref_pos)) + noise`` at 0.1 mm,
+    so ``next`` computes the samples up to the next event as one vectorised
+    block when it first reaches them.
+    ``reboot`` re-anchors the origin at the given position and cancels the
+    active segment's scale fault (later segments keep their own fault
+    draws); it discards the rest of the block. Without reboots the sensor
+    emits exactly :func:`synth_vo`'s stream.
     """
 
     def __init__(self, truth: GroundTruth, model: VoModel, seed: int) -> None:
@@ -406,9 +386,11 @@ class VoSensor:
         self._ref_bias = np.zeros(2)
         self._active_scale = 1.0
         self._in_segment = False
+        self._rows: Iterator[tuple[int, float, float]] = iter(())
         self.reboots: list[int] = []
 
-    def _advance_segments(self, t: float) -> None:
+    def _advance_segments(self, t: float) -> float:
+        """Apply the segment events up to ``t``; return the next event's time."""
         segs = self.truth.segments
         while self._seg_ptr < len(segs) and t >= segs[self._seg_ptr].t1_ms:
             seg = segs[self._seg_ptr]
@@ -424,31 +406,38 @@ class VoSensor:
             self._active_scale = 1.0
             self._in_segment = False
             self._seg_ptr += 1
-        if self._seg_ptr < len(segs) and t >= segs[self._seg_ptr].t0_ms:
-            if not self._in_segment:
-                seg = segs[self._seg_ptr]
-                self._ref_pos = np.array([seg.start.x, seg.start.y])
-                self._active_scale = float(self._scales[seg.index])
-                self._in_segment = True
+        if self._seg_ptr == len(segs):
+            return math.inf
+        seg = segs[self._seg_ptr]
+        if not self._in_segment:
+            if t < seg.t0_ms:
+                return seg.t0_ms
+            self._ref_pos = np.array([seg.start.x, seg.start.y])
+            self._active_scale = float(self._scales[seg.index])
+            self._in_segment = True
+        return seg.t1_ms
+
+    def _block(self, i: int) -> tuple[int, Iterator[tuple[int, float, float]]]:
+        """End index and ``(t, x, y)`` rows of the block starting at sample ``i``."""
+        j = int(np.searchsorted(self.ts, self._advance_segments(float(self.ts[i]))))
+        true_xy = self._true_xy[i:j]
+        bias = self._ref_bias + (self._active_scale - 1.0) * (true_xy - self._ref_pos)
+        return j, _rows(self.ts[i:j], true_xy + bias + self._noise[i:j])
 
     def __iter__(self) -> Iterator[Sample]:
         return self
 
     def __next__(self) -> Sample:
-        if self._idx >= len(self.ts):
-            raise StopIteration
-        i = self._idx
-        t = float(self.ts[i])
-        true_pos = self._true_xy[i]
-        self._advance_segments(t)
-        bias = self._ref_bias + (self._active_scale - 1.0) * (true_pos - self._ref_pos)
-        xy = true_pos + bias + self._noise[i]
-        self._idx = i + 1
-        return Sample(
-            int(self.ts[i]),
-            Position2D(quantize_mm(float(xy[0])), quantize_mm(float(xy[1]))),
-            VO,
-        )
+        row = next(self._rows, None)
+        if row is None:
+            if self._idx >= len(self.ts):
+                self._rows = iter(())  # an exhausted zip still holds its x and y lists
+                raise StopIteration
+            _, self._rows = self._block(self._idx)
+            row = next(self._rows)
+        self._idx += 1
+        t, x, y = row
+        return Sample(t, Position2D(x, y), VO)
 
     def reboot(self, anchor: Position2D) -> None:
         """Re-anchor at ``anchor``; the active scale fault is cleared."""
@@ -457,6 +446,7 @@ class VoSensor:
         self._ref_pos = true_now
         self._ref_bias = np.array([anchor.x, anchor.y]) - true_now
         self._active_scale = 1.0
+        self._rows = iter(())
         self.reboots.append(int(t_now))
 
 

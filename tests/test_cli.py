@@ -1,14 +1,16 @@
 import csv
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from uwbvo import cli
+from uwbvo import baselines, cli
 from uwbvo.baselines import BaselineKind, run_method
 from uwbvo.cli import main
 from uwbvo.config import default_pipeline_params, save_config
 from uwbvo.core import Position2D, FlightPlan, read_log
-from uwbvo.ekf import FilterError
+from uwbvo.ekf import FilterError, run_filter
 from uwbvo.simulate import (
     RaySpec,
     ScaleFaultSpec,
@@ -235,16 +237,41 @@ def test_coverage_gap_fails_its_cell_and_batch_continues(tmp_path, capsys):
     ]
 
 
-def test_filter_divergence_fails_its_cell(tmp_path):
+def test_non_utf8_log_fails_its_seed_and_batch_continues(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
+                 "--out", str(out)]) == 0
+    log = out / "streams_0000.csv"
+    data = bytearray(log.read_bytes())
+    data[200] = 0xFF
+    log.write_bytes(bytes(data))
+    code = main(["run", "--logs", str(out), "--method", "raw-uwb", "--seeds", "2"])
+    assert code == 2
+    assert "FAILED raw-uwb seed 0" in capsys.readouterr().err
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in failures] == [("raw-uwb", "0")]
+    line = data[:200].count(b"\n") + 1
+    assert f"streams_0000.csv: line {line}: not UTF-8" in failures[0]["error"]
+    with open(out / "reports.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in rows] == [("raw-uwb", "1")]
+
+
+def test_filter_divergence_fails_its_cell(tmp_path, monkeypatch):
     scenario = small_scenario_file(tmp_path)
     out = tmp_path / "runs"
     assert main(["simulate", "--scenario", str(scenario), "--seeds", "1",
                  "--out", str(out)]) == 0
-    ini = out / "scenario.ini"
-    text = ini.read_text()
-    start = text.index("q_diag = ")
-    end = text.index("\n", start)
-    ini.write_text(text[:start] + "q_diag = " + ", ".join(["inf"] * 6) + text[end:])
+
+    def diverging_filter(stream, params, **kwargs):
+        # CtraParams rejects a non-finite diagonal, so set it past the check
+        params = replace(params)
+        object.__setattr__(params, "q_diag", (math.inf,) * 6)
+        return run_filter(stream, params, **kwargs)
+
+    monkeypatch.setattr(baselines, "run_filter", diverging_filter)
     with pytest.warns(RuntimeWarning):
         code = main(["run", "--logs", str(out), "--method", "pozyx-ctra",
                      "--method", "raw-uwb", "--seeds", "1"])

@@ -76,3 +76,14 @@ def test_wrong_diag_length_rejected(tmp_path):
     path.write_text(text.replace(q_line, "q_diag = 1, 2, 3"))
     with pytest.raises(ConfigError, match="expected 6"):
         load_config(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_diag_rejected(tmp_path, value):
+    path = tmp_path / "scenario.ini"
+    save_config(default_scenario(), default_pipeline_params(), path)
+    text = path.read_text()
+    q_line = next(l for l in text.splitlines() if l.startswith("q_diag"))
+    path.write_text(text.replace(q_line, "q_diag = " + ", ".join([value] * 6)))
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(path)

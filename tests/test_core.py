@@ -154,6 +154,53 @@ def test_log_bad_header_and_sensor(tmp_path):
         read_log(path)
 
 
+def test_log_non_utf8_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"t_ms,sensor,x_mm,y_mm\n0,uwb,1.0,2.0\n5,uwb,3\xff.0,4.0\n0,vo,0.0,0.0\n")
+    with pytest.raises(LogFormatError, match="line 3: not UTF-8"):
+        read_log(path)
+
+
+def test_log_unterminated_quote_is_a_format_error(tmp_path):
+    # the quoted field runs to the end of the file, past csv's field size limit
+    pair = quantized_pair(np.random.default_rng(4), 4000, 4000)
+    path = tmp_path / "log.csv"
+    write_log(pair, path)
+    data = path.read_bytes()
+    at = data.index(b"uwb")
+    path.write_bytes(data[:at] + b'"' + data[at + 1 :])
+    with pytest.raises(LogFormatError, match="field limit"):
+        read_log(path)
+
+
+@pytest.fixture(scope="module")
+def small_log(tmp_path_factory):
+    path = tmp_path_factory.mktemp("log") / "log.csv"
+    write_log(quantized_pair(np.random.default_rng(3), 4, 6), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_log_is_read_or_rejected(small_log, data):
+    # truncated at an arbitrary byte, or one byte overwritten with any value:
+    # either a valid pair comes back or the damage is a LogFormatError
+    path, log = small_log
+    at = data.draw(st.integers(0, len(log) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = log[:at]
+    else:
+        value = data.draw(st.integers(0, 255), label="value")
+        damaged = log[:at] + bytes([value]) + log[at + 1 :]
+    bad = path.with_name("damaged.csv")
+    bad.write_bytes(damaged)
+    try:
+        pair = read_log(bad)
+    except LogFormatError:
+        return
+    assert isinstance(pair, StreamPair)
+
+
 def test_flight_plan_validation():
     a, b = Position2D(0, 0), Position2D(500, 0)
     with pytest.raises(ValueError, match="at least 2"):

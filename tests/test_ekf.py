@@ -323,8 +323,11 @@ class TestRunFilter:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_names_the_sample(self):
         raw = constant_position_stream(40.0, 50, seed=1)
+        params = CtraParams()
+        # CtraParams rejects a non-finite diagonal, so set it past the check
+        object.__setattr__(params, "q_diag", (math.inf,) * 6)
         with pytest.raises(FilterError, match=r"diverged at sample 2 \(t_ms 74\)"):
-            run_filter(raw, CtraParams(q_diag=(math.inf,) * 6))
+            run_filter(raw, params)
 
 
 class TestStacks:

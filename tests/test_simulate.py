@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import positions
+from vo_oracle import LoopVoSensor
 from uwbvo.core import FlightPlan, Position2D, euclidean
 from uwbvo.simulate import (
+    SCENARIO_PRESETS,
     RaySpec,
     ScaleFaultSpec,
     UwbModel,
@@ -216,6 +218,75 @@ class TestDeterminismAndSensor:
         final_true = truth.plan.stops[1]
         final_expected_x = anchor.x + (final_true.x - true_at_reboot.x)
         assert tail[-1].pos.x == pytest.approx(final_expected_x, abs=0.06)
+
+
+def short_dwell_loop() -> FlightPlan:
+    """The preset loop with 2 s dwells: every event kind, ~12k VO samples."""
+    return replace(default_scenario().plan, dwell_ms=2000.0)
+
+
+def drive(sensor, reboot_at):
+    """Every sample, rebooting before sample k once per occurrence of k.
+
+    ``k == len(sensor.ts)`` reboots after the last sample. Each reboot gets
+    its own anchor.
+    """
+    out = []
+    for k in range(len(sensor.ts) + 1):
+        for _ in range(reboot_at.count(k)):
+            r = len(sensor.reboots)
+            sensor.reboot(Position2D(100.0 + 37.5 * r, 200.0 - 12.25 * r))
+        out.append(next(sensor, None))
+    return out
+
+
+class TestSensorOracle:
+    """The block sensor against the per-sample oracle, sample for sample."""
+
+    @pytest.mark.parametrize("rate_hz", [200.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_reboots_equal_oracle(self, rate_hz, seed):
+        truth = build_truth(short_dwell_loop())
+        model = replace(worst_case_scenario().vo, rate_hz=rate_hz)
+        ts = sample_times(rate_hz, truth.duration_ms)
+        n = len(ts)
+
+        def inside(spans):
+            return np.flatnonzero(np.any([(ts >= a) & (ts < b) for a, b in spans], axis=0))
+
+        in_dwell = inside([(w.t0_ms, w.t1_ms) for w in truth.stop_windows])
+        # segments 4-15 are faulted in the worst case
+        in_fault = inside([(s.t0_ms, s.t1_ms) for s in truth.segments[4:]])
+        empty = [s for s in truth.segments if len(inside([(s.t0_ms, s.t1_ms)])) == 0]
+        # at 0.5 Hz some segments hold no sample: the "skipped entirely" branch
+        assert (len(empty) > 0) == (rate_hz < 1.0)
+        rng = np.random.default_rng(seed)
+        twice = int(rng.integers(1, n - 1))
+        reboot_at = [
+            0,
+            n - 1,
+            n,  # after the last sample
+            int(in_dwell[len(in_dwell) // 2]),
+            int(in_fault[len(in_fault) // 3]),
+            twice,
+            twice,  # back to back
+            twice + 1,
+            *rng.integers(0, n, size=12).tolist(),
+        ]
+        block = VoSensor(truth, model, seed)
+        loop = LoopVoSensor(truth, model, seed)
+        assert drive(block, reboot_at) == drive(loop, reboot_at)
+        assert block.reboots == loop.reboots
+        assert len(block.reboots) == len(reboot_at)
+
+    @pytest.mark.parametrize(
+        "preset, seed", [("default", 0), ("worst-case", 1), ("best-case", 2)]
+    )
+    def test_synth_vo_equals_oracle_drain(self, preset, seed):
+        scenario = SCENARIO_PRESETS[preset]()
+        truth = build_truth(scenario.plan)
+        batch = synth_vo(truth, scenario.vo, seed).samples
+        assert batch == list(LoopVoSensor(truth, scenario.vo, seed))
 
 
 class TestScenarios:

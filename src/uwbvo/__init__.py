@@ -12,13 +12,12 @@ simulator, accuracy metrics, and a benchmark CLI round out the package.
 from .baselines import BaselineKind, avg_fusion, direct_fusion, pozyx_only, run_method
 from .clustering import ClusterParams, StopClusterer, StopEstimate, detect_stop, region_gate
 from .core import (
-    AlignedSample,
     FlightPlan,
     LogFormatError,
     Position2D,
     Sample,
+    Stream,
     StreamPair,
-    align_streams,
     euclidean,
     read_log,
     write_log,
@@ -33,7 +32,6 @@ from .ekf import (
 from .metrics import (
     RunReport,
     StopAccuracy,
-    TruthTable,
     compare,
     stop_accuracy,
     trajectory_rmse,

@@ -8,9 +8,10 @@ filter is tuned.
 from __future__ import annotations
 
 import enum
-from typing import Sequence
 
-from .core import FlightPlan, Position2D, Sample, StreamPair, align_streams
+import numpy as np
+
+from .core import UWB, FlightPlan, Stream, StreamPair, nearest_indices
 from .ekf import CtraParams, run_filter
 from .pipeline import FusedTrack, PipelineParams, run_pipeline
 from .simulate import build_truth
@@ -30,40 +31,32 @@ def stop_arrival_times(plan: FlightPlan) -> list[float]:
     return [w.t0_ms for w in build_truth(plan).stop_windows[1:]]
 
 
-def pozyx_only(
-    stream: Sequence[Sample], plan: FlightPlan, params: CtraParams
-) -> list[Sample]:
+def pozyx_only(stream: Stream, plan: FlightPlan, params: CtraParams) -> Stream:
     """CTRA filter over the UWB stream alone."""
     return run_filter(stream, params, restart_times_ms=stop_arrival_times(plan))
 
 
-def averaged_stream(pair: StreamPair) -> list[Sample]:
-    """Per-sample mean of the aligned streams, at UWB rate."""
-    return [
-        Sample(t, Position2D(0.5 * (u.x + v.x), 0.5 * (u.y + v.y)), pair.uwb[0].source)
-        for t, u, v in align_streams(pair)
-    ]
+def averaged_stream(pair: StreamPair) -> Stream:
+    """Per-sample mean at UWB rate, with the VO sample nearest in time (earlier on a tie)."""
+    j = nearest_indices(pair.vo.t_ms, pair.uwb.t_ms)
+    return Stream(pair.uwb.t_ms, 0.5 * (pair.uwb.xy + pair.vo.xy[j]), UWB)
 
 
-def avg_fusion(
-    pair: StreamPair, plan: FlightPlan, params: CtraParams
-) -> list[Sample]:
+def avg_fusion(pair: StreamPair, plan: FlightPlan, params: CtraParams) -> Stream:
     """Filter the per-sample average of the two streams, at UWB rate."""
     return run_filter(
         averaged_stream(pair), params, restart_times_ms=stop_arrival_times(plan)
     )
 
 
-def merge_streams(pair: StreamPair) -> list[Sample]:
-    """Interleave both streams by timestamp; UWB first on ties."""
-    merged = list(pair.uwb) + list(pair.vo)
-    merged.sort(key=lambda s: (s.t_ms, s.source))
-    return merged
+def merge_streams(pair: StreamPair) -> Stream:
+    """Interleave both streams by timestamp, UWB first on ties; tagged UWB like the average."""
+    t_ms = np.concatenate((pair.uwb.t_ms, pair.vo.t_ms))
+    order = np.argsort(t_ms, kind="stable")  # UWB rows come first in t_ms
+    return Stream(t_ms[order], np.concatenate((pair.uwb.xy, pair.vo.xy))[order], UWB)
 
 
-def direct_fusion(
-    pair: StreamPair, plan: FlightPlan, params: CtraParams
-) -> list[Sample]:
+def direct_fusion(pair: StreamPair, plan: FlightPlan, params: CtraParams) -> Stream:
     """One filter over the merged stream, stepped by actual arrival gaps."""
     return run_filter(
         merge_streams(pair), params, restart_times_ms=stop_arrival_times(plan)
@@ -75,12 +68,12 @@ def run_method(
     pair: StreamPair,
     plan: FlightPlan,
     params: PipelineParams,
-) -> tuple[list[Sample], FusedTrack | None]:
+) -> tuple[Stream, FusedTrack | None]:
     """Produce the method's output track; the fused track where one exists."""
     if kind is BaselineKind.RAW_UWB:
-        return list(pair.uwb), None
+        return pair.uwb, None
     if kind is BaselineKind.RAW_VO:
-        return list(pair.vo), None
+        return pair.vo, None
     if kind is BaselineKind.POZYX_CTRA:
         return pozyx_only(pair.uwb, plan, params.ekf), None
     if kind is BaselineKind.AVG_FUSION:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ import numpy as np
 from .baselines import BaselineKind, run_method
 from .clustering import ClusterParams
 from .config import ConfigError, load_config, resolve_scenario, save_config
-from .core import FlightPlan, LogFormatError, read_log, write_log
+from .core import FlightPlan, LogFormatError, Stream, csv_text, read_log, write_log
 from .ekf import FilterError
 from .metrics import (
     COMPARE_HEADER,
@@ -102,14 +101,9 @@ def _truth_csv_bytes(truth, rate_hz: float) -> bytes:
     for w in truth.stop_windows:
         inside = (ts >= w.t0_ms) & (ts <= w.t1_ms)
         stop_idx[inside] = w.stop_index
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t_ms", "x_mm", "y_mm", "stop_index"])
-    writer.writerows(
-        [t, f"{x:.1f}", f"{y:.1f}", si]
-        for t, (x, y), si in zip(ts.tolist(), xy.tolist(), stop_idx.tolist())
-    )
-    return buf.getvalue().encode("utf-8")
+    rows = zip(ts.tolist(), *xy.T.tolist(), stop_idx.tolist())
+    header = ("t_ms", "x_mm", "y_mm", "stop_index")
+    return csv_text(header, "%d,%.1f,%.1f,%d\r\n", rows).encode("utf-8")
 
 
 def cmd_simulate(args) -> int:
@@ -196,8 +190,12 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_rows(path: Path, header, row_format: str, rows) -> None:
+    path.write_text(csv_text(header, row_format, rows), encoding="utf-8", newline="")
+
+
 def _score_and_write(
-    method_value: str, seed: int, samples, track, truth, tracks_dir: Path
+    method_value: str, seed: int, samples: Stream, track, truth, tracks_dir: Path
 ) -> RunReport:
     """Score one method's output and write its track, error and stop files."""
     report = RunReport.build(
@@ -205,23 +203,21 @@ def _score_and_write(
     )
     name = f"{method_value}_{seed:04d}.csv"
     modes = track.modes if track is not None else ["vo"] * len(samples)
-    _write_csv(
+    _write_rows(
         tracks_dir / f"track_{name}",
         TRACK_HEADER,
-        (
-            [s.t_ms, f"{s.pos.x:.1f}", f"{s.pos.y:.1f}", m]
-            for s, m in zip(samples, modes)
-        ),
+        "%d,%.1f,%.1f,%s\r\n",
+        zip(samples.t_ms.tolist(), *samples.xy.T.tolist(), modes),
     )
     # plot data: the error-vs-time curve, decimated to a plottable size
-    ts = np.fromiter((s.t_ms for s in samples), dtype=np.float64, count=len(samples))
-    xy = np.array([[s.pos.x, s.pos.y] for s in samples])
-    err = np.hypot(*(xy - truth.sample(ts)).T)
+    ts = samples.t_ms.astype(np.float64)
+    err = np.hypot(*(samples.xy - truth.sample(ts)).T)
     stride = max(1, len(ts) // 2000)
-    _write_csv(
+    _write_rows(
         tracks_dir / f"errors_{name}",
         ERRORS_HEADER,
-        ([int(t), f"{e:.1f}"] for t, e in zip(ts[::stride], err[::stride])),
+        "%d,%.1f\r\n",
+        zip(samples.t_ms[::stride].tolist(), err[::stride].tolist()),
     )
     if track is not None:
         _write_csv(
@@ -256,7 +252,8 @@ def _run_seed(
 ) -> tuple[list[RunReport], list[tuple[str, int, str]]]:
     """Every selected method on one seed's log, which is read once.
 
-    The read pair holds frozen tuples, so the methods share it. Each
+    The methods share the read pair: its streams' arrays are read-only, so
+    no method can change what the next one reads. Each
     method's files are written as soon as it finishes; only its report, or
     its failure text, is returned. A malformed log fails every method of
     the seed; a method that fails (stop detection, filter divergence, or a
@@ -328,21 +325,29 @@ def cmd_run(args) -> int:
 
 
 def read_reports(path: Path) -> list[RunReport]:
+    """The rows of a ``reports.csv``; a missing column or a bad row is a ConfigError."""
     reports = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            reports.append(
-                RunReport(
-                    method=row["method"],
-                    seed=int(row["seed"]),
-                    per_stop_error=(),
-                    avg_stop_mm=float(row["avg_stop_mm"]),
-                    std_stop_mm=float(row["std_stop_mm"]),
-                    rmse_mm=float(row["rmse_mm"]),
-                    restarts=int(row["restarts"]),
-                    corrections=int(row["corrections"]),
+        reader = csv.DictReader(fh)
+        missing = [c for c in REPORT_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                reports.append(
+                    RunReport(
+                        method=row["method"],
+                        seed=int(row["seed"]),
+                        per_stop_error=(),
+                        avg_stop_mm=float(row["avg_stop_mm"]),
+                        std_stop_mm=float(row["std_stop_mm"]),
+                        rmse_mm=float(row["rmse_mm"]),
+                        restarts=int(row["restarts"]),
+                        corrections=int(row["corrections"]),
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:  # a short row reads as None
+                raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
     return reports
 
 
@@ -359,10 +364,7 @@ def cmd_compare(args) -> int:
     summaries = compare(reports)
     table = render_table(summaries)
     print(table)
-    with open(logs_dir / "compare.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARE_HEADER)
-        writer.writerows(compare_rows(summaries))
+    _write_csv(logs_dir / "compare.csv", COMPARE_HEADER, compare_rows(summaries))
     return 0
 
 
@@ -373,7 +375,7 @@ def raw_stop_accuracy(scenario: ScenarioConfig, sigma_mm: float, seeds: int) -> 
     values = []
     for seed in range(seeds):
         pair, _, _ = simulate_pair(probe, seed)
-        values.append(stop_accuracy(list(pair.uwb), truth).avg_mm)
+        values.append(stop_accuracy(pair.uwb, truth).avg_mm)
     return float(np.mean(values))
 
 

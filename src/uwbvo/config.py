@@ -43,7 +43,7 @@ def default_pipeline_params() -> PipelineParams:
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent configuration file."""
+    """Malformed or inconsistent input file: a scenario file or a reports table."""
 
 
 def _fmt_float(x: float) -> str:
@@ -135,9 +135,12 @@ def save_config(
 def load_config(path: str | Path) -> tuple[ScenarioConfig, PipelineParams]:
     """Read a file written by :func:`save_config` (or hand-edited)."""
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh, source=str(path))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # a missing file, bytes that are not UTF-8, no section header, ...
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         version = cp.getint("meta", "schema_version")
         if version != SCHEMA_VERSION:

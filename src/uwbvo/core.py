@@ -1,19 +1,26 @@
-"""Core value types for planar positioning streams, alignment, and log I/O.
+"""Core value types for planar positioning streams, and log I/O.
 
 Internal units are millimetres and milliseconds everywhere; converters live
 at ingestion only. Logs store timestamps as integer milliseconds and
 coordinates as fixed decimals at 0.1 mm resolution, so a log written from
 quantized samples reads back bit-exact.
 
-All types here are immutable values and all operations are pure functions,
-so they are safe to share across threads or worker processes.
+A :class:`Stream` holds one source's timestamps and positions as arrays,
+validated once; :class:`Position2D` and :class:`Sample` are the scalar
+types. All are immutable (a Stream owns read-only copies of its arrays, so
+writing into them raises) and all operations are pure functions, so they
+are safe to share across threads, worker processes and methods.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, repeat
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -48,9 +55,6 @@ class Position2D:
     def __sub__(self, other: "Position2D") -> "Position2D":
         return Position2D(self.x - other.x, self.y - other.y)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 ZERO = Position2D(0.0, 0.0)
 
@@ -73,34 +77,80 @@ class Sample:
             raise ValueError(f"unknown sensor {self.source!r}")
 
 
-def _check_stream(samples: Sequence[Sample], source: str) -> None:
-    if not samples:
-        raise ValueError(f"empty stream: {source}")
-    last = None
-    for s in samples:
-        if s.source != source:
-            raise ValueError(f"sample tagged {s.source!r} in {source} stream")
-        if last is not None and s.t_ms <= last:
-            raise ValueError(
-                f"non-monotone timestamps in {source} stream at t={s.t_ms}"
-            )
-        last = s.t_ms
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """One source's readings as columns: ``t_ms`` int64[N], ``xy`` float64[N, 2].
+
+    Both arrays are read-only copies, checked once here: a known source,
+    one position per timestamp, finite positions and timestamps in
+    non-decreasing order (a merged stream holds ties; :class:`StreamPair`
+    asks its streams for strictly increasing ones). Iterating or indexing
+    yields :class:`Sample` values for scalar consumers; a slice is a Stream.
+    """
+
+    t_ms: np.ndarray
+    xy: np.ndarray
+    source: str
+
+    def __post_init__(self) -> None:
+        if self.source not in SENSORS:
+            raise ValueError(f"unknown sensor {self.source!r}")
+        t_ms = np.array(self.t_ms, dtype=np.int64)
+        xy = np.array(self.xy, dtype=np.float64, order="C")
+        if xy.size == 0:
+            xy = xy.reshape(0, 2)
+        if t_ms.ndim != 1 or xy.shape != (len(t_ms), 2):
+            raise ValueError(f"{t_ms.shape} timestamps for positions of shape {xy.shape}")
+        bad = t_ms[~np.isfinite(xy).all(axis=1)]
+        if len(bad):
+            raise ValueError(f"non-finite position in {self.source} stream at t={bad[0]}")
+        back = t_ms[1:][np.diff(t_ms) < 0]
+        if len(back):
+            raise ValueError(f"non-monotone timestamps in {self.source} stream at t={back[0]}")
+        t_ms.flags.writeable = False
+        xy.flags.writeable = False
+        object.__setattr__(self, "t_ms", t_ms)
+        object.__setattr__(self, "xy", xy)
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+    def __iter__(self) -> Iterator[Sample]:
+        for t, (x, y) in zip(self.t_ms.tolist(), self.xy.tolist()):
+            yield Sample(t, Position2D(x, y), self.source)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Stream(self.t_ms[index], self.xy[index], self.source)
+        x, y = self.xy[index].tolist()
+        return Sample(int(self.t_ms[index]), Position2D(x, y), self.source)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Stream):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and np.array_equal(self.t_ms, other.t_ms)
+            and np.array_equal(self.xy, other.xy)
+        )
 
 
 @dataclass(frozen=True)
 class StreamPair:
-    """A matched pair of UWB and visual-odometer streams from one run."""
+    """UWB and visual-odometer streams of one run: non-empty, strictly increasing."""
 
-    uwb: tuple[Sample, ...]
-    vo: tuple[Sample, ...]
+    uwb: Stream
+    vo: Stream
 
     def __post_init__(self) -> None:
-        _check_stream(self.uwb, UWB)
-        _check_stream(self.vo, VO)
-
-    @staticmethod
-    def build(uwb: Iterable[Sample], vo: Iterable[Sample]) -> "StreamPair":
-        return StreamPair(tuple(uwb), tuple(vo))
+        for stream, source in ((self.uwb, UWB), (self.vo, VO)):
+            if stream.source != source:
+                raise ValueError(f"{stream.source!r} stream tagged as the {source} one")
+            if not len(stream):
+                raise ValueError(f"empty stream: {source}")
+            ties = stream.t_ms[1:][np.diff(stream.t_ms) == 0]
+            if len(ties):
+                raise ValueError(f"non-monotone timestamps in {source} stream at t={ties[0]}")
 
 
 @dataclass(frozen=True)
@@ -150,49 +200,31 @@ class FlightPlan:
             )
 
 
-class AlignedSample(NamedTuple):
-    t_ms: int
-    uwb: Position2D
-    vo: Position2D
+def nearest_indices(ts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each target, the index of the nearest timestamp in sorted ``ts``.
 
-
-def nearest_index(ts: np.ndarray, t: float) -> int:
-    """Index of the timestamp nearest to ``t``; ties resolve to the earlier one."""
-    i = int(np.searchsorted(ts, t))
-    if i == 0:
-        return 0
-    if i == len(ts):
-        return len(ts) - 1
-    # tie -> earlier sample
-    return i - 1 if t - ts[i - 1] <= ts[i] - t else i
-
-
-def align_streams(pair: StreamPair) -> list[AlignedSample]:
-    """Match each UWB sample with the nearest-in-time VO sample.
-
-    The UWB stream is the slower one in all supported scenarios, so the
-    output has one tuple per UWB sample.
+    Ties resolve to the earlier timestamp.
     """
-    vo_ts = np.array([s.t_ms for s in pair.vo], dtype=np.int64)
-    out = []
-    for s in pair.uwb:
-        j = nearest_index(vo_ts, s.t_ms)
-        out.append(AlignedSample(s.t_ms, s.pos, pair.vo[j].pos))
-    return out
+    i = np.searchsorted(ts, targets)
+    lo = np.maximum(i - 1, 0)
+    hi = np.minimum(i, len(ts) - 1)
+    earlier = (i == len(ts)) | ((i > 0) & (targets - ts[lo] <= ts[hi] - targets))
+    return np.where(earlier, lo, hi)
 
 
-def _format_row(s: Sample) -> list[str]:
-    return [str(int(s.t_ms)), s.source, f"{s.pos.x:.1f}", f"{s.pos.y:.1f}"]
+def csv_text(header, row_format: str, rows) -> str:
+    """A header and one ``row_format % row`` line per row: what ``csv`` writes
+    for rows of numbers and plain words, which need no quoting."""
+    return "".join([",".join(header) + "\r\n"] + [row_format % row for row in rows])
 
 
 def write_log(pair: StreamPair, path) -> None:
     """Write a stream pair as CSV, rows sorted by (sensor, t_ms)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_HEADER)
-        for stream in (pair.uwb, pair.vo):
-            for s in stream:
-                writer.writerow(_format_row(s))
+    rows = chain.from_iterable(
+        zip(s.t_ms.tolist(), repeat(s.source), *s.xy.T.tolist()) for s in (pair.uwb, pair.vo)
+    )
+    text = csv_text(LOG_HEADER, "%d,%s,%.1f,%.1f\r\n", rows)
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _log_rows(path) -> Iterator[list[str]]:
@@ -217,14 +249,15 @@ def _log_rows(path) -> Iterator[list[str]]:
     raise LogFormatError(f"{path}: not UTF-8")  # the file changed while it was read
 
 
-def read_log(path) -> StreamPair:
-    """Read a stream pair written by :func:`write_log`.
+_INT64 = np.iinfo(np.int64)
 
-    Raises :class:`LogFormatError` naming the offending line for bytes that
-    are not UTF-8, malformed rows and non-monotone timestamps within a
-    stream.
-    """
-    streams: dict[str, list[Sample]] = {UWB: [], VO: []}
+
+def _read_rows(path) -> StreamPair:
+    """Parse a log row by row, naming the first bad line in a LogFormatError."""
+    columns: dict[str, tuple[list[int], list[tuple[float, float]]]] = {
+        UWB: ([], []),
+        VO: ([], []),
+    }
     rows = _log_rows(path)
     header = next(rows, None)
     if header is None:
@@ -246,15 +279,63 @@ def read_log(path) -> StreamPair:
             pos = Position2D(float(x_raw), float(y_raw))
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from None
-        bucket = streams[sensor]
-        if bucket and bucket[-1].t_ms >= t:
+        if not _INT64.min <= t <= _INT64.max:
+            raise LogFormatError(f"{path}: line {lineno}: timestamp {t} out of range")
+        ts, xy = columns[sensor]
+        if ts and ts[-1] >= t:
             raise LogFormatError(
                 f"{path}: line {lineno}: non-monotone timestamp {t} "
                 f"in {sensor} stream"
             )
-        bucket.append(Sample(t, pos, sensor))
+        ts.append(t)
+        xy.append((pos.x, pos.y))
     for sensor in SENSORS:
-        if not streams[sensor]:
+        if not columns[sensor][0]:
             raise LogFormatError(f"{path}: empty stream: {sensor}")
-    return StreamPair(tuple(streams[UWB]), tuple(streams[VO]))
+    return StreamPair(Stream(*columns[UWB], UWB), Stream(*columns[VO], VO))
 
+
+_HEADER_LINE = (",".join(LOG_HEADER) + "\r\n").encode()
+# one row exactly as write_log formats it; at most 15 timestamp digits, so
+# the timestamp survives a parse as float64
+_CANONICAL_ROW = re.compile(rb"-?\d{1,15},(?:uwb|vo),-?\d+\.\d,-?\d+\.\d\r\n")
+
+
+def _read_canonical(path) -> StreamPair | None:
+    """The pair of a log laid out exactly as :func:`write_log` writes one.
+
+    None for any other file, valid or not (blank lines, quotes, other number
+    spellings, interleaved sensors, ...): what this accepts, the row parser
+    accepts with the same values.
+    """
+    data = Path(path).read_bytes()
+    if not data.startswith(_HEADER_LINE):
+        return None
+    body = data[len(_HEADER_LINE) :]
+    rest, n_rows = _CANONICAL_ROW.subn(b"", body)
+    n_uwb = body.count(b",uwb,")
+    if rest or not 0 < n_uwb < n_rows or body.rfind(b",uwb,") > body.find(b",vo,"):
+        return None
+    text = io.StringIO(body.decode("ascii"))
+    cols = np.loadtxt(text, delimiter=",", usecols=(0, 2, 3), comments=None, ndmin=2)
+    t_ms = cols[:, 0].astype(np.int64)
+    try:
+        return StreamPair(
+            Stream(t_ms[:n_uwb], cols[:n_uwb, 1:], UWB),
+            Stream(t_ms[n_uwb:], cols[n_uwb:, 1:], VO),
+        )
+    except ValueError:  # timestamps that repeat or run backwards
+        return None
+
+
+def read_log(path) -> StreamPair:
+    """Read a stream pair written by :func:`write_log`.
+
+    A file laid out exactly as :func:`write_log` writes one is parsed in
+    bulk. Any other file goes to the row-by-row parser, which accepts what
+    the CSV module reads as four valid columns and raises
+    :class:`LogFormatError` naming the offending line for bytes that are
+    not UTF-8, malformed rows and non-monotone timestamps within a stream.
+    """
+    pair = _read_canonical(path)
+    return pair if pair is not None else _read_rows(path)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Position2D, Sample
+from .core import Stream
 
 STATE_DIM = 6
 TAU = 2.0 * math.pi
@@ -352,10 +352,10 @@ def _segment_measurements(
 
 
 def run_filter(
-    samples: Sequence[Sample],
+    stream: Stream,
     params: CtraParams,
     restart_times_ms: Sequence[float] = (),
-) -> list[Sample]:
+) -> Stream:
     """Filter a stream, producing one output sample per input sample.
 
     The filter (re)starts at the first sample and again at the first sample
@@ -364,28 +364,8 @@ def run_filter(
     segment is processed exactly like a fresh run; the two samples after a
     (re)start run prediction-only while the differencing window refills.
     A non-finite state or a negative covariance diagonal raises
-    :class:`FilterError` naming the sample where it appeared.
-    """
-    if not samples:
-        return []
-    ts_ms = np.fromiter((s.t_ms for s in samples), dtype=np.int64, count=len(samples))
-    # the working arrays die with this call, before the output list is built
-    out_xy = _filter_positions(samples, ts_ms, params, restart_times_ms)
-    return [
-        Sample(t, Position2D(x, y), s.source)
-        for t, x, y, s in zip(
-            ts_ms.tolist(), out_xy[:, 0].tolist(), out_xy[:, 1].tolist(), samples
-        )
-    ]
-
-
-def _filter_positions(
-    samples: Sequence[Sample],
-    ts_ms: np.ndarray,
-    params: CtraParams,
-    restart_times_ms: Sequence[float],
-) -> np.ndarray:
-    """The filtered position of every sample of a stream, as an ``(n, 2)`` array.
+    :class:`FilterError` naming the sample where it appeared. The output
+    keeps the input's timestamps and source.
 
     Segments share nothing, so they are filtered in lockstep: one
     :class:`CtraFilter` holds a stack with one row per segment, longest
@@ -393,10 +373,9 @@ def _filter_positions(
     that has one. Inputs and estimates live on a (step, segment) grid, so
     a step reads and writes plain slices.
     """
-    n = len(samples)
-    xy = np.empty((n, 2))
-    xy[:, 0] = np.fromiter((s.pos.x for s in samples), dtype=np.float64, count=n)
-    xy[:, 1] = np.fromiter((s.pos.y for s in samples), dtype=np.float64, count=n)
+    if not len(stream):
+        return stream
+    ts_ms, xy, n = stream.t_ms, stream.xy, len(stream)
     ts_s = ts_ms / 1000.0
     start_idx = {0}
     for t in restart_times_ms:
@@ -442,4 +421,4 @@ def _filter_positions(
     out_xy = np.empty((n, 2))
     for r, (s0, length) in enumerate(zip(first, lengths)):
         out_xy[s0 : s0 + length] = est[:length, r]
-    return out_xy
+    return Stream(ts_ms, out_xy, stream.source)

@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Position2D, Sample
+from .core import Position2D, Stream
 from .pipeline import FusedTrack
 from .simulate import StopWindow
 
@@ -30,59 +30,10 @@ class TruthLike(Protocol):
     def pose_at(self, t_ms: float) -> Position2D: ...
 
 
-@dataclass(frozen=True)
-class TruthTable:
-    """Ground truth reloaded from a sampled CSV table.
-
-    Poses are interpolated linearly between table rows; stop windows are
-    recovered from runs of the ``stop_index`` column.
-    """
-
-    ts_ms: np.ndarray
-    xy: np.ndarray
-    stop_windows: tuple[StopWindow, ...]
-
-    @staticmethod
-    def from_rows(
-        ts_ms: np.ndarray, xy: np.ndarray, stop_idx: np.ndarray
-    ) -> "TruthTable":
-        windows: list[StopWindow] = []
-        start = None
-        for i in range(len(ts_ms)):
-            inside = stop_idx[i] >= 0
-            if inside and start is None:
-                start = i
-            boundary = (not inside) or i == len(ts_ms) - 1
-            if start is not None and boundary:
-                end = i if inside else i - 1
-                windows.append(
-                    StopWindow(int(stop_idx[start]), float(ts_ms[start]), float(ts_ms[end]))
-                )
-                start = None
-        return TruthTable(ts_ms, xy, tuple(windows))
-
-    def sample(self, ts_ms: np.ndarray) -> np.ndarray:
-        t = np.asarray(ts_ms, dtype=np.float64)
-        x = np.interp(t, self.ts_ms, self.xy[:, 0])
-        y = np.interp(t, self.ts_ms, self.xy[:, 1])
-        return np.stack([x, y], axis=1)
-
-    def pose_at(self, t_ms: float) -> Position2D:
-        xy = self.sample(np.array([t_ms]))[0]
-        return Position2D(float(xy[0]), float(xy[1]))
-
-
 def _track_arrays(track) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(track, FusedTrack):
-        samples: Sequence[Sample] = track.samples
-    else:
-        samples = track
-    ts = np.fromiter((s.t_ms for s in samples), dtype=np.float64, count=len(samples))
-    xy = np.empty((len(samples), 2))
-    for i, s in enumerate(samples):
-        xy[i, 0] = s.pos.x
-        xy[i, 1] = s.pos.y
-    return ts, xy
+    """Timestamps (as floats) and positions of a Stream or a fused track."""
+    stream: Stream = track.samples if isinstance(track, FusedTrack) else track
+    return stream.t_ms.astype(np.float64), stream.xy
 
 
 @dataclass(frozen=True)

@@ -22,19 +22,12 @@ sensor; live runs against a :class:`~uwbvo.simulate.VoSensor` do both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
-from .core import (
-    VO,
-    FlightPlan,
-    Position2D,
-    Sample,
-    StreamPair,
-    euclidean,
-)
+from .core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean
 from .ekf import CtraParams, run_filter
 from .simulate import StopWindow, VoSensor, build_truth
 
@@ -107,7 +100,7 @@ class StopDecision:
 class FusedTrack:
     """Final fused output plus every event the run produced."""
 
-    samples: list[Sample]
+    samples: Stream
     modes: list[str]
     stop_events: list[StopDecision]
     restarts: list[tuple[int, int]]  # (t_ms, stop_index)
@@ -119,28 +112,13 @@ class FusedTrack:
         return sum(1 for e in self.stop_events if e.corrected)
 
 
-class _VoWindow:
-    """Corrected VO vertices since the previous stop visit."""
-
-    def __init__(self) -> None:
-        self.ts: list[int] = []
-        self.xy: list[tuple[float, float]] = []
-
-    def add(self, t_ms: int, pos: Position2D) -> None:
-        self.ts.append(t_ms)
-        self.xy.append((pos.x, pos.y))
-
-    def clear(self) -> None:
-        self.ts.clear()
-        self.xy.clear()
-
-    def closest_to(self, target: Position2D) -> Position2D | None:
-        if not self.xy:
-            return None
-        arr = np.asarray(self.xy)
-        d2 = (arr[:, 0] - target.x) ** 2 + (arr[:, 1] - target.y) ** 2
-        j = int(np.argmin(d2))
-        return Position2D(*self.xy[j])
+def _closest(window: list[tuple[float, float]], target: Position2D) -> Position2D | None:
+    """The vertex of ``window`` closest to ``target``; None for an empty window."""
+    if not window:
+        return None
+    arr = np.asarray(window)
+    d2 = (arr[:, 0] - target.x) ** 2 + (arr[:, 1] - target.y) ** 2
+    return Position2D(*window[int(np.argmin(d2))])
 
 
 def run_pipeline(
@@ -151,11 +129,12 @@ def run_pipeline(
     Reboot requests are recorded but cannot reach the recorded sensor, so
     the correction vector stays cumulative across the run.
     """
-    return _run(pair.uwb, iter(pair.vo), None, plan, params)
+    vo = pair.vo
+    return _run(pair.uwb, zip(vo.t_ms.tolist(), *vo.xy.T.tolist()), None, plan, params)
 
 
 def run_pipeline_live(
-    uwb_samples: Sequence[Sample],
+    uwb: Stream,
     vo_sensor: VoSensor,
     plan: FlightPlan,
     params: PipelineParams,
@@ -165,12 +144,13 @@ def run_pipeline_live(
     The sensor restarts at the corrected stop estimate, so its output needs
     no further correction: the vector re-zeroes at each reboot.
     """
-    return _run(uwb_samples, iter(vo_sensor), vo_sensor.reboot, plan, params)
+    vo_rows = ((s.t_ms, s.pos.x, s.pos.y) for s in vo_sensor)
+    return _run(uwb, vo_rows, vo_sensor.reboot, plan, params)
 
 
 def _run(
-    uwb_samples: Sequence[Sample],
-    vo_iter: Iterator[Sample],
+    uwb: Stream,
+    vo_rows: Iterable[tuple[int, float, float]],
     reboot: Callable[[Position2D], None] | None,
     plan: FlightPlan,
     params: PipelineParams,
@@ -182,48 +162,54 @@ def _run(
     visits: Sequence[StopWindow] = truth.stop_windows[1:]
     restart_times = [w.t0_ms for w in visits]
 
-    filtered = run_filter(uwb_samples, params.ekf, restart_times_ms=restart_times)
-    uwb_ts = [s.t_ms for s in uwb_samples]
-    uwb_ts_arr = np.asarray(uwb_ts, dtype=np.int64)
+    filtered = run_filter(uwb, params.ekf, restart_times_ms=restart_times)
+    uwb_ts, uwb_ts_arr = uwb.t_ms.tolist(), uwb.t_ms
+    fx, fy = filtered.xy.T.tolist()
 
-    track = FusedTrack([], [], [], [], [(0, 0.0, 0.0)])
+    # the output columns; track.samples is built from them at the end
+    out_t: list[int] = []
+    out_xy: list[tuple[float, float]] = []
+    track = FusedTrack(Stream((), (), VO), [], [], [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
     mode = VO_SELECTED
-    y_u_hold: Sample | None = None
-    window = _VoWindow()
+    y_u_hold: Position2D | None = None
+    window: list[tuple[float, float]] = []  # corrected VO since the previous visit
 
-    def aligned_filtered(t: int) -> Position2D:
-        # y_u at the tick nearest the emission time (ties to the earlier)
+    def aligned_filtered(t: int) -> int:
+        # index of the y_u tick nearest the emission time (ties to the earlier)
         i = int(np.searchsorted(uwb_ts_arr, t))
         if i == 0:
-            return filtered[0].pos
+            return 0
         if i == len(uwb_ts_arr):
-            return filtered[-1].pos
+            return i - 1
         if t - uwb_ts_arr[i - 1] <= uwb_ts_arr[i] - t:
-            return filtered[i - 1].pos
-        return filtered[i].pos
+            return i - 1
+        return i
 
     visit_ptr = 0
     detector: StopClusterer | None = None
     decided = False
 
+    vo_iter = iter(vo_rows)
     prev_vo = None
     next_vo = next(vo_iter, None)
     if next_vo is None:
         raise ValueError("empty stream: vo")
 
-    def nearest_vo(t: int) -> Sample:
+    def nearest_vo(t: int) -> Position2D:
         if prev_vo is None:
-            return next_vo
-        if next_vo is None:
-            return prev_vo
-        return prev_vo if t - prev_vo.t_ms <= next_vo.t_ms - t else next_vo
+            row = next_vo
+        elif next_vo is None:
+            row = prev_vo
+        else:
+            row = prev_vo if t - prev_vo[0] <= next_vo[0] - t else next_vo
+        return Position2D(row[1], row[2])
 
     def decide(est: StopEstimate, t_ms: int, stop_idx: int) -> None:
         nonlocal w, mode, decided
-        y_oi = window.closest_to(est.pos)
+        y_oi = _closest(window, est.pos)
         if y_oi is None:
-            y_oi = corrected_vo(nearest_vo(t_ms).pos, w)
+            y_oi = corrected_vo(nearest_vo(t_ms), w)
         dist = euclidean(est.pos, y_oi)
         new_w, restart = update_correction(est.pos, y_oi, w, beta)
         if restart:
@@ -255,7 +241,7 @@ def _run(
         if detector is not None and not decided:
             est = detector.finish()
             if est.support >= params.cluster.k1:
-                decide(est, track.samples[-1].t_ms if track.samples else 0, stop_idx)
+                decide(est, out_t[-1] if out_t else 0, stop_idx)
             elif mode == KALMAN_SELECTED:
                 raise StopDetectionFailure(stop_idx, est.support)
             else:
@@ -270,9 +256,9 @@ def _run(
         while visit_ptr < len(visits) and t > visits[visit_ptr].t1_ms:
             close_visit(visits[visit_ptr].stop_index)
             visit_ptr += 1
-        y_u_hold = filtered[k]
-        vo_s = nearest_vo(t)
-        y_o = corrected_vo(vo_s.pos, w)
+        y_u_hold = Position2D(fx[k], fy[k])
+        vo_pos = nearest_vo(t)
+        y_o = corrected_vo(vo_pos, w)
         in_visit = (
             visit_ptr < len(visits)
             and visits[visit_ptr].t0_ms <= t <= visits[visit_ptr].t1_ms
@@ -282,35 +268,37 @@ def _run(
             # dwelling here, renewed divergence can only be a UWB artifact
             mode = VO_SELECTED
         else:
-            mode = mode_select(y_o, y_u_hold.pos, beta)
+            mode = mode_select(y_o, y_u_hold, beta)
         if not in_visit or decided:
             return
         visit = visits[visit_ptr]
         stop = plan.stops[visit.stop_index]
-        gated = region_gate(y_u_hold.pos, stop, gamma)
+        gated = region_gate(y_u_hold, stop, gamma)
         if detector is None and mode == KALMAN_SELECTED and gated:
             detector = StopClusterer(params.cluster, stop_index=visit.stop_index)
         if detector is not None and gated:
-            est = detector.push(y_u_hold.pos)
+            est = detector.push(y_u_hold)
             if est is not None:
                 decide(est, t, visit.stop_index)
                 # re-evaluate trust with the fresh correction in place
-                mode = mode_select(corrected_vo(vo_s.pos, w), y_u_hold.pos, beta)
+                mode = mode_select(corrected_vo(vo_pos, w), y_u_hold, beta)
 
     k = 0
     n_uwb = len(uwb_ts)
     while next_vo is not None or k < n_uwb:
-        if k < n_uwb and (next_vo is None or uwb_ts[k] <= next_vo.t_ms):
+        if k < n_uwb and (next_vo is None or uwb_ts[k] <= next_vo[0]):
             process_tick(k)
             k += 1
             continue
-        yo = corrected_vo(next_vo.pos, w)
-        window.add(next_vo.t_ms, yo)
+        # corrected_vo on the raw columns: the same sums, no Position2D per row
+        t, x, y = next_vo
+        out = (x + w.x, y + w.y)
+        window.append(out)
         if mode == KALMAN_SELECTED and y_u_hold is not None:
-            out_pos = aligned_filtered(next_vo.t_ms)
-        else:
-            out_pos = yo
-        track.samples.append(Sample(next_vo.t_ms, out_pos, VO))
+            i = aligned_filtered(t)
+            out = (fx[i], fy[i])
+        out_t.append(t)
+        out_xy.append(out)
         track.modes.append(mode)
         prev_vo = next_vo
         next_vo = next(vo_iter, None)
@@ -318,4 +306,5 @@ def _run(
     while visit_ptr < len(visits):
         close_visit(visits[visit_ptr].stop_index)
         visit_ptr += 1
+    track.samples = Stream(out_t, out_xy, VO)
     return track

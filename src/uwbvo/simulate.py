@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import MM_DECIMALS, UWB, VO, FlightPlan, Position2D, Sample, StreamPair
+from .core import MM_DECIMALS, UWB, VO, FlightPlan, Position2D, Sample, Stream, StreamPair
 
 
 @dataclass(frozen=True)
@@ -272,12 +272,12 @@ class FaultEvent(NamedTuple):
 
 
 class UwbTrace(NamedTuple):
-    samples: list[Sample]
+    samples: Stream
     rays: list[RayEvent]
 
 
 class VoTrace(NamedTuple):
-    samples: list[Sample]
+    samples: Stream
     faults: list[FaultEvent]
 
 
@@ -290,11 +290,6 @@ def sample_times(rate_hz: float, duration_ms: float) -> np.ndarray:
     period = 1000.0 / rate_hz
     n = int(duration_ms // period) + 1
     return np.round(np.arange(n) * period).astype(np.int64)
-
-
-def _rows(ts: np.ndarray, xy: np.ndarray) -> Iterator[tuple[int, float, float]]:
-    """``(t_ms, x, y)`` rows at the log resolution of 0.1 mm."""
-    return zip(ts.tolist(), *np.round(xy, MM_DECIMALS).T.tolist())
 
 
 def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:
@@ -325,7 +320,7 @@ def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:
         xy[start:stop, 1] += magnitude * math.sin(theta)
         events.append(RayEvent(ordinal, window.stop_index, int(ts[start]), theta))
 
-    return UwbTrace([Sample(t, Position2D(x, y), UWB) for t, x, y in _rows(ts, xy)], events)
+    return UwbTrace(Stream(ts, np.round(xy, MM_DECIMALS), UWB), events)
 
 
 def _segment_scales(
@@ -345,16 +340,17 @@ def _segment_scales(
 def synth_vo(truth: GroundTruth, model: VoModel, seed: int) -> VoTrace:
     """VO positions with per-segment scale faults and accumulating offset.
 
-    The stream is a :class:`VoSensor` drained without reboots, block by block.
+    The stream is a :class:`VoSensor` drained without reboots, its blocks
+    concatenated.
     """
     sensor = VoSensor(truth, model, seed)
-    samples: list[Sample] = []
+    blocks = []
     i = 0
     while i < len(sensor.ts):
-        i, rows = sensor._block(i)
-        samples += [Sample(t, Position2D(x, y), VO) for t, x, y in rows]
+        i, xy = sensor._block(i)
+        blocks.append(xy)
     faults = [FaultEvent(i, float(s)) for i, s in enumerate(sensor._scales) if s != 1.0]
-    return VoTrace(samples, faults)
+    return VoTrace(Stream(sensor.ts, np.concatenate(blocks), VO), faults)
 
 
 class VoSensor:
@@ -417,12 +413,12 @@ class VoSensor:
             self._in_segment = True
         return seg.t1_ms
 
-    def _block(self, i: int) -> tuple[int, Iterator[tuple[int, float, float]]]:
-        """End index and ``(t, x, y)`` rows of the block starting at sample ``i``."""
+    def _block(self, i: int) -> tuple[int, np.ndarray]:
+        """End index and positions, at 0.1 mm, of the block starting at sample ``i``."""
         j = int(np.searchsorted(self.ts, self._advance_segments(float(self.ts[i]))))
         true_xy = self._true_xy[i:j]
         bias = self._ref_bias + (self._active_scale - 1.0) * (true_xy - self._ref_pos)
-        return j, _rows(self.ts[i:j], true_xy + bias + self._noise[i:j])
+        return j, np.round(true_xy + bias + self._noise[i:j], MM_DECIMALS)
 
     def __iter__(self) -> Iterator[Sample]:
         return self
@@ -433,7 +429,8 @@ class VoSensor:
             if self._idx >= len(self.ts):
                 self._rows = iter(())  # an exhausted zip still holds its x and y lists
                 raise StopIteration
-            _, self._rows = self._block(self._idx)
+            j, xy = self._block(self._idx)
+            self._rows = zip(self.ts[self._idx : j].tolist(), *xy.T.tolist())
             row = next(self._rows)
         self._idx += 1
         t, x, y = row
@@ -455,7 +452,7 @@ def simulate_pair(scenario: ScenarioConfig, seed: int) -> tuple[StreamPair, UwbT
     truth = build_truth(scenario.plan)
     uwb = synth_uwb(truth, scenario.uwb, seed)
     vo = synth_vo(truth, scenario.vo, seed)
-    return StreamPair.build(uwb.samples, vo.samples), uwb, vo
+    return StreamPair(uwb.samples, vo.samples), uwb, vo
 
 
 # ---------------------------------------------------------------------------

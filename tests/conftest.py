@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uwbvo.core import UWB, FlightPlan, Position2D, Sample
+from uwbvo.core import UWB, FlightPlan, Position2D, Stream
 from uwbvo.config import default_pipeline_params
 from uwbvo.pipeline import PipelineParams
 
@@ -23,10 +23,7 @@ def small_plan() -> FlightPlan:
 
 
 def make_stream(ts_ms, xy, source=UWB):
-    return [
-        Sample(int(t), Position2D(float(p[0]), float(p[1])), source)
-        for t, p in zip(ts_ms, xy)
-    ]
+    return Stream(ts_ms, xy, source)
 
 
 def constant_position_stream(sigma, n, rate_hz=27.0, seed=0, center=(1000.0, 500.0)):
@@ -36,14 +33,10 @@ def constant_position_stream(sigma, n, rate_hz=27.0, seed=0, center=(1000.0, 500
     return make_stream(ts, xy)
 
 
-def positions(samples):
-    out = np.empty((len(samples), 2))
-    for i, s in enumerate(samples):
-        out[i, 0] = s.pos.x
-        out[i, 1] = s.pos.y
-    return out
+def positions(stream):
+    return np.array(stream.xy)
 
 
-def path_length(samples) -> float:
-    xy = positions(samples)
+def path_length(stream) -> float:
+    xy = positions(stream)
     return float(np.sum(np.hypot(*np.diff(xy, axis=0).T)))

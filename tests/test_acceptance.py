@@ -171,7 +171,7 @@ def test_criterion_4_correction_algebra():
     )
     for seed in range(3):
         pair, _, _ = simulate_pair(scenario, seed)
-        uncorrected = dict(stop_accuracy(list(pair.vo), truth).per_stop)[1]
+        uncorrected = dict(stop_accuracy(pair.vo, truth).per_stop)[1]
         assert uncorrected >= 280.0
         track = run_pipeline(pair, plan, params)
         assert track.corrections == 1
@@ -245,7 +245,7 @@ def test_criterion_7_best_case_parity(best_batch):
             if not hide:
                 assert sample.pos == vo.pos
         sc_avgs.append(stop_accuracy(track, truth).avg_mm)
-        vo_avgs.append(stop_accuracy(list(pair.vo), truth).avg_mm)
+        vo_avgs.append(stop_accuracy(pair.vo, truth).avg_mm)
     gap = abs(float(np.mean(sc_avgs)) - float(np.mean(vo_avgs)))
     assert gap <= 2.0
     print(

@@ -1,5 +1,6 @@
 import numpy as np
 
+from align_oracle import align_streams
 from conftest import positions
 from uwbvo.baselines import (
     BaselineKind,
@@ -11,7 +12,7 @@ from uwbvo.baselines import (
     run_method,
     stop_arrival_times,
 )
-from uwbvo.core import UWB, VO, FlightPlan, Position2D, Sample, StreamPair
+from uwbvo.core import UWB, VO, FlightPlan, Position2D, Stream, StreamPair
 from uwbvo.ekf import CtraParams, run_filter
 from uwbvo.metrics import stop_accuracy
 from uwbvo.simulate import (
@@ -42,18 +43,29 @@ def tiny_scenario(sigma_uwb=0.0, sigma_vo=0.0):
 
 
 def test_averaged_stream_identical_inputs():
-    u = [Sample(t, Position2D(float(t), 2.0), UWB) for t in (0, 37, 74)]
-    v = [Sample(t, Position2D(float(t), 2.0), VO) for t in (0, 37, 74)]
-    pair = StreamPair.build(u, v)
+    ts = (0, 37, 74)
+    u = Stream(ts, [(float(t), 2.0) for t in ts], UWB)
+    v = Stream(ts, [(float(t), 2.0) for t in ts], VO)
+    pair = StreamPair(u, v)
     avg = averaged_stream(pair)
     assert [s.pos for s in avg] == [s.pos for s in u]
 
 
 def test_averaged_stream_componentwise_mean():
-    u = [Sample(0, Position2D(100.0, 0.0), UWB)]
-    v = [Sample(0, Position2D(0.0, 0.0), VO)]
-    avg = averaged_stream(StreamPair.build(u, v))
+    u = Stream([0], [(100.0, 0.0)], UWB)
+    v = Stream([0], [(0.0, 0.0)], VO)
+    avg = averaged_stream(StreamPair(u, v))
     assert avg[0].pos == Position2D(50.0, 0.0)
+
+
+def test_averaged_stream_pairs_nearest_vo_sample():
+    scenario = tiny_scenario(sigma_uwb=30.0, sigma_vo=1.0)
+    pair, _, _ = simulate_pair(scenario, 5)
+    expected = [
+        Position2D(0.5 * (u.x + v.x), 0.5 * (u.y + v.y))
+        for _, u, v in align_streams(pair)
+    ]
+    assert [s.pos for s in averaged_stream(pair)] == expected
 
 
 def test_avg_fusion_output_at_uwb_rate():
@@ -69,8 +81,9 @@ def test_merge_streams_sorted_and_complete():
     pair, _, _ = simulate_pair(scenario, 1)
     merged = merge_streams(pair)
     assert len(merged) == len(pair.uwb) + len(pair.vo)
-    ts = [(s.t_ms, s.source) for s in merged]
-    assert ts == sorted(ts)
+    assert np.any(np.isin(pair.uwb.t_ms, pair.vo.t_ms))  # ties to order
+    expected = sorted([*pair.uwb, *pair.vo], key=lambda s: (s.t_ms, s.source))
+    assert [(s.t_ms, s.pos) for s in merged] == [(s.t_ms, s.pos) for s in expected]
 
 
 def test_direct_fusion_tracks_noiseless_truth():
@@ -104,7 +117,7 @@ def test_pozyx_only_beats_raw_on_stop_accuracy():
     raw_avgs, flt_avgs = [], []
     for seed in range(5):
         pair, _, _ = simulate_pair(scenario, seed)
-        raw_avgs.append(stop_accuracy(list(pair.uwb), truth).avg_mm)
+        raw_avgs.append(stop_accuracy(pair.uwb, truth).avg_mm)
         flt = pozyx_only(pair.uwb, scenario.plan, CtraParams())
         flt_avgs.append(stop_accuracy(flt, truth).avg_mm)
     assert np.mean(flt_avgs) < 0.3 * np.mean(raw_avgs)
@@ -121,6 +134,6 @@ def test_run_method_dispatch(desk_params):
         else:
             assert track is None
     raw_u, _ = run_method(BaselineKind.RAW_UWB, pair, scenario.plan, desk_params)
-    assert raw_u == list(pair.uwb)
+    assert raw_u == pair.uwb
     raw_v, _ = run_method(BaselineKind.RAW_VO, pair, scenario.plan, desk_params)
-    assert raw_v == list(pair.vo)
+    assert raw_v == pair.vo

@@ -126,6 +126,12 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["simulate", "--scenario", "default", "--seeds", "0",
                  "--out", str(tmp_path / "none")]) == 1
     assert not (tmp_path / "none").exists()
+    lacking = tmp_path / "lacking"
+    lacking.mkdir()
+    (lacking / "reports.csv").write_text("method,seed,std_stop_mm\nraw-uwb,0,1.0\n")
+    capsys.readouterr()
+    assert main(["compare", str(lacking)]) == 1  # a missing column
+    assert "avg_stop_mm" in capsys.readouterr().err
 
 
 def test_stop_detection_failure_exits_two_and_batch_continues(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from uwbvo.cli import main
 from uwbvo.clustering import ClusterParams
 from uwbvo.config import (
     DESK_CLUSTER,
@@ -87,3 +88,35 @@ def test_non_finite_diag_rejected(tmp_path, value):
     path.write_text(text.replace(q_line, "q_diag = " + ", ".join([value] * 6)))
     with pytest.raises(ConfigError, match="finite"):
         load_config(path)
+
+
+def _damage_non_utf8(data: bytes) -> bytes:
+    return data[:40] + b"\xff" + data[41:]
+
+
+def _drop_section_headers(data: bytes) -> bytes:
+    return b"".join(l for l in data.splitlines(True) if not l.startswith(b"["))
+
+
+def _line_without_equals(data: bytes) -> bytes:
+    return data.replace(b"[uwb]\n", b"[uwb]\nrate_hz 27\n")
+
+
+def _duplicate_section(data: bytes) -> bytes:
+    return data + b"\n[uwb]\nrate_hz = 27\n"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_damage_non_utf8, _drop_section_headers, _line_without_equals, _duplicate_section],
+)
+def test_malformed_file_is_a_config_error_naming_it(tmp_path, capsys, damage):
+    path = tmp_path / "bad.ini"
+    save_config(default_scenario(), default_pipeline_params(), path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(path) in str(exc.value)
+    # through the CLI: a usage error (exit 1) naming the file, no traceback
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert str(path) in capsys.readouterr().err

@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import log_oracle
+from uwbvo import core
+from align_oracle import AlignedSample, align_streams
 from uwbvo.core import (
     UWB,
     VO,
-    AlignedSample,
     FlightPlan,
     LogFormatError,
     Position2D,
     Sample,
+    Stream,
     StreamPair,
-    align_streams,
     euclidean,
+    nearest_indices,
     read_log,
     write_log,
 )
@@ -44,39 +47,84 @@ def test_position_rejects_non_finite():
 
 
 def test_stream_pair_validation():
-    u = [Sample(0, Position2D(0, 0), UWB), Sample(37, Position2D(1, 0), UWB)]
-    v = [Sample(0, Position2D(0, 0), VO)]
-    StreamPair.build(u, v)
+    u = Stream([0, 37], [(0, 0), (1, 0)], UWB)
+    v = Stream([0], [(0, 0)], VO)
+    StreamPair(u, v)
     with pytest.raises(ValueError, match="empty stream"):
-        StreamPair.build([], v)
+        StreamPair(Stream([], [], UWB), v)
     with pytest.raises(ValueError, match="non-monotone"):
-        StreamPair.build([u[1], u[0]], v)
+        StreamPair(Stream([37, 0], [(1, 0), (0, 0)], UWB), v)
+    with pytest.raises(ValueError, match="non-monotone"):
+        StreamPair(Stream([37, 37], [(1, 0), (0, 0)], UWB), v)  # a tie
     with pytest.raises(ValueError, match="tagged"):
-        StreamPair.build(u, [Sample(0, Position2D(0, 0), UWB)])
+        StreamPair(u, Stream([0], [(0, 0)], UWB))
+
+
+def test_stream_validation():
+    Stream([0, 5, 5], [(0, 0), (1, 0), (2, 0)], UWB)  # a merged stream may tie
+    with pytest.raises(ValueError, match="unknown sensor"):
+        Stream([0], [(0, 0)], "gps")
+    with pytest.raises(ValueError, match="non-finite"):
+        Stream([0, 5], [(0, 0), (float("nan"), 0)], VO)
+    with pytest.raises(ValueError, match="non-monotone"):
+        Stream([5, 0], [(0, 0), (1, 0)], VO)
+    with pytest.raises(ValueError, match="shape"):
+        Stream([0, 5], [(0, 0)], VO)
+
+
+def test_stream_arrays_are_read_only_copies():
+    ts, xy = np.array([0, 5]), np.array([[0.0, 1.0], [2.0, 3.0]])
+    stream = Stream(ts, xy, VO)
+    ts[0], xy[0, 0] = 99, 99.0  # the caller's arrays stay the caller's
+    assert stream.t_ms.tolist() == [0, 5] and stream.xy[0, 0] == 0.0
+    assert stream[1] == Sample(5, Position2D(2.0, 3.0), VO)
+    assert stream[1:] == Stream([5], [(2.0, 3.0)], VO)
+    assert list(stream) == [stream[0], stream[1]]
+
+
+def test_writing_into_a_read_pair_raises(tmp_path):
+    path = tmp_path / "log.csv"
+    write_log(quantized_pair(np.random.default_rng(5), 3, 4), path)
+    pair = read_log(path)
+    with pytest.raises(ValueError, match="read-only"):
+        pair.vo.xy[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        pair.uwb.t_ms[0] = 1
 
 
 def _pair(uwb_ts, vo_ts):
-    u = [Sample(int(t), Position2D(float(t), 0.0), UWB) for t in uwb_ts]
-    v = [Sample(int(t), Position2D(float(t), 1.0), VO) for t in vo_ts]
-    return StreamPair.build(u, v)
+    u = Stream(uwb_ts, [(float(t), 0.0) for t in uwb_ts], UWB)
+    v = Stream(vo_ts, [(float(t), 1.0) for t in vo_ts], VO)
+    return StreamPair(u, v)
+
+
+def nearest_pairing(pair):
+    """Each UWB sample with its VO sample as ``nearest_indices`` picks it."""
+    j = nearest_indices(pair.vo.t_ms, pair.uwb.t_ms)
+    return [
+        AlignedSample(u.t_ms, u.pos, pair.vo[int(k)].pos)
+        for u, k in zip(pair.uwb, j)
+    ]
 
 
 def test_align_streams_nearest_timestamp():
     pair = _pair([0, 37, 74], range(0, 76, 5))
-    aligned = align_streams(pair)
+    aligned = nearest_pairing(pair)
     assert [a.t_ms for a in aligned] == [0, 37, 74]
     assert [a.vo.x for a in aligned] == [0.0, 35.0, 75.0]
+    assert aligned == align_streams(pair)
 
 
 def test_align_streams_single_sample():
     pair = _pair([10], [10])
-    assert align_streams(pair) == [
+    assert nearest_pairing(pair) == align_streams(pair) == [
         AlignedSample(10, Position2D(10.0, 0.0), Position2D(10.0, 1.0))
     ]
 
 
 def test_align_tie_goes_to_earlier():
     pair = _pair([10], [5, 15])
+    assert nearest_pairing(pair)[0].vo.x == 5.0
     assert align_streams(pair)[0].vo.x == 5.0
 
 
@@ -88,7 +136,8 @@ def test_align_tie_goes_to_earlier():
 def test_align_streams_minimizes_time_gap(uwb_ts, vo_ts):
     uwb_ts, vo_ts = sorted(uwb_ts), sorted(vo_ts)
     pair = _pair(uwb_ts, vo_ts)
-    aligned = align_streams(pair)
+    aligned = nearest_pairing(pair)
+    assert aligned == align_streams(pair)
     assert len(aligned) == len(uwb_ts)
     assert [a.t_ms for a in aligned] == uwb_ts  # order preserved
     for a in aligned:
@@ -106,12 +155,9 @@ def quantized_pair(rng, n_uwb, n_vo):
     def stream(n, source):
         ts = np.cumsum(rng.integers(1, 50, size=n))
         xy = np.round(rng.uniform(-5000, 5000, size=(n, 2)), 1)
-        return [
-            Sample(int(t), Position2D(float(p[0]), float(p[1])), source)
-            for t, p in zip(ts, xy)
-        ]
+        return Stream(ts, xy, source)
 
-    return StreamPair.build(stream(n_uwb, UWB), stream(n_vo, VO))
+    return StreamPair(stream(n_uwb, UWB), stream(n_vo, VO))
 
 
 def test_log_round_trip(tmp_path):
@@ -199,6 +245,102 @@ def test_damaged_log_is_read_or_rejected(small_log, data):
     except LogFormatError:
         return
     assert isinstance(pair, StreamPair)
+
+
+def assert_read_like_oracle(path):
+    """``read_log`` gives the row parser's values, or its error text."""
+    try:
+        want = log_oracle.read_log(path)
+    except LogFormatError as exc:
+        with pytest.raises(LogFormatError) as got:
+            read_log(path)
+        assert str(got.value) == str(exc)
+        return
+    pair = read_log(path)
+    for stream, samples in zip((pair.uwb, pair.vo), want):
+        assert stream.t_ms.tolist() == [s.t_ms for s in samples]
+        want_xy = np.array([[s.pos.x, s.pos.y] for s in samples])
+        assert stream.xy.tobytes() == want_xy.tobytes()  # bit for bit
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_log_reads_like_row_parser(small_log, data):
+    path, log = small_log
+    at = data.draw(st.integers(0, len(log) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = log[:at]
+    else:
+        value = data.draw(st.integers(0, 255), label="value")
+        damaged = log[:at] + bytes([value]) + log[at + 1 :]
+    bad = path.with_name("damaged.csv")
+    bad.write_bytes(damaged)
+    assert_read_like_oracle(bad)
+
+
+_LOG = [
+    b"t_ms,sensor,x_mm,y_mm",
+    b"0,uwb,1.0,2.0",
+    b"37,uwb,-3.5,-0.0",
+    b"0,vo,0.0,0.0",
+    b"5,vo,0.5,-0.1",
+    b"10,vo,123456789012345678.5,7.3",
+]
+
+
+def _crafted(lines=_LOG, end=b"\r\n", final=True):
+    return end.join(lines) + (end if final else b"")
+
+
+def _with(row, field, token):
+    lines = list(_LOG)
+    cells = lines[row].split(b",")
+    cells[field] = token
+    lines[row] = b",".join(cells)
+    return _crafted(lines)
+
+
+CRAFTED_LOGS = {
+    "canonical": _crafted(),
+    "blank line": _crafted(_LOG[:3] + [b""] + _LOG[3:]),
+    "blank last line": _crafted() + b"\r\n",
+    "comment line": _crafted(_LOG[:2] + [b"# note"] + _LOG[2:]),
+    "comment row": _with(2, 0, b"#37"),
+    "quoted fields": _crafted(_LOG[:2] + [b'"37","uwb","-3.5","-0.0"'] + _LOG[3:]),
+    "interleaved sensors": _crafted([_LOG[0], _LOG[1], _LOG[3], _LOG[2], _LOG[4], _LOG[5]]),
+    "interleaved sensors, rows in time order": _crafted(
+        [_LOG[0], b"0,uwb,1.0,2.0", b"5,vo,0.5,-0.1", b"10,vo,0.7,0.1", b"37,uwb,-3.5,-0.0"]
+    ),
+    "lf line endings": _crafted(end=b"\n"),
+    "no final newline": _crafted(final=False),
+    "repeated timestamp": _with(2, 0, b"0"),
+    "empty vo stream": _crafted(_LOG[:3]),
+    "sixteen-digit timestamp": _with(5, 0, b"1234567890123456"),
+    **{
+        f"{token.decode()} in {name}": _with(row, field, token)
+        for token in (b"+5", b"1_0", b"1e3", b"nan", b"inf", b" 5", b"-0")
+        for name, row, field in (("t_ms", 4, 0), ("x_mm", 2, 2))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED_LOGS))
+def test_crafted_log_reads_like_row_parser(tmp_path, name):
+    path = tmp_path / "log.csv"
+    path.write_bytes(CRAFTED_LOGS[name])
+    assert_read_like_oracle(path)
+
+
+def test_canonical_log_takes_the_bulk_path(tmp_path, monkeypatch):
+    path = tmp_path / "log.csv"
+    write_log(quantized_pair(np.random.default_rng(6), 50, 80), path)
+    expected = read_log(path)
+
+    def no_row_parser(_path):
+        raise AssertionError("row parser used on a canonical log")
+
+    monkeypatch.setattr(core, "_read_rows", no_row_parser)
+    assert read_log(path) == expected
 
 
 def test_flight_plan_validation():

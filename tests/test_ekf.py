@@ -291,7 +291,8 @@ class TestRunFilter:
         assert path_length(filtered) < path_length(raw)
 
     def test_empty_stream(self):
-        assert run_filter([], CtraParams()) == []
+        empty = make_stream([], [])
+        assert run_filter(empty, CtraParams()) == empty
 
     @pytest.mark.parametrize(
         "restarts",
@@ -318,7 +319,7 @@ class TestRunFilter:
             starts = sorted({0, *np.searchsorted(ts, restarts).tolist()} - {len(ts)})
             assert np.diff(starts)[1:4].tolist() == [1, 1, 2]
         params = CtraParams()
-        assert run_filter(stream, params, restarts) == loop_filter(stream, params, restarts)
+        assert list(run_filter(stream, params, restarts)) == loop_filter(stream, params, restarts)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_names_the_sample(self):

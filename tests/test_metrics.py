@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,16 +7,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_stream
+from uwbvo.core import Position2D
 from uwbvo.metrics import (
     CoverageError,
     RunReport,
-    TruthTable,
     compare,
     render_table,
     stop_accuracy,
     trajectory_rmse,
 )
-from uwbvo.simulate import build_truth, default_scenario
+from uwbvo.simulate import StopWindow, build_truth, default_scenario
+
+
+@dataclass(frozen=True)
+class TruthTable:
+    """Ground truth reloaded from a sampled CSV table; the metric tests' truth.
+
+    Poses are interpolated linearly between table rows; stop windows are
+    recovered from runs of the ``stop_index`` column.
+    """
+
+    ts_ms: np.ndarray
+    xy: np.ndarray
+    stop_windows: tuple[StopWindow, ...]
+
+    @staticmethod
+    def from_rows(
+        ts_ms: np.ndarray, xy: np.ndarray, stop_idx: np.ndarray
+    ) -> "TruthTable":
+        windows: list[StopWindow] = []
+        start = None
+        for i in range(len(ts_ms)):
+            inside = stop_idx[i] >= 0
+            if inside and start is None:
+                start = i
+            boundary = (not inside) or i == len(ts_ms) - 1
+            if start is not None and boundary:
+                end = i if inside else i - 1
+                windows.append(
+                    StopWindow(int(stop_idx[start]), float(ts_ms[start]), float(ts_ms[end]))
+                )
+                start = None
+        return TruthTable(ts_ms, xy, tuple(windows))
+
+    def sample(self, ts_ms: np.ndarray) -> np.ndarray:
+        t = np.asarray(ts_ms, dtype=np.float64)
+        x = np.interp(t, self.ts_ms, self.xy[:, 0])
+        y = np.interp(t, self.ts_ms, self.xy[:, 1])
+        return np.stack([x, y], axis=1)
+
+    def pose_at(self, t_ms: float) -> Position2D:
+        xy = self.sample(np.array([t_ms]))[0]
+        return Position2D(float(xy[0]), float(xy[1]))
 
 
 def constant_truth(x=0.0, y=0.0, n=201, step_ms=50, with_stop=True):

@@ -113,7 +113,7 @@ def test_correction_algebra_on_injected_fault():
     scenario = scenario_two_stop(seg_scale=0.7)
     truth = build_truth(scenario.plan)
     pair, _, _ = simulate_pair(scenario, 1)
-    uncorrected = stop_accuracy(list(pair.vo), truth)
+    uncorrected = stop_accuracy(pair.vo, truth)
     assert uncorrected.avg_mm >= 140.0  # 300 mm miss at the far stop
 
     track = run_pipeline(pair, scenario.plan, small_params())

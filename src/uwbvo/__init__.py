@@ -10,7 +10,7 @@ simulator, accuracy metrics, and a benchmark CLI round out the package.
 """
 
 from .baselines import BaselineKind, avg_fusion, direct_fusion, pozyx_only, run_method
-from .clustering import ClusterParams, StopClusterer, StopEstimate, detect_stop, region_gate
+from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
 from .core import (
     FlightPlan,
     LogFormatError,

@@ -15,7 +15,6 @@ at every step, which is what the test-suite oracle checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -155,19 +154,3 @@ class StopClusterer:
             self.result = self._estimate(complete=False)
         return self.result
 
-
-def detect_stop(
-    stream: Iterable[Position2D], params: ClusterParams, stop_index: int = 0
-) -> StopEstimate:
-    """Run one detector instance over a sample stream.
-
-    Returns a complete estimate as soon as the termination count is reached;
-    if the stream runs out first, returns the best-so-far estimate flagged
-    incomplete (the caller decides whether its support suffices).
-    """
-    clusterer = StopClusterer(params, stop_index)
-    for pos in stream:
-        result = clusterer.push(pos)
-        if result is not None:
-            return result
-    return clusterer.finish()

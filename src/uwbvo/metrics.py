@@ -104,15 +104,9 @@ class RunReport:
     corrections: int
 
     @staticmethod
-    def build(
-        method: str,
-        seed: int,
-        track,
-        truth: TruthLike,
-        segments_only: bool = False,
-    ) -> "RunReport":
+    def build(method: str, seed: int, track, truth: TruthLike) -> "RunReport":
         acc = stop_accuracy(track, truth)
-        rmse = trajectory_rmse(track, truth, segments_only=segments_only)
+        rmse = trajectory_rmse(track, truth)
         restarts = len(track.restarts) if isinstance(track, FusedTrack) else 0
         corrections = track.corrections if isinstance(track, FusedTrack) else 0
         return RunReport(

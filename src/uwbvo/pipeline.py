@@ -1,38 +1,45 @@
 """Self-corrective fusion of a VO stream with filtered UWB data.
 
-Control flow per matched sample pair: the UWB stream is filtered
-independently (restarting at each stop arrival); the VO stream is shifted by
-the cumulative correction vector ``w``. When the two estimates agree within
-``beta`` the corrected VO is trusted and emitted. When they diverge, the VO
-is suspected of having lost its references: the output follows the filtered
-UWB, and within the activation radius of the expected stop the stream
-clusterer estimates the stopping point. If the estimate disagrees with the
-closest corrected-VO vertex by at least ``beta``, their difference is added
-to ``w`` (once, applying to everything after) and a sensor reboot is
-requested.
+Control flow per UWB tick: the UWB stream is filtered independently
+(restarting at each stop arrival) and compared with the nearest VO sample,
+shifted by the cumulative correction vector ``w``. When the two estimates
+agree within ``beta`` the corrected VO is trusted and emitted. When they
+diverge, the VO is suspected of having lost its references: the output
+follows the filtered UWB, and within the activation radius of the expected
+stop the stream clusterer estimates the stopping point. If the estimate
+disagrees with the closest corrected-VO vertex by at least ``beta``, their
+difference is added to ``w`` (once, applying to everything after) and a
+sensor reboot is requested.
 
 Stop visits are scheduled from the flight plan: flight plans are known in
 advance in this setting, so arrival and departure times need no feedback
 from the estimates themselves. The initial dwell at the first stop seeds
 the filter and is not a correction opportunity; every later arrival is.
 
-Replay runs (recorded logs) record reboot requests but cannot re-anchor the
-sensor; live runs against a :class:`~uwbvo.simulate.VoSensor` do both.
+Trust and ``w`` change only at UWB ticks, so the loop visits the ticks
+alone and emits every VO sample afterwards as columns, each with the mode
+and ``w`` in force at its time. Replay runs (recorded logs) record reboot
+requests but cannot re-anchor the sensor; live runs against a
+:class:`~uwbvo.simulate.VoSensor` do both, reading the sensor in blocks as
+the loop reaches them and regenerating its samples after each reboot.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
-from .core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean
+from .core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean, nearest_indices
 from .ekf import CtraParams, run_filter
 from .simulate import StopWindow, VoSensor, build_truth
 
 VO_SELECTED = "vo"
 KALMAN_SELECTED = "kalman"
+# indexed by "KALMAN mode?": the two constants, shared by every FusedTrack.modes entry
+_MODE_NAMES = np.array([VO_SELECTED, KALMAN_SELECTED], dtype=object)
 
 
 class StopDetectionFailure(RuntimeError):
@@ -65,7 +72,12 @@ def corrected_vo(x_o: Position2D, w: Position2D) -> Position2D:
 
 def mode_select(y_o: Position2D, y_u: Position2D, beta_mm: float) -> str:
     """Distrust the VO once the mutual error reaches ``beta`` (inclusive)."""
-    return KALMAN_SELECTED if euclidean(y_o, y_u) >= beta_mm else VO_SELECTED
+    return _mode(y_o.x - y_u.x, y_o.y - y_u.y, beta_mm)
+
+
+def _mode(dx: float, dy: float, beta_mm: float) -> str:
+    """:func:`mode_select` on the coordinate differences ``y_o - y_u``."""
+    return KALMAN_SELECTED if math.hypot(dx, dy) >= beta_mm else VO_SELECTED
 
 
 def update_correction(
@@ -112,15 +124,6 @@ class FusedTrack:
         return sum(1 for e in self.stop_events if e.corrected)
 
 
-def _closest(window: list[tuple[float, float]], target: Position2D) -> Position2D | None:
-    """The vertex of ``window`` closest to ``target``; None for an empty window."""
-    if not window:
-        return None
-    arr = np.asarray(window)
-    d2 = (arr[:, 0] - target.x) ** 2 + (arr[:, 1] - target.y) ** 2
-    return Position2D(*window[int(np.argmin(d2))])
-
-
 def run_pipeline(
     pair: StreamPair, plan: FlightPlan, params: PipelineParams
 ) -> FusedTrack:
@@ -129,8 +132,7 @@ def run_pipeline(
     Reboot requests are recorded but cannot reach the recorded sensor, so
     the correction vector stays cumulative across the run.
     """
-    vo = pair.vo
-    return _run(pair.uwb, zip(vo.t_ms.tolist(), *vo.xy.T.tolist()), None, plan, params)
+    return _run(pair.uwb, pair.vo.t_ms, pair.vo.xy, None, plan, params)
 
 
 def run_pipeline_live(
@@ -144,17 +146,46 @@ def run_pipeline_live(
     The sensor restarts at the corrected stop estimate, so its output needs
     no further correction: the vector re-zeroes at each reboot.
     """
-    vo_rows = ((s.t_ms, s.pos.x, s.pos.y) for s in vo_sensor)
-    return _run(uwb, vo_rows, vo_sensor.reboot, plan, params)
+    live = _LiveVo(vo_sensor)
+    return _run(uwb, vo_sensor.ts, live.xy, live, plan, params)
+
+
+class _LiveVo:
+    """A live sensor's positions, read block by block as the loop reaches them."""
+
+    def __init__(self, sensor: VoSensor) -> None:
+        self.sensor = sensor
+        self.xy = np.empty((len(sensor.ts), 2))
+        self.filled = 0  # positions [0, filled) are final unless a reboot reaches back
+
+    def fill(self, stop: int) -> None:
+        while self.filled < stop:
+            i, block = self.sensor.read_block()
+            self.filled = i + len(block)
+            self.xy[i : self.filled] = block
+
+    def reboot(self, anchor: Position2D, at: int) -> None:
+        """Re-anchor the sensor from sample ``at`` on; later positions are regenerated."""
+        self.sensor.reboot(anchor, at=at)
+        self.filled = at
 
 
 def _run(
     uwb: Stream,
-    vo_rows: Iterable[tuple[int, float, float]],
-    reboot: Callable[[Position2D], None] | None,
+    vo_t: np.ndarray,
+    vo_xy: np.ndarray,
+    live: _LiveVo | None,
     plan: FlightPlan,
     params: PipelineParams,
 ) -> FusedTrack:
+    """The fusion loop, over UWB ticks; the VO samples are emitted as columns.
+
+    Each VO sample is emitted after every UWB tick at or before its time
+    (UWB first on a tie), with the mode and ``w`` in force after the last of
+    those ticks. At tick ``k`` the first ``j = searchsorted(vo_t, t_k)`` VO
+    samples have been emitted, sample ``j`` is the next one, and a live
+    sensor reboots from sample ``j + 1`` on.
+    """
     gamma = params.cluster.gamma_mm
     beta = params.beta_mm
     plan.check_region_radius(gamma)
@@ -162,64 +193,52 @@ def _run(
     visits: Sequence[StopWindow] = truth.stop_windows[1:]
     restart_times = [w.t0_ms for w in visits]
 
+    n_vo = len(vo_t)
+    if not n_vo:
+        raise ValueError("empty stream: vo")
     filtered = run_filter(uwb, params.ekf, restart_times_ms=restart_times)
-    uwb_ts, uwb_ts_arr = uwb.t_ms.tolist(), uwb.t_ms
+    uwb_ts = uwb.t_ms.tolist()
     fx, fy = filtered.xy.T.tolist()
+    # j at each tick, and at the end of the run (k == len(uwb_ts))
+    emitted = np.searchsorted(vo_t, uwb.t_ms).tolist() + [n_vo]
+    near = nearest_indices(vo_t, uwb.t_ms).tolist()  # nearest VO sample at each tick
+    # w in force after tick k is row k + 1; row 0 holds before the first tick
+    w_after = np.zeros((len(uwb_ts) + 1, 2))
+    kalman_after = [False]  # the same for "mode is KALMAN"
 
-    # the output columns; track.samples is built from them at the end
-    out_t: list[int] = []
-    out_xy: list[tuple[float, float]] = []
     track = FusedTrack(Stream((), (), VO), [], [], [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
     mode = VO_SELECTED
-    y_u_hold: Position2D | None = None
-    window: list[tuple[float, float]] = []  # corrected VO since the previous visit
-
-    def aligned_filtered(t: int) -> int:
-        # index of the y_u tick nearest the emission time (ties to the earlier)
-        i = int(np.searchsorted(uwb_ts_arr, t))
-        if i == 0:
-            return 0
-        if i == len(uwb_ts_arr):
-            return i - 1
-        if t - uwb_ts_arr[i - 1] <= uwb_ts_arr[i] - t:
-            return i - 1
-        return i
-
+    window_start = 0  # the corrected VO since the previous visit starts here
     visit_ptr = 0
     detector: StopClusterer | None = None
     decided = False
+    k = 0  # the tick being processed; len(uwb_ts) once the ticks are done
 
-    vo_iter = iter(vo_rows)
-    prev_vo = None
-    next_vo = next(vo_iter, None)
-    if next_vo is None:
-        raise ValueError("empty stream: vo")
-
-    def nearest_vo(t: int) -> Position2D:
-        if prev_vo is None:
-            row = next_vo
-        elif next_vo is None:
-            row = prev_vo
+    def decide(est: StopEstimate, t_ms: int, stop_idx: int, fallback: int) -> None:
+        """Decide one stop. ``fallback`` is the VO sample nearest ``t_ms``: the
+        vertex compared with when no VO sample was emitted since the previous visit."""
+        nonlocal w, decided
+        j = emitted[k]
+        if window_start < j:
+            # the corrected VO since the previous visit: w changes only at a
+            # decision, at most once per visit, so all of it was emitted under this w
+            window = vo_xy[window_start:j] + (w.x, w.y)
+            d2 = (window[:, 0] - est.pos.x) ** 2 + (window[:, 1] - est.pos.y) ** 2
+            y_oi = Position2D(*window[int(np.argmin(d2))].tolist())
         else:
-            row = prev_vo if t - prev_vo[0] <= next_vo[0] - t else next_vo
-        return Position2D(row[1], row[2])
-
-    def decide(est: StopEstimate, t_ms: int, stop_idx: int) -> None:
-        nonlocal w, mode, decided
-        y_oi = _closest(window, est.pos)
-        if y_oi is None:
-            y_oi = corrected_vo(nearest_vo(t_ms), w)
+            y_oi = corrected_vo(Position2D(*vo_xy[fallback].tolist()), w)
         dist = euclidean(est.pos, y_oi)
         new_w, restart = update_correction(est.pos, y_oi, w, beta)
         if restart:
-            if reboot is None:
+            if live is None:
                 w = new_w
             else:
                 # the sensor restarts at the corrected estimate: its
                 # subsequent output is already in the corrected frame
-                reboot(est.pos)
+                live.reboot(est.pos, min(j + 1, n_vo))
                 w = Position2D(0.0, 0.0)
+            w_after[k + 1 :] = w.x, w.y
             track.w_history.append((t_ms, w.x, w.y))
             track.restarts.append((t_ms, stop_idx))
         track.stop_events.append(
@@ -237,28 +256,29 @@ def _run(
         decided = True
 
     def close_visit(stop_idx: int) -> None:
-        nonlocal detector, decided
+        nonlocal detector, decided, window_start
+        j = emitted[k]
         if detector is not None and not decided:
             est = detector.finish()
             if est.support >= params.cluster.k1:
-                decide(est, out_t[-1] if out_t else 0, stop_idx)
+                # at the last emitted VO sample, or at 0 before the first
+                decide(est, int(vo_t[j - 1]) if j else 0, stop_idx, max(j - 1, 0))
             elif mode == KALMAN_SELECTED:
                 raise StopDetectionFailure(stop_idx, est.support)
             else:
                 track.discarded_detectors += 1
         detector = None
         decided = False
-        window.clear()
+        window_start = j
 
-    def process_tick(k: int) -> None:
-        nonlocal mode, y_u_hold, visit_ptr, detector
-        t = uwb_ts[k]
+    for k, t in enumerate(uwb_ts):
+        if live is not None:
+            live.fill(min(emitted[k] + 1, n_vo))
         while visit_ptr < len(visits) and t > visits[visit_ptr].t1_ms:
             close_visit(visits[visit_ptr].stop_index)
             visit_ptr += 1
-        y_u_hold = Position2D(fx[k], fy[k])
-        vo_pos = nearest_vo(t)
-        y_o = corrected_vo(vo_pos, w)
+        ux, uy = fx[k], fy[k]
+        vx, vy = vo_xy[near[k]].tolist()
         in_visit = (
             visit_ptr < len(visits)
             and visits[visit_ptr].t0_ms <= t <= visits[visit_ptr].t1_ms
@@ -268,43 +288,35 @@ def _run(
             # dwelling here, renewed divergence can only be a UWB artifact
             mode = VO_SELECTED
         else:
-            mode = mode_select(y_o, y_u_hold, beta)
-        if not in_visit or decided:
-            return
-        visit = visits[visit_ptr]
-        stop = plan.stops[visit.stop_index]
-        gated = region_gate(y_u_hold, stop, gamma)
-        if detector is None and mode == KALMAN_SELECTED and gated:
-            detector = StopClusterer(params.cluster, stop_index=visit.stop_index)
-        if detector is not None and gated:
-            est = detector.push(y_u_hold)
-            if est is not None:
-                decide(est, t, visit.stop_index)
-                # re-evaluate trust with the fresh correction in place
-                mode = mode_select(corrected_vo(vo_pos, w), y_u_hold, beta)
+            # mode_select(corrected_vo(vo, w), y_u, beta), without the Position2D values
+            mode = _mode(vx + w.x - ux, vy + w.y - uy, beta)
+        if in_visit and not decided:
+            visit = visits[visit_ptr]
+            stop = plan.stops[visit.stop_index]
+            y_u = Position2D(ux, uy)
+            gated = region_gate(y_u, stop, gamma)
+            if detector is None and mode == KALMAN_SELECTED and gated:
+                detector = StopClusterer(params.cluster, stop_index=visit.stop_index)
+            if detector is not None and gated:
+                est = detector.push(y_u)
+                if est is not None:
+                    decide(est, t, visit.stop_index, near[k])
+                    # re-evaluate trust with the fresh correction in place
+                    mode = _mode(vx + w.x - ux, vy + w.y - uy, beta)
+        kalman_after.append(mode == KALMAN_SELECTED)
 
-    k = 0
-    n_uwb = len(uwb_ts)
-    while next_vo is not None or k < n_uwb:
-        if k < n_uwb and (next_vo is None or uwb_ts[k] <= next_vo[0]):
-            process_tick(k)
-            k += 1
-            continue
-        # corrected_vo on the raw columns: the same sums, no Position2D per row
-        t, x, y = next_vo
-        out = (x + w.x, y + w.y)
-        window.append(out)
-        if mode == KALMAN_SELECTED and y_u_hold is not None:
-            i = aligned_filtered(t)
-            out = (fx[i], fy[i])
-        out_t.append(t)
-        out_xy.append(out)
-        track.modes.append(mode)
-        prev_vo = next_vo
-        next_vo = next(vo_iter, None)
-
+    k = len(uwb_ts)
+    if live is not None:
+        live.fill(n_vo)
     while visit_ptr < len(visits):
         close_visit(visits[visit_ptr].stop_index)
         visit_ptr += 1
-    track.samples = Stream(out_t, out_xy, VO)
+
+    # each VO sample takes the mode and w in force after its governing tick
+    gov = np.searchsorted(uwb.t_ms, vo_t, side="right")
+    out_xy = vo_xy + w_after[gov]
+    in_kalman = np.array(kalman_after)[gov]
+    out_xy[in_kalman] = filtered.xy[nearest_indices(uwb.t_ms, vo_t[in_kalman])]
+    track.samples = Stream(vo_t, out_xy, VO)
+    track.modes = _MODE_NAMES[in_kalman.view(np.uint8)].tolist()
     return track

@@ -99,17 +99,6 @@ class GroundTruth:
         xy = self.sample(np.array([t_ms]))[0]
         return Position2D(float(xy[0]), float(xy[1]))
 
-    def state_at(self, t_ms: float) -> tuple[Position2D, float, float]:
-        """Pose plus speed (mm/s) and heading (rad) at ``t_ms``."""
-        t = min(max(t_ms, 0.0), self.duration_ms)
-        idx = int(self._phase_index(np.array([t]))[0])
-        tau = (t - self._t0s[idx]) / 1000.0
-        s0, v0, acc = self._profile[idx]
-        speed = v0 + acc * tau
-        pos = self._origins[idx] + self._dirs[idx] * (s0 + v0 * tau + 0.5 * acc * tau * tau)
-        heading = math.atan2(self._dirs[idx][1], self._dirs[idx][0])
-        return Position2D(float(pos[0]), float(pos[1])), float(speed), heading
-
 
 def _segment_phases(length: float, cruise: float, accel: float) -> list[tuple[float, float, float, float]]:
     """(duration_s, s0, v0, acc) pieces of one straight segment."""
@@ -345,10 +334,8 @@ def synth_vo(truth: GroundTruth, model: VoModel, seed: int) -> VoTrace:
     """
     sensor = VoSensor(truth, model, seed)
     blocks = []
-    i = 0
-    while i < len(sensor.ts):
-        i, xy = sensor._block(i)
-        blocks.append(xy)
+    while len(block := sensor.read_block()[1]):
+        blocks.append(block)
     faults = [FaultEvent(i, float(s)) for i, s in enumerate(sensor._scales) if s != 1.0]
     return VoTrace(Stream(sensor.ts, np.concatenate(blocks), VO), faults)
 
@@ -360,8 +347,10 @@ class VoSensor:
     scale) changes only at segment starts and ends and at reboots. Between
     two such events every sample is
     ``true + (ref_bias + (scale - 1) * (true - ref_pos)) + noise`` at 0.1 mm,
-    so ``next`` computes the samples up to the next event as one vectorised
-    block when it first reaches them.
+    so the samples up to the next event are computed as one vectorised
+    block when the read position first reaches them. ``read_block`` hands
+    out the rest of that block at once; ``next`` hands it out one sample at
+    a time.
     ``reboot`` re-anchors the origin at the given position and cancels the
     active segment's scale fault (later segments keep their own fault
     draws); it discards the rest of the block. Without reboots the sensor
@@ -376,13 +365,15 @@ class VoSensor:
         self._noise = rng_noise.normal(0.0, model.sigma_mm, size=(len(self.ts), 2))
         self._scales = _segment_scales(truth, model.underestimate, rng_fault)
         self._true_xy = truth.sample(self.ts)
-        self._idx = 0
         self._seg_ptr = 0
         self._ref_pos = self._true_xy[0].copy()
         self._ref_bias = np.zeros(2)
         self._active_scale = 1.0
         self._in_segment = False
-        self._rows: Iterator[tuple[int, float, float]] = iter(())
+        # the current block covers samples [_start, _end); _idx is the read position
+        self._idx = self._start = self._end = 0
+        self._xy = np.empty((0, 2))
+        self._rows: list[tuple[int, float, float]] | None = None
         self.reboots: list[int] = []
 
     def _advance_segments(self, t: float) -> float:
@@ -413,37 +404,62 @@ class VoSensor:
             self._in_segment = True
         return seg.t1_ms
 
-    def _block(self, i: int) -> tuple[int, np.ndarray]:
-        """End index and positions, at 0.1 mm, of the block starting at sample ``i``."""
+    def _next_block(self) -> None:
+        """Compute the block starting at the read position, at 0.1 mm."""
+        i = self._idx
         j = int(np.searchsorted(self.ts, self._advance_segments(float(self.ts[i]))))
         true_xy = self._true_xy[i:j]
         bias = self._ref_bias + (self._active_scale - 1.0) * (true_xy - self._ref_pos)
-        return j, np.round(true_xy + bias + self._noise[i:j], MM_DECIMALS)
+        self._xy = np.round(true_xy + bias + self._noise[i:j], MM_DECIMALS)
+        self._start, self._end, self._rows = i, j, None
+
+    def read_block(self) -> tuple[int, np.ndarray]:
+        """Start index and positions of the samples from the read position to
+        the end of the current block; the read position moves there.
+
+        At the end of the stream the positions are empty.
+        """
+        i = self._idx
+        if i == self._end < len(self.ts):
+            self._next_block()
+        self._idx = self._end
+        return i, self._xy[i - self._start :]
 
     def __iter__(self) -> Iterator[Sample]:
         return self
 
     def __next__(self) -> Sample:
-        row = next(self._rows, None)
-        if row is None:
-            if self._idx >= len(self.ts):
-                self._rows = iter(())  # an exhausted zip still holds its x and y lists
+        i = self._idx
+        if i == self._end:
+            if i == len(self.ts):
                 raise StopIteration
-            j, xy = self._block(self._idx)
-            self._rows = zip(self.ts[self._idx : j].tolist(), *xy.T.tolist())
-            row = next(self._rows)
-        self._idx += 1
-        t, x, y = row
+            self._next_block()
+        if self._rows is None:
+            ts = self.ts[self._start : self._end].tolist()
+            self._rows = list(zip(ts, *self._xy.T.tolist()))
+        self._idx = i + 1
+        t, x, y = self._rows[i - self._start]
         return Sample(t, Position2D(x, y), VO)
 
-    def reboot(self, anchor: Position2D) -> None:
-        """Re-anchor at ``anchor``; the active scale fault is cleared."""
-        t_now = float(self.ts[min(self._idx, len(self.ts) - 1)])
+    def reboot(self, anchor: Position2D, at: int | None = None) -> None:
+        """Re-anchor at ``anchor``; the active scale fault is cleared.
+
+        The new frame applies from sample ``at`` on, by default the read
+        position. ``at`` may lie back within the current block: the samples
+        from there on are discarded and the read position moves back to it.
+        """
+        if at is None:
+            at = self._idx
+        elif not self._start <= at <= self._idx:
+            raise ValueError(
+                f"reboot at sample {at} outside the current block [{self._start}, {self._idx}]"
+            )
+        t_now = float(self.ts[min(at, len(self.ts) - 1)])
         true_now = self.truth.sample(np.array([t_now]))[0]
         self._ref_pos = true_now
         self._ref_bias = np.array([anchor.x, anchor.y]) - true_now
         self._active_scale = 1.0
-        self._rows = iter(())
+        self._idx = self._end = at
         self.reboots.append(int(t_now))
 
 

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from conftest import constant_position_stream, path_length, positions
-from test_clustering import brute_force_argmax, cloud_and_ray_stream, vectorized_counts
+from test_clustering import brute_force_argmax, cloud_and_ray_stream, detect_stop, vectorized_counts
 from test_ekf import fd_jacobian, random_states
 
 from uwbvo.baselines import BaselineKind, run_method
 from uwbvo.cli import main as cli_main
-from uwbvo.clustering import ClusterParams, detect_stop
+from uwbvo.clustering import ClusterParams
 from uwbvo.config import DESK_CLUSTER
 from uwbvo.core import FlightPlan, Position2D, euclidean
 from uwbvo.ekf import CtraParams, ctra_jacobian, run_filter

@@ -5,8 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbvo.clustering import ClusterParams, StopClusterer, detect_stop, region_gate
+from uwbvo.clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
 from uwbvo.core import Position2D, euclidean
+
+
+def detect_stop(stream, params: ClusterParams, stop_index: int = 0) -> StopEstimate:
+    """Run one detector instance over a sample stream of positions.
+
+    Returns a complete estimate as soon as the termination count is reached;
+    if the stream runs out first, returns the best-so-far estimate flagged
+    incomplete (the caller decides whether its support suffices).
+    """
+    clusterer = StopClusterer(params, stop_index)
+    for pos in stream:
+        result = clusterer.push(pos)
+        if result is not None:
+            return result
+    return clusterer.finish()
 
 
 def brute_force_counts(points, alpha):

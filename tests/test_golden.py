@@ -1,10 +1,14 @@
-"""Byte-identity gate: the CLI's files for one worst-case seed, pinned by sha256.
+"""Byte-identity gate: the CLI's files and a live run for one worst-case seed,
+pinned by sha256.
 
 ``simulate``, ``run --method all`` and ``compare`` promise deterministic
 bytes for a fixed invocation. These digests were recorded from the outputs
 before streams became columnar; a change that alters any written byte fails
-here. A digest is only ever re-recorded for a deliberate change of an
-output format, never to make a refactor pass.
+here. The live digests cover ``run_pipeline_live`` over a rebooting
+``VoSensor`` (track bytes, modes, restarts, correction vectors, stop
+decisions and sensor reboots); they were recorded from the per-sample fusion
+loop, before it was driven by UWB ticks. A digest is only ever re-recorded
+for a deliberate change of an output format, never to make a refactor pass.
 """
 import hashlib
 import io
@@ -13,6 +17,9 @@ from contextlib import redirect_stdout
 import pytest
 
 from uwbvo.cli import main
+from uwbvo.config import default_pipeline_params
+from uwbvo.pipeline import run_pipeline_live
+from uwbvo.simulate import VoSensor, build_truth, simulate_pair, worst_case_scenario
 
 GOLDEN_SHA256 = {
     "compare.csv": "c6bf25947a62cce5de1c550c00c090b3f63c48d48c996d0da72e520c9c84d9a2",
@@ -59,3 +66,34 @@ def test_cli_writes_exactly_the_pinned_files(golden_dir):
 def test_cli_output_bytes_are_pinned(golden_dir, name):
     digest = hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+LIVE_SHA256 = {
+    "track": "abfeb0cf5f82f93ddb363d103e52d4a7655cec5e15f2755b7dafb54336d2cae5",
+    "modes": "3bc14cc5fbd413600537ddf0a2e13748225723b2b9fc3c0912a058e186f9fbf7",
+    "restarts": "8eca37fdaaa8aa20d8255bde57ab9abe4b18ebe3e0fc133dc2c6c8687a5f958d",
+    "w_history": "6baf1d557edebdd463e1af8d22a14990f0d109021003ddfca36f35684fb1ca5f",
+    "stop_events": "817e8a3476ab139a4974ac2b63ab933e25aaf1ee5cf8caf778c6cd1907dbd650",
+    "reboots": "af51c50edfcb73e0a7abb771748c169ccc83100a903b6c8e0714118c0240aa7d",
+}
+
+
+@pytest.fixture(scope="module")
+def live_parts():
+    scenario = worst_case_scenario()
+    pair, _, _ = simulate_pair(scenario, 0)
+    sensor = VoSensor(build_truth(scenario.plan), scenario.vo, 0)
+    track = run_pipeline_live(pair.uwb, sensor, scenario.plan, default_pipeline_params())
+    return {
+        "track": track.samples.t_ms.tobytes() + track.samples.xy.tobytes(),
+        "modes": "\n".join(track.modes).encode(),
+        "restarts": repr(track.restarts).encode(),
+        "w_history": repr(track.w_history).encode(),
+        "stop_events": repr(track.stop_events).encode(),
+        "reboots": repr(sensor.reboots).encode(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_SHA256))
+def test_live_run_is_pinned(live_parts, name):
+    assert hashlib.sha256(live_parts[name]).hexdigest() == LIVE_SHA256[name]

@@ -8,6 +8,7 @@ from vo_oracle import LoopVoSensor
 from uwbvo.core import FlightPlan, Position2D, euclidean
 from uwbvo.simulate import (
     SCENARIO_PRESETS,
+    GroundTruth,
     RaySpec,
     ScaleFaultSpec,
     UwbModel,
@@ -23,6 +24,18 @@ from uwbvo.simulate import (
     worst_case_scenario,
 )
 from dataclasses import replace
+
+
+def state_at(truth: GroundTruth, t_ms: float) -> tuple[Position2D, float, float]:
+    """Pose plus speed (mm/s) and heading (rad) at ``t_ms``, from the truth's phases."""
+    t = min(max(t_ms, 0.0), truth.duration_ms)
+    idx = int(truth._phase_index(np.array([t]))[0])
+    tau = (t - truth._t0s[idx]) / 1000.0
+    s0, v0, acc = truth._profile[idx]
+    speed = v0 + acc * tau
+    pos = truth._origins[idx] + truth._dirs[idx] * (s0 + v0 * tau + 0.5 * acc * tau * tau)
+    heading = math.atan2(truth._dirs[idx][1], truth._dirs[idx][0])
+    return Position2D(float(pos[0]), float(pos[1])), float(speed), heading
 
 
 def two_stop_plan(length=1000.0, dwell=5000.0):
@@ -63,7 +76,7 @@ class TestGroundTruth:
     def test_speed_profile_continuous_and_capped(self):
         truth = build_truth(two_stop_plan(length=5000.0))
         ts = np.linspace(0.0, truth.duration_ms, 20_001)
-        speeds = np.array([truth.state_at(float(t))[1] for t in ts])
+        speeds = np.array([state_at(truth, float(t))[1] for t in ts])
         assert speeds.max() <= 500.0 + 1e-9
         assert np.all(np.abs(np.diff(speeds)) < 5.0)  # no jumps at phase edges
 
@@ -71,7 +84,7 @@ class TestGroundTruth:
         # 100 mm at accel 1000 never reaches cruise: peak = sqrt(a L)
         truth = build_truth(two_stop_plan(length=100.0))
         seg = truth.segments[0]
-        peak = max(truth.state_at(t)[1] for t in np.linspace(seg.t0_ms, seg.t1_ms, 2001))
+        peak = max(state_at(truth, t)[1] for t in np.linspace(seg.t0_ms, seg.t1_ms, 2001))
         assert peak == pytest.approx(math.sqrt(1000.0 * 100.0), rel=1e-3)
 
     def test_times_clamp_to_flight(self):
@@ -240,6 +253,54 @@ def drive(sensor, reboot_at):
     return out
 
 
+def reboot_points(truth, rate_hz, seed):
+    """Sample indices to reboot before: the stream's ends, one past the last
+    sample, a dwell, a faulted segment, a back-to-back pair and 12 random ones."""
+    ts = sample_times(rate_hz, truth.duration_ms)
+    n = len(ts)
+
+    def inside(spans):
+        return np.flatnonzero(np.any([(ts >= a) & (ts < b) for a, b in spans], axis=0))
+
+    in_dwell = inside([(w.t0_ms, w.t1_ms) for w in truth.stop_windows])
+    # segments 4-15 are faulted in the worst case
+    in_fault = inside([(s.t0_ms, s.t1_ms) for s in truth.segments[4:]])
+    empty = [s for s in truth.segments if len(inside([(s.t0_ms, s.t1_ms)])) == 0]
+    rng = np.random.default_rng(seed)
+    twice = int(rng.integers(1, n - 1))
+    reboot_at = [
+        0,
+        n - 1,
+        n,  # after the last sample
+        int(in_dwell[len(in_dwell) // 2]),
+        int(in_fault[len(in_fault) // 3]),
+        twice,
+        twice,  # back to back
+        twice + 1,
+        *rng.integers(0, n, size=12).tolist(),
+    ]
+    return reboot_at, empty
+
+
+def drive_blocks(sensor, reboot_at):
+    """The positions ``drive`` yields, read with ``read_block``: the sensor
+    reads ahead, then reboots back at each sample k."""
+    n = len(sensor.ts)
+    xy = np.empty((n, 2))
+    filled = 0
+    for k in [*sorted(reboot_at), None]:
+        while filled < (n if k is None else k):
+            i, block = sensor.read_block()
+            filled = i + len(block)
+            xy[i:filled] = block
+        if k is not None:
+            r = len(sensor.reboots)
+            sensor.reboot(Position2D(100.0 + 37.5 * r, 200.0 - 12.25 * r), at=k)
+            filled = k
+    assert len(sensor.read_block()[1]) == 0  # drained
+    return [Position2D(x, y) for x, y in xy.tolist()]
+
+
 class TestSensorOracle:
     """The block sensor against the per-sample oracle, sample for sample."""
 
@@ -248,36 +309,40 @@ class TestSensorOracle:
     def test_random_reboots_equal_oracle(self, rate_hz, seed):
         truth = build_truth(short_dwell_loop())
         model = replace(worst_case_scenario().vo, rate_hz=rate_hz)
-        ts = sample_times(rate_hz, truth.duration_ms)
-        n = len(ts)
-
-        def inside(spans):
-            return np.flatnonzero(np.any([(ts >= a) & (ts < b) for a, b in spans], axis=0))
-
-        in_dwell = inside([(w.t0_ms, w.t1_ms) for w in truth.stop_windows])
-        # segments 4-15 are faulted in the worst case
-        in_fault = inside([(s.t0_ms, s.t1_ms) for s in truth.segments[4:]])
-        empty = [s for s in truth.segments if len(inside([(s.t0_ms, s.t1_ms)])) == 0]
+        reboot_at, empty = reboot_points(truth, rate_hz, seed)
         # at 0.5 Hz some segments hold no sample: the "skipped entirely" branch
         assert (len(empty) > 0) == (rate_hz < 1.0)
-        rng = np.random.default_rng(seed)
-        twice = int(rng.integers(1, n - 1))
-        reboot_at = [
-            0,
-            n - 1,
-            n,  # after the last sample
-            int(in_dwell[len(in_dwell) // 2]),
-            int(in_fault[len(in_fault) // 3]),
-            twice,
-            twice,  # back to back
-            twice + 1,
-            *rng.integers(0, n, size=12).tolist(),
-        ]
         block = VoSensor(truth, model, seed)
         loop = LoopVoSensor(truth, model, seed)
         assert drive(block, reboot_at) == drive(loop, reboot_at)
         assert block.reboots == loop.reboots
         assert len(block.reboots) == len(reboot_at)
+
+    @pytest.mark.parametrize("rate_hz", [200.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_block_reads_with_reboots_back_equal_oracle(self, rate_hz, seed):
+        truth = build_truth(short_dwell_loop())
+        model = replace(worst_case_scenario().vo, rate_hz=rate_hz)
+        reboot_at, _ = reboot_points(truth, rate_hz, seed)
+        block = VoSensor(truth, model, seed)
+        loop = LoopVoSensor(truth, model, seed)
+        expected = [s.pos for s in drive(loop, reboot_at)[:-1]]
+        assert drive_blocks(block, reboot_at) == expected
+        assert block.reboots == loop.reboots
+
+    def test_reboot_back_past_the_current_block_is_refused(self):
+        scenario = worst_case_scenario()
+        sensor = VoSensor(build_truth(scenario.plan), scenario.vo, seed=0)
+        start, first = sensor.read_block()
+        i, second = sensor.read_block()
+        assert start == 0 and i == len(first) and len(second)
+        with pytest.raises(ValueError, match="outside the current block"):
+            sensor.reboot(Position2D(0.0, 0.0), at=i - 1)
+        with pytest.raises(ValueError, match="outside the current block"):
+            sensor.reboot(Position2D(0.0, 0.0), at=i + len(second) + 1)
+        assert sensor.reboots == []
+        sensor.reboot(Position2D(0.0, 0.0), at=i)
+        assert sensor.read_block()[0] == i
 
     @pytest.mark.parametrize(
         "preset, seed", [("default", 0), ("worst-case", 1), ("best-case", 2)]

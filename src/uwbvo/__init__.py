@@ -9,7 +9,7 @@ technologies disagree. Kalman-fusion baselines, a fault-injecting flight
 simulator, accuracy metrics, and a benchmark CLI round out the package.
 """
 
-from .baselines import BaselineKind, avg_fusion, direct_fusion, pozyx_only, run_method
+from .baselines import BaselineKind, run_method
 from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
 from .core import (
     FlightPlan,
@@ -22,13 +22,7 @@ from .core import (
     read_log,
     write_log,
 )
-from .ekf import (
-    CtraFilter,
-    CtraParams,
-    ctra_jacobian,
-    predict_state,
-    run_filter,
-)
+from .ekf import CtraFilter, CtraParams, ctra_transition, run_filter
 from .metrics import (
     RunReport,
     StopAccuracy,

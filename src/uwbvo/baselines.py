@@ -1,9 +1,9 @@
 """Comparison methods: raw streams, filtered UWB, and two Kalman fusions.
 
 All CTRA variants share one filter implementation, one noise configuration,
-and one restart policy (restart at every stop arrival of the plan), so the
-comparison isolates how the streams are combined rather than how each
-filter is tuned.
+and one restart policy (the self-corrective pipeline's: restart at every
+stop arrival after the initial dwell), so the comparison isolates how the
+streams are combined rather than how each filter is tuned.
 """
 from __future__ import annotations
 
@@ -12,9 +12,8 @@ import enum
 import numpy as np
 
 from .core import UWB, FlightPlan, Stream, StreamPair, nearest_indices
-from .ekf import CtraParams, run_filter
-from .pipeline import FusedTrack, PipelineParams, run_pipeline
-from .simulate import build_truth
+from .ekf import run_filter
+from .pipeline import FusedTrack, PipelineParams, run_pipeline, stop_visits
 
 
 class BaselineKind(enum.Enum):
@@ -26,27 +25,10 @@ class BaselineKind(enum.Enum):
     SELF_CORRECTIVE = "self-corrective"
 
 
-def stop_arrival_times(plan: FlightPlan) -> list[float]:
-    """Arrival times of every stop visit after the initial dwell."""
-    return [w.t0_ms for w in build_truth(plan).stop_windows[1:]]
-
-
-def pozyx_only(stream: Stream, plan: FlightPlan, params: CtraParams) -> Stream:
-    """CTRA filter over the UWB stream alone."""
-    return run_filter(stream, params, restart_times_ms=stop_arrival_times(plan))
-
-
 def averaged_stream(pair: StreamPair) -> Stream:
     """Per-sample mean at UWB rate, with the VO sample nearest in time (earlier on a tie)."""
     j = nearest_indices(pair.vo.t_ms, pair.uwb.t_ms)
     return Stream(pair.uwb.t_ms, 0.5 * (pair.uwb.xy + pair.vo.xy[j]), UWB)
-
-
-def avg_fusion(pair: StreamPair, plan: FlightPlan, params: CtraParams) -> Stream:
-    """Filter the per-sample average of the two streams, at UWB rate."""
-    return run_filter(
-        averaged_stream(pair), params, restart_times_ms=stop_arrival_times(plan)
-    )
 
 
 def merge_streams(pair: StreamPair) -> Stream:
@@ -56,11 +38,13 @@ def merge_streams(pair: StreamPair) -> Stream:
     return Stream(t_ms[order], np.concatenate((pair.uwb.xy, pair.vo.xy))[order], UWB)
 
 
-def direct_fusion(pair: StreamPair, plan: FlightPlan, params: CtraParams) -> Stream:
-    """One filter over the merged stream, stepped by actual arrival gaps."""
-    return run_filter(
-        merge_streams(pair), params, restart_times_ms=stop_arrival_times(plan)
-    )
+# the stream each CTRA baseline filters: the UWB alone, the per-sample
+# average at UWB rate, or both merged and stepped by actual arrival gaps
+_FILTER_INPUT = {
+    BaselineKind.POZYX_CTRA: lambda pair: pair.uwb,
+    BaselineKind.AVG_FUSION: averaged_stream,
+    BaselineKind.DIRECT_FUSION: merge_streams,
+}
 
 
 def run_method(
@@ -74,13 +58,8 @@ def run_method(
         return pair.uwb, None
     if kind is BaselineKind.RAW_VO:
         return pair.vo, None
-    if kind is BaselineKind.POZYX_CTRA:
-        return pozyx_only(pair.uwb, plan, params.ekf), None
-    if kind is BaselineKind.AVG_FUSION:
-        return avg_fusion(pair, plan, params.ekf), None
-    if kind is BaselineKind.DIRECT_FUSION:
-        return direct_fusion(pair, plan, params.ekf), None
     if kind is BaselineKind.SELF_CORRECTIVE:
         track = run_pipeline(pair, plan, params)
         return track.samples, track
-    raise ValueError(f"unknown method {kind!r}")
+    restarts = [w.t0_ms for w in stop_visits(plan)]
+    return run_filter(_FILTER_INPUT[kind](pair), params.ekf, restart_times_ms=restarts), None

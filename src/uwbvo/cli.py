@@ -64,15 +64,19 @@ def _add_param_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _apply_overrides(params: PipelineParams, args) -> PipelineParams:
+    """The parameters with the command-line overrides applied; a bad value is a usage error."""
     cl = params.cluster
-    cl = ClusterParams(
-        alpha_mm=args.alpha_mm if args.alpha_mm is not None else cl.alpha_mm,
-        k1=args.k1 if args.k1 is not None else cl.k1,
-        k2=args.k2 if args.k2 is not None else cl.k2,
-        gamma_mm=args.gamma_mm if args.gamma_mm is not None else cl.gamma_mm,
-    )
-    beta = args.beta_mm if args.beta_mm is not None else params.beta_mm
-    return replace(params, beta_mm=beta, cluster=cl)
+    try:
+        cl = ClusterParams(
+            alpha_mm=args.alpha_mm if args.alpha_mm is not None else cl.alpha_mm,
+            k1=args.k1 if args.k1 is not None else cl.k1,
+            k2=args.k2 if args.k2 is not None else cl.k2,
+            gamma_mm=args.gamma_mm if args.gamma_mm is not None else cl.gamma_mm,
+        )
+        beta = args.beta_mm if args.beta_mm is not None else params.beta_mm
+        return replace(params, beta_mm=beta, cluster=cl)
+    except ValueError as exc:
+        raise ConfigError(f"bad parameter override: {exc}") from None
 
 
 def _seed_list(args) -> list[int]:
@@ -380,6 +384,9 @@ def raw_stop_accuracy(scenario: ScenarioConfig, sigma_mm: float, seeds: int) -> 
 
 
 def cmd_calibrate(args) -> int:
+    if args.seeds < 1 or args.rounds < 1:
+        print("error: --seeds and --rounds must be at least 1", file=sys.stderr)
+        return USAGE_ERROR
     scenario, params = resolve_scenario(args.scenario)
     target = args.target_mm
     # a single noisy sample at the dwell midpoint has mean error

@@ -14,6 +14,7 @@ at every step, which is what the test-suite oracle checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,12 @@ class ClusterParams:
     gamma_mm: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.alpha_mm <= 0:
-            raise ValueError("alpha_mm must be positive")
+        if not (math.isfinite(self.alpha_mm) and self.alpha_mm > 0):
+            raise ValueError("alpha_mm must be finite and positive")
         if not (0 < self.k1 < self.k2):
             raise ValueError("need 0 < k1 < k2")
-        if self.gamma_mm <= self.alpha_mm:
-            raise ValueError("gamma_mm must exceed alpha_mm")
+        if not (math.isfinite(self.gamma_mm) and self.gamma_mm > self.alpha_mm):
+            raise ValueError("gamma_mm must be finite and exceed alpha_mm")
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,11 @@ class FlightPlan:
     def __post_init__(self) -> None:
         if len(self.stops) < 2:
             raise ValueError("flight plan needs at least 2 stops")
-        if self.dwell_ms <= 0 or self.cruise_mm_s <= 0 or self.accel_mm_s2 <= 0:
-            raise ValueError("dwell, cruise speed and acceleration must be positive")
+        if not all(
+            math.isfinite(v) and v > 0
+            for v in (self.dwell_ms, self.cruise_mm_s, self.accel_mm_s2)
+        ):
+            raise ValueError("dwell, cruise speed and acceleration must be finite and positive")
         for a, b in self.legs():
             if euclidean(a, b) == 0.0:
                 raise ValueError("consecutive stops must be distinct")

@@ -9,9 +9,12 @@ is the identity and the gain reduces to ``K = P (P + R)^-1``.
 State prediction follows the circular-arc motion update; when the yaw rate
 magnitude drops below ``eps_yaw`` the analytic straight-line limit is used,
 which keeps the prediction continuous across the branch switch.
+:func:`ctra_transition` evaluates the arc once per step and returns both the
+predicted state and its Jacobian.
 
 The motion model and :class:`CtraFilter` take a single 6-vector state or a
-stack of them with leading axes. :func:`run_filter` uses the stack: a
+stack of them with leading axes, through one numpy code path (a single state
+is a stack with no leading axes). :func:`run_filter` uses the stack: a
 restart resets both the state and its covariance, so the restart segments
 of a stream share nothing, and it filters them in lockstep, one stacked
 step per local sample index. Stacked ``matmul`` and ``linalg.solve`` apply
@@ -47,55 +50,38 @@ def wrap_angle(angle):
     wrapped = np.fmod(angle, TAU)
     outside = (wrapped > math.pi) | (wrapped <= -math.pi)
     if outside.any():
-        wrapped = _select(outside, wrapped - np.copysign(TAU, wrapped), wrapped)
+        wrapped = np.where(outside, wrapped - np.copysign(TAU, wrapped), wrapped)
     return wrapped
 
 
-def _select(cond, a, b):
-    """``np.where``, with a plain branch for a scalar condition (far cheaper)."""
-    if np.ndim(cond):
-        return np.where(cond, a, b)
-    return a if cond else b
+def ctra_transition(
+    state: np.ndarray, dt_s, eps_yaw: float = 1e-6
+) -> tuple[np.ndarray, np.ndarray]:
+    """One motion-model step of length ``dt_s`` seconds, and its Jacobian.
 
-
-def _components(state: np.ndarray):
-    """The six entries of a state as floats, or of a stack as columns."""
-    if state.ndim == 1:
-        return state.tolist()
-    return [state[..., i] for i in range(STATE_DIM)]
-
-
-def _arc(psi, psi_dot, dt_s, eps_yaw: float):
-    """Shared pieces of the arc update, in cancellation-free form.
+    Heading advances by ``dt * psi_dot`` and speed by ``dt * a``; the position
+    moves along a circular arc of radius ``v / psi_dot``, or along a straight
+    line in the small-yaw-rate limit. ``state`` is one state or a stack of
+    them (shape ``(..., 6)``); ``dt_s`` is a scalar or one step per state.
+    Returns the predicted states and the Jacobian of the step w.r.t. the
+    state, of shape ``(..., 6, 6)``.
 
     The raw arc displacement ``(v / psi_dot) (sin(psi + dt psi_dot) - sin psi)``
     loses precision as ``psi_dot`` approaches zero; the identity
     ``sin a - sin b = 2 cos((a+b)/2) sin((a-b)/2)`` turns it into
     ``v * chord * cos(psi + h)`` with ``h = dt psi_dot / 2`` and
     ``chord = 2 sin(h) / psi_dot``, which degrades gracefully into the
-    straight-line limit ``chord = dt``. Returns ``h``, ``chord``, the
-    cosine and sine of ``psi + h``, the straight-line mask and a yaw rate
-    safe to divide by (1 where the mask is set).
+    straight-line limit ``chord = dt``.
     """
+    x, y, v, psi, psi_dot, a = (state[..., i] for i in range(STATE_DIM))
     h = 0.5 * dt_s * psi_dot
-    straight = abs(psi_dot) < eps_yaw
-    safe_psi_dot = _select(straight, 1.0, psi_dot)
-    chord = _select(straight, dt_s, 2.0 * np.sin(h) / safe_psi_dot)
+    straight = np.abs(psi_dot) < eps_yaw
+    safe_psi_dot = np.where(straight, 1.0, psi_dot)
+    chord = np.where(straight, dt_s, 2.0 * np.sin(h) / safe_psi_dot)
     heading = psi + h
-    return h, chord, np.cos(heading), np.sin(heading), straight, safe_psi_dot
-
-
-def predict_state(state: np.ndarray, dt_s, eps_yaw: float = 1e-6) -> np.ndarray:
-    """One motion-model step of length ``dt_s`` seconds.
-
-    Heading advances by ``dt * psi_dot`` and speed by ``dt * a``; the position
-    moves along a circular arc of radius ``v / psi_dot``, or along a straight
-    line in the small-yaw-rate limit. ``state`` is one state or a stack of
-    them (shape ``(..., 6)``); ``dt_s`` is a scalar or one step per state.
-    """
-    x, y, v, psi, psi_dot, a = _components(state)
-    _, chord, cos_m, sin_m, _, _ = _arc(psi, psi_dot, dt_s, eps_yaw)
+    cos_m, sin_m = np.cos(heading), np.sin(heading)
     v_chord = v * chord
+
     pred = np.empty(np.shape(state))
     pred[..., 0] = x + v_chord * cos_m
     pred[..., 1] = y + v_chord * sin_m
@@ -103,30 +89,20 @@ def predict_state(state: np.ndarray, dt_s, eps_yaw: float = 1e-6) -> np.ndarray:
     pred[..., 3] = wrap_angle(psi + dt_s * psi_dot)
     pred[..., 4] = psi_dot
     pred[..., 5] = a
-    return pred
 
-
-def ctra_jacobian(state: np.ndarray, dt_s, eps_yaw: float = 1e-6) -> np.ndarray:
-    """Analytic Jacobian of :func:`predict_state` w.r.t. the state vector.
-
-    Shape ``(..., 6, 6)`` for states of shape ``(..., 6)``.
-    """
-    _, _, v, psi, psi_dot, _ = _components(state)
-    h, chord, cos_m, sin_m, straight, safe_psi_dot = _arc(psi, psi_dot, dt_s, eps_yaw)
     # d(chord)/d(psi_dot); series form below |h| ~ 1e-4 where the closed
     # form cancels catastrophically. float_power calls the C library pow
     # for each element, as a scalar ``**`` does; np.power's SIMD loop can
     # round the cube differently.
-    dchord = _select(
+    dchord = np.where(
         straight,
         0.0,
-        _select(
-            abs(h) < 1e-4,
+        np.where(
+            np.abs(h) < 1e-4,
             -np.float_power(dt_s, 3) * psi_dot / 12.0,
             (dt_s * np.cos(h) - chord) / safe_psi_dot,
         ),
     )
-    v_chord = v * chord
     half_dt_chord = 0.5 * dt_s * chord
     jac = np.empty(np.shape(state) + (STATE_DIM,))
     jac[...] = _EYE
@@ -138,7 +114,7 @@ def ctra_jacobian(state: np.ndarray, dt_s, eps_yaw: float = 1e-6) -> np.ndarray:
     jac[..., 1, 4] = v * (dchord * sin_m + half_dt_chord * cos_m)
     jac[..., 2, 5] = dt_s
     jac[..., 3, 4] = dt_s
-    return jac
+    return pred, jac
 
 
 # Default noise diagonals, in mm, radians and seconds per state slot:
@@ -223,8 +199,7 @@ class CtraFilter:
 
     def predict(self, dt_s) -> None:
         """Advance every row by its ``dt_s`` (a scalar, or one per row)."""
-        jac = ctra_jacobian(self.state, dt_s, self.params.eps_yaw)
-        self.state = predict_state(self.state, dt_s, self.params.eps_yaw)
+        self.state, jac = ctra_transition(self.state, dt_s, self.params.eps_yaw)
         self.P = jac @ self.P @ _transpose(jac) + np.multiply.outer(dt_s, self._q)
 
     def update(self, u: np.ndarray) -> None:

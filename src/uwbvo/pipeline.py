@@ -61,8 +61,17 @@ class PipelineParams:
     ekf: CtraParams = field(default_factory=CtraParams)
 
     def __post_init__(self) -> None:
-        if self.beta_mm <= 0:
-            raise ValueError("beta_mm must be positive")
+        if not (math.isfinite(self.beta_mm) and self.beta_mm > 0):
+            raise ValueError("beta_mm must be finite and positive")
+
+
+def stop_visits(plan: FlightPlan) -> Sequence[StopWindow]:
+    """Every stop visit after the initial dwell, in flight order.
+
+    Each is a correction opportunity, and its arrival (``t0_ms``) restarts
+    every CTRA filter, the baselines' included; the initial dwell seeds them.
+    """
+    return build_truth(plan).stop_windows[1:]
 
 
 def corrected_vo(x_o: Position2D, w: Position2D) -> Position2D:
@@ -189,14 +198,12 @@ def _run(
     gamma = params.cluster.gamma_mm
     beta = params.beta_mm
     plan.check_region_radius(gamma)
-    truth = build_truth(plan)
-    visits: Sequence[StopWindow] = truth.stop_windows[1:]
-    restart_times = [w.t0_ms for w in visits]
+    visits = stop_visits(plan)
 
     n_vo = len(vo_t)
     if not n_vo:
         raise ValueError("empty stream: vo")
-    filtered = run_filter(uwb, params.ekf, restart_times_ms=restart_times)
+    filtered = run_filter(uwb, params.ekf, restart_times_ms=[w.t0_ms for w in visits])
     uwb_ts = uwb.t_ms.tolist()
     fx, fy = filtered.xy.T.tolist()
     # j at each tick, and at the end of the run (k == len(uwb_ts))

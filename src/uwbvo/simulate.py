@@ -191,8 +191,12 @@ class RaySpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.prob_per_stop <= 1.0:
             raise ValueError("prob_per_stop must be within [0, 1]")
-        if self.length_mm < 0 or self.count < 0:
-            raise ValueError("ray length and count must be nonnegative")
+        if not (math.isfinite(self.length_mm) and self.length_mm >= 0) or self.count < 0:
+            raise ValueError("ray length must be finite and nonnegative, and count nonnegative")
+
+
+def _rate_and_sigma_ok(rate_hz: float, sigma_mm: float) -> bool:
+    return math.isfinite(rate_hz) and rate_hz > 0 and math.isfinite(sigma_mm) and sigma_mm >= 0
 
 
 @dataclass(frozen=True)
@@ -202,8 +206,8 @@ class UwbModel:
     ray: RaySpec = field(default_factory=RaySpec)
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0 or self.sigma_mm < 0:
-            raise ValueError("bad UWB model parameters")
+        if not _rate_and_sigma_ok(self.rate_hz, self.sigma_mm):
+            raise ValueError("bad UWB model parameters: need a finite rate > 0 and sigma >= 0")
 
 
 @dataclass(frozen=True)
@@ -234,8 +238,8 @@ class VoModel:
     underestimate: ScaleFaultSpec = field(default_factory=ScaleFaultSpec)
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0 or self.sigma_mm < 0:
-            raise ValueError("bad VO model parameters")
+        if not _rate_and_sigma_ok(self.rate_hz, self.sigma_mm):
+            raise ValueError("bad VO model parameters: need a finite rate > 0 and sigma >= 0")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 ``loop_filter`` is the per-sample filter loop that ``run_filter`` replaces
 with lockstep segments. ``predict_state_scalar`` and
 ``ctra_jacobian_scalar`` are the motion model in ``math`` calls, one state
-at a time, which the array code must match bit for bit.
+at a time, which both outputs of ``ctra_transition`` must match bit for bit.
 ``pseudo_measurements`` and ``MeasurementBuilder`` re-derive
 ``_segment_measurements`` one window at a time. ``CtraState`` is a
 validated state snapshot.
@@ -45,7 +45,7 @@ def _arc_chord_scalar(psi_dot: float, dt_s: float, eps_yaw: float):
 
 
 def predict_state_scalar(state: np.ndarray, dt_s: float, eps_yaw: float = 1e-6) -> np.ndarray:
-    """``predict_state`` for one state, in ``math`` calls and Python branches."""
+    """``ctra_transition(state, dt_s)[0]`` for one state, in ``math`` calls and Python branches."""
     x, y, v, psi, psi_dot, a = state
     h, chord = _arc_chord_scalar(psi_dot, dt_s, eps_yaw)
     nx = x + v * chord * math.cos(psi + h)
@@ -57,7 +57,7 @@ def predict_state_scalar(state: np.ndarray, dt_s: float, eps_yaw: float = 1e-6) 
 
 
 def ctra_jacobian_scalar(state: np.ndarray, dt_s: float, eps_yaw: float = 1e-6) -> np.ndarray:
-    """``ctra_jacobian`` for one state, in ``math`` calls and Python branches."""
+    """``ctra_transition(state, dt_s)[1]`` for one state, in ``math`` calls and Python branches."""
     _, _, v, psi, psi_dot, _ = state
     jac = np.eye(STATE_DIM, dtype=np.float64)
     h, chord = _arc_chord_scalar(psi_dot, dt_s, eps_yaw)

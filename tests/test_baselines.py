@@ -2,19 +2,11 @@ import numpy as np
 
 from align_oracle import align_streams
 from conftest import positions
-from uwbvo.baselines import (
-    BaselineKind,
-    averaged_stream,
-    avg_fusion,
-    direct_fusion,
-    merge_streams,
-    pozyx_only,
-    run_method,
-    stop_arrival_times,
-)
+from uwbvo.baselines import BaselineKind, averaged_stream, merge_streams, run_method
 from uwbvo.core import UWB, VO, FlightPlan, Position2D, Stream, StreamPair
-from uwbvo.ekf import CtraParams, run_filter
+from uwbvo.ekf import run_filter
 from uwbvo.metrics import stop_accuracy
+from uwbvo.pipeline import PipelineParams, stop_visits
 from uwbvo.simulate import (
     RaySpec,
     ScaleFaultSpec,
@@ -71,7 +63,7 @@ def test_averaged_stream_pairs_nearest_vo_sample():
 def test_avg_fusion_output_at_uwb_rate():
     scenario = tiny_scenario(sigma_uwb=30.0, sigma_vo=1.0)
     pair, _, _ = simulate_pair(scenario, 0)
-    out = avg_fusion(pair, scenario.plan, CtraParams())
+    out, _ = run_method(BaselineKind.AVG_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb)
     assert [s.t_ms for s in out] == [s.t_ms for s in pair.uwb]
 
@@ -90,7 +82,7 @@ def test_direct_fusion_tracks_noiseless_truth():
     scenario = tiny_scenario()
     pair, _, _ = simulate_pair(scenario, 2)
     truth = build_truth(scenario.plan)
-    out = direct_fusion(pair, scenario.plan, CtraParams())
+    out, _ = run_method(BaselineKind.DIRECT_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb) + len(pair.vo)
     ts = np.array([s.t_ms for s in out], dtype=float)
     err = np.hypot(*(positions(out) - truth.sample(ts)).T)
@@ -100,15 +92,21 @@ def test_direct_fusion_tracks_noiseless_truth():
     assert np.all(err[dwell_tail] < 1.0)
 
 
-def test_pozyx_only_delegates_bit_exactly():
-    scenario = tiny_scenario(sigma_uwb=40.0)
+def test_filtered_methods_delegate_bit_exactly():
+    scenario = tiny_scenario(sigma_uwb=40.0, sigma_vo=5.0)
     pair, _, _ = simulate_pair(scenario, 3)
-    params = CtraParams()
-    direct = pozyx_only(pair.uwb, scenario.plan, params)
-    expected = run_filter(
-        pair.uwb, params, restart_times_ms=stop_arrival_times(scenario.plan)
-    )
-    assert direct == expected
+    params = PipelineParams()
+    restarts = [w.t0_ms for w in stop_visits(scenario.plan)]
+    assert restarts == [w.t0_ms for w in build_truth(scenario.plan).stop_windows[1:]]
+    inputs = {
+        BaselineKind.POZYX_CTRA: pair.uwb,
+        BaselineKind.AVG_FUSION: averaged_stream(pair),
+        BaselineKind.DIRECT_FUSION: merge_streams(pair),
+    }
+    for kind, stream in inputs.items():
+        out, track = run_method(kind, pair, scenario.plan, params)
+        assert track is None
+        assert out == run_filter(stream, params.ekf, restart_times_ms=restarts), kind
 
 
 def test_pozyx_only_beats_raw_on_stop_accuracy():
@@ -118,7 +116,7 @@ def test_pozyx_only_beats_raw_on_stop_accuracy():
     for seed in range(5):
         pair, _, _ = simulate_pair(scenario, seed)
         raw_avgs.append(stop_accuracy(pair.uwb, truth).avg_mm)
-        flt = pozyx_only(pair.uwb, scenario.plan, CtraParams())
+        flt, _ = run_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, PipelineParams())
         flt_avgs.append(stop_accuracy(flt, truth).avg_mm)
     assert np.mean(flt_avgs) < 0.3 * np.mean(raw_avgs)
 

@@ -123,6 +123,16 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--logs", str(out), "--method", "teleport"]) == 1
     assert main(["run", "--logs", str(out), "--seeds", "5"]) == 1  # missing logs
     assert main(["run", "--logs", str(out), "--seeds", "0"]) == 1  # no seeds
+    # overrides that no threshold can take: NaN compares false, so it would pass a bare "<= 0"
+    for flag, value in [("--beta-mm", "nan"), ("--beta-mm", "-5"), ("--alpha-mm", "nan"),
+                        ("--gamma-mm", "inf"), ("--beta-mm", "inf")]:
+        capsys.readouterr()
+        assert main(["run", "--logs", str(out), "--method", "self-corrective",
+                     flag, value]) == 1, (flag, value)
+        assert "bad parameter override" in capsys.readouterr().err
+    assert main(["simulate", "--scenario", "default", "--beta-mm", "nan",
+                 "--out", str(tmp_path / "nan")]) == 1
+    assert not (tmp_path / "nan").exists()
     assert main(["simulate", "--scenario", "default", "--seeds", "0",
                  "--out", str(tmp_path / "none")]) == 1
     assert not (tmp_path / "none").exists()
@@ -299,6 +309,15 @@ def test_clean_rerun_removes_stale_failures(tmp_path):
     assert (out / "failures.csv").exists()
     assert main(["run", "--logs", str(out), "--method", "raw-uwb"]) == 0
     assert not (out / "failures.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--rounds"])
+def test_calibrate_without_seeds_or_rounds_is_usage_error(tmp_path, capsys, flag):
+    written = tmp_path / "calibrated.ini"
+    assert main(["calibrate", "--scenario", "best-case", flag, "0",
+                 "--write-config", str(written)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not written.exists()
 
 
 def test_calibrate_converges(tmp_path, capsys):

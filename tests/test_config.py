@@ -1,3 +1,5 @@
+import configparser
+
 import pytest
 
 from uwbvo.cli import main
@@ -88,6 +90,36 @@ def test_non_finite_diag_rejected(tmp_path, value):
     path.write_text(text.replace(q_line, "q_diag = " + ", ".join([value] * 6)))
     with pytest.raises(ConfigError, match="finite"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("uwb", "rate_hz", "inf"),
+        ("uwb", "sigma_mm", "nan"),
+        ("uwb", "ray_length_mm", "inf"),
+        ("vo", "rate_hz", "nan"),
+        ("vo", "sigma_mm", "nan"),
+        ("flight_plan", "dwell_ms", "inf"),
+        ("flight_plan", "cruise_mm_s", "nan"),
+        ("flight_plan", "accel_mm_s2", "inf"),
+    ],
+)
+def test_non_finite_scenario_value_rejected(tmp_path, capsys, section, key, value):
+    path = tmp_path / "scenario.ini"
+    save_config(default_scenario(), default_pipeline_params(), path)
+    cp = configparser.ConfigParser()
+    cp.read(path, encoding="utf-8")
+    cp[section][key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    with pytest.raises(ConfigError, match="finite") as exc:
+        load_config(path)
+    assert str(path) in str(exc.value)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _damage_non_utf8(data: bytes) -> bytes:

@@ -18,8 +18,7 @@ from uwbvo.ekf import (
     CtraParams,
     FilterError,
     _segment_measurements,
-    ctra_jacobian,
-    predict_state,
+    ctra_transition,
     run_filter,
     wrap_angle,
 )
@@ -37,31 +36,26 @@ def random_states(rng, n, yaw_rates):
 
 
 def fd_jacobian(state, dt, step=1e-6):
-    jac = np.empty((6, 6))
-    for j in range(6):
-        hi = state.copy()
-        lo = state.copy()
-        hi[j] += step
-        lo[j] -= step
-        f_hi = predict_state(hi, dt)
-        f_lo = predict_state(lo, dt)
-        diff = f_hi - f_lo
-        diff[3] = wrap_angle(f_hi[3] - f_lo[3])  # heading column on the circle
-        jac[:, j] = diff / (2 * step)
-    return jac
+    # rows 0-5 raise coordinate j by step, rows 6-11 lower it: one stacked call
+    offsets = np.concatenate([np.eye(6), -np.eye(6)]) * step
+    pred = ctra_transition(state + offsets, dt)[0]
+    f_hi, f_lo = pred[:6], pred[6:]
+    diff = f_hi - f_lo
+    diff[:, 3] = wrap_angle(f_hi[:, 3] - f_lo[:, 3])  # heading column on the circle
+    return diff.T / (2 * step)
 
 
 class TestPredictState:
     def test_stationary_fixed_point(self):
         for psi in (-2.0, 0.0, 1.3):
             s = np.array([12.0, -7.0, 0.0, psi, 0.0, 0.0])
-            out = predict_state(s, 0.1)
+            out = ctra_transition(s, 0.1)[0]
             assert out[0] == 12.0 and out[1] == -7.0
 
     def test_arc_example(self):
         # direct evaluation of the arc update with v/psi_dot = 10000 mm
         s = np.array([0.0, 0.0, 1000.0, 0.0, 0.1, 0.0])
-        out = predict_state(s, 0.1)
+        out = ctra_transition(s, 0.1)[0]
         assert out[0] == pytest.approx(10000.0 * math.sin(0.01), rel=1e-12)
         assert out[1] == pytest.approx(10000.0 * (1.0 - math.cos(0.01)), rel=1e-12)
         assert out[0] == pytest.approx(99.9983, abs=1e-4)
@@ -79,17 +73,17 @@ class TestPredictState:
             dt = rng.uniform(0.005, 0.05)
             base = s.copy()
             base[4] = 0.0
-            straight = predict_state(base, dt)
+            straight = ctra_transition(base, dt)[0]
             for eps in (1e-12, 1e-6, -1e-6):
                 arc = base.copy()
                 arc[4] = eps
-                out = predict_state(arc, dt)
+                out = ctra_transition(arc, dt)[0]
                 assert abs(out[0] - straight[0]) < 1e-6
                 assert abs(out[1] - straight[1]) < 1e-6
 
     def test_heading_normalized(self):
         s = np.array([0.0, 0.0, 0.0, 3.0, 5.0, 0.0])
-        out = predict_state(s, 1.0)
+        out = ctra_transition(s, 1.0)[0]
         assert -math.pi < out[3] <= math.pi
 
 
@@ -98,7 +92,7 @@ class TestJacobian:
         for psi in (0.0, 0.7, -2.1):
             s = np.array([5.0, 6.0, 0.0, psi, 0.0, 0.0])
             dt = 0.05
-            jac = ctra_jacobian(s, dt)
+            jac = ctra_transition(s, dt)[1]
             expected = np.eye(6)
             expected[0, 2] = dt * math.cos(psi)
             expected[1, 2] = dt * math.sin(psi)
@@ -112,7 +106,7 @@ class TestJacobian:
         states = random_states(rng, 300, yaw_rates)
         for s in states:
             dt = rng.uniform(0.005, 0.1)
-            analytic = ctra_jacobian(s, dt)
+            analytic = ctra_transition(s, dt)[1]
             numeric = fd_jacobian(s, dt)
             scale = np.maximum(1.0, np.abs(analytic))
             assert np.all(np.abs(analytic - numeric) <= 1e-5 * scale)
@@ -124,11 +118,11 @@ class TestJacobian:
         for s in random_states(rng, 50, (0.3, -0.9, 1.7)):
             dt = 0.08
             assert np.allclose(
-                predict_state(mirror @ s, dt), mirror @ predict_state(s, dt)
+                ctra_transition(mirror @ s, dt)[0], mirror @ ctra_transition(s, dt)[0]
             )
             assert np.allclose(
-                ctra_jacobian(mirror @ s, dt),
-                mirror @ ctra_jacobian(s, dt) @ mirror,
+                ctra_transition(mirror @ s, dt)[1],
+                mirror @ ctra_transition(s, dt)[1] @ mirror,
                 atol=1e-12,
             )
 
@@ -139,7 +133,7 @@ class TestFilterStep:
         filt = CtraFilter(params)
         filt.reset(0.0, 0.0)
         filt.state = np.array([0.0, 0.0, 1000.0, 0.0, 0.0, 0.0])
-        predicted = predict_state(filt.state, 0.1)
+        predicted = ctra_transition(filt.state, 0.1)[0]
         filt.step(np.array([500.0, 500.0, 0.0, 1.0, 0.0, 0.0]), 0.1)
         assert np.allclose(filt.state, predicted, atol=1e-4)
 
@@ -346,15 +340,15 @@ class TestStacks:
         dts[:5] = 0.0
         # a zero mid-arc heading leaves the series d(chord) term alone in J[0, 4]
         states[::2, 3] = -(0.5 * dts[::2] * states[::2, 4])
-        pred, jac = predict_state(states, dts), ctra_jacobian(states, dts)
+        pred, jac = ctra_transition(states, dts)
         assert pred.shape == (n, 6) and jac.shape == (n, 6, 6)
         for i in range(n):
             expected_pred = predict_state_scalar(states[i], dts[i])
             expected_jac = ctra_jacobian_scalar(states[i], dts[i])
             assert np.array_equal(pred[i], expected_pred)
             assert np.array_equal(jac[i], expected_jac)
-            assert np.array_equal(predict_state(states[i], dts[i]), expected_pred)
-            assert np.array_equal(ctra_jacobian(states[i], dts[i]), expected_jac)
+            assert np.array_equal(ctra_transition(states[i], dts[i])[0], expected_pred)
+            assert np.array_equal(ctra_transition(states[i], dts[i])[1], expected_jac)
 
     def test_stacked_filter_equals_lone_filters(self):
         rng = np.random.default_rng(22)

@@ -63,8 +63,12 @@ def _add_param_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k2", type=int, help="cluster-termination neighbor count")
 
 
-def _apply_overrides(params: PipelineParams, args) -> PipelineParams:
-    """The parameters with the command-line overrides applied; a bad value is a usage error."""
+def _apply_overrides(params: PipelineParams, plan: FlightPlan, args) -> PipelineParams:
+    """The parameters with the command-line overrides applied.
+
+    A bad value, or a gamma whose stop regions overlap on ``plan``, is a
+    usage error.
+    """
     cl = params.cluster
     try:
         cl = ClusterParams(
@@ -74,9 +78,14 @@ def _apply_overrides(params: PipelineParams, args) -> PipelineParams:
             gamma_mm=args.gamma_mm if args.gamma_mm is not None else cl.gamma_mm,
         )
         beta = args.beta_mm if args.beta_mm is not None else params.beta_mm
-        return replace(params, beta_mm=beta, cluster=cl)
+        params = replace(params, beta_mm=beta, cluster=cl)
     except ValueError as exc:
         raise ConfigError(f"bad parameter override: {exc}") from None
+    try:
+        plan.check_region_radius(cl.gamma_mm)
+    except ValueError as exc:
+        raise ConfigError(f"gamma_mm: {exc}") from None
+    return params
 
 
 def _seed_list(args) -> list[int]:
@@ -112,7 +121,7 @@ def _truth_csv_bytes(truth, rate_hz: float) -> bytes:
 
 def cmd_simulate(args) -> int:
     scenario, params = resolve_scenario(args.scenario)
-    params = _apply_overrides(params, args)
+    params = _apply_overrides(params, scenario.plan, args)
     seeds = _seed_list(args)
     if not seeds:
         print("error: no seeds selected", file=sys.stderr)
@@ -289,7 +298,7 @@ def cmd_run(args) -> int:
         print(f"error: no scenario.ini in {logs_dir}", file=sys.stderr)
         return USAGE_ERROR
     scenario, params = load_config(scenario_path)
-    params = _apply_overrides(params, args)
+    params = _apply_overrides(params, scenario.plan, args)
     methods = _parse_methods(args.method)
     seeds = _seed_list(args)
     if not seeds:
@@ -386,6 +395,12 @@ def raw_stop_accuracy(scenario: ScenarioConfig, sigma_mm: float, seeds: int) -> 
 def cmd_calibrate(args) -> int:
     if args.seeds < 1 or args.rounds < 1:
         print("error: --seeds and --rounds must be at least 1", file=sys.stderr)
+        return USAGE_ERROR
+    if not (math.isfinite(args.target_mm) and args.target_mm > 0):
+        print("error: --target-mm must be finite and positive", file=sys.stderr)
+        return USAGE_ERROR
+    if not (math.isfinite(args.tol_mm) and args.tol_mm >= 0):
+        print("error: --tol-mm must be finite and nonnegative", file=sys.stderr)
         return USAGE_ERROR
     scenario, params = resolve_scenario(args.scenario)
     target = args.target_mm

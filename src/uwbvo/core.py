@@ -56,9 +56,6 @@ class Position2D:
         return Position2D(self.x - other.x, self.y - other.y)
 
 
-ZERO = Position2D(0.0, 0.0)
-
-
 def euclidean(a: Position2D, b: Position2D) -> float:
     """Planar Euclidean distance in millimetres."""
     return math.hypot(a.x - b.x, a.y - b.y)

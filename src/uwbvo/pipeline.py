@@ -20,8 +20,9 @@ Trust and ``w`` change only at UWB ticks, so the loop visits the ticks
 alone and emits every VO sample afterwards as columns, each with the mode
 and ``w`` in force at its time. Replay runs (recorded logs) record reboot
 requests but cannot re-anchor the sensor; live runs against a
-:class:`~uwbvo.simulate.VoSensor` do both, reading the sensor in blocks as
-the loop reaches them and regenerating its samples after each reboot.
+:class:`~uwbvo.simulate.VoSensor` do both: the loop reads the sensor's own
+position array, has the sensor fill it as far as each tick needs, and
+reboots it from a sample index on, which rewrites the array from there.
 """
 from __future__ import annotations
 
@@ -155,35 +156,14 @@ def run_pipeline_live(
     The sensor restarts at the corrected stop estimate, so its output needs
     no further correction: the vector re-zeroes at each reboot.
     """
-    live = _LiveVo(vo_sensor)
-    return _run(uwb, vo_sensor.ts, live.xy, live, plan, params)
-
-
-class _LiveVo:
-    """A live sensor's positions, read block by block as the loop reaches them."""
-
-    def __init__(self, sensor: VoSensor) -> None:
-        self.sensor = sensor
-        self.xy = np.empty((len(sensor.ts), 2))
-        self.filled = 0  # positions [0, filled) are final unless a reboot reaches back
-
-    def fill(self, stop: int) -> None:
-        while self.filled < stop:
-            i, block = self.sensor.read_block()
-            self.filled = i + len(block)
-            self.xy[i : self.filled] = block
-
-    def reboot(self, anchor: Position2D, at: int) -> None:
-        """Re-anchor the sensor from sample ``at`` on; later positions are regenerated."""
-        self.sensor.reboot(anchor, at=at)
-        self.filled = at
+    return _run(uwb, vo_sensor.ts, vo_sensor.xy, vo_sensor, plan, params)
 
 
 def _run(
     uwb: Stream,
     vo_t: np.ndarray,
     vo_xy: np.ndarray,
-    live: _LiveVo | None,
+    sensor: VoSensor | None,
     plan: FlightPlan,
     params: PipelineParams,
 ) -> FusedTrack:
@@ -193,7 +173,8 @@ def _run(
     (UWB first on a tie), with the mode and ``w`` in force after the last of
     those ticks. At tick ``k`` the first ``j = searchsorted(vo_t, t_k)`` VO
     samples have been emitted, sample ``j`` is the next one, and a live
-    sensor reboots from sample ``j + 1`` on.
+    sensor reboots from sample ``j + 1`` on. A live ``sensor`` fills
+    ``vo_xy``, its own array, as far as each tick needs.
     """
     gamma = params.cluster.gamma_mm
     beta = params.beta_mm
@@ -238,12 +219,12 @@ def _run(
         dist = euclidean(est.pos, y_oi)
         new_w, restart = update_correction(est.pos, y_oi, w, beta)
         if restart:
-            if live is None:
+            if sensor is None:
                 w = new_w
             else:
                 # the sensor restarts at the corrected estimate: its
                 # subsequent output is already in the corrected frame
-                live.reboot(est.pos, min(j + 1, n_vo))
+                sensor.reboot(est.pos, at=min(j + 1, n_vo))
                 w = Position2D(0.0, 0.0)
             w_after[k + 1 :] = w.x, w.y
             track.w_history.append((t_ms, w.x, w.y))
@@ -279,8 +260,8 @@ def _run(
         window_start = j
 
     for k, t in enumerate(uwb_ts):
-        if live is not None:
-            live.fill(min(emitted[k] + 1, n_vo))
+        if sensor is not None:
+            sensor.fill(min(emitted[k] + 1, n_vo))
         while visit_ptr < len(visits) and t > visits[visit_ptr].t1_ms:
             close_visit(visits[visit_ptr].stop_index)
             visit_ptr += 1
@@ -313,8 +294,8 @@ def _run(
         kalman_after.append(mode == KALMAN_SELECTED)
 
     k = len(uwb_ts)
-    if live is not None:
-        live.fill(n_vo)
+    if sensor is not None:
+        sensor.fill(n_vo)
     while visit_ptr < len(visits):
         close_visit(visits[visit_ptr].stop_index)
         visit_ptr += 1

@@ -17,7 +17,8 @@ Sensor streams are synthesized from the truth:
   the sensor. One model produces every VO sample: :class:`VoSensor`
   evaluates ``true + (ref_bias + (scale - 1) * (true - ref_pos)) + noise``
   in vectorised blocks, each running from a segment event or reboot to the
-  next, and :func:`synth_vo` is that sensor drained without reboots.
+  next, into one full-length array; :func:`synth_vo` is that sensor filled
+  to its end without reboots.
 
 Everything is a pure function of (config, seed): one seed is split into
 independent child generators for UWB noise, UWB rays, VO noise, and VO
@@ -333,15 +334,12 @@ def _segment_scales(
 def synth_vo(truth: GroundTruth, model: VoModel, seed: int) -> VoTrace:
     """VO positions with per-segment scale faults and accumulating offset.
 
-    The stream is a :class:`VoSensor` drained without reboots, its blocks
-    concatenated.
+    The stream is a :class:`VoSensor` filled to its end without reboots.
     """
     sensor = VoSensor(truth, model, seed)
-    blocks = []
-    while len(block := sensor.read_block()[1]):
-        blocks.append(block)
+    sensor.fill(len(sensor.ts))
     faults = [FaultEvent(i, float(s)) for i, s in enumerate(sensor._scales) if s != 1.0]
-    return VoTrace(Stream(sensor.ts, np.concatenate(blocks), VO), faults)
+    return VoTrace(Stream(sensor.ts, sensor.xy, VO), faults)
 
 
 class VoSensor:
@@ -351,33 +349,30 @@ class VoSensor:
     scale) changes only at segment starts and ends and at reboots. Between
     two such events every sample is
     ``true + (ref_bias + (scale - 1) * (true - ref_pos)) + noise`` at 0.1 mm,
-    so the samples up to the next event are computed as one vectorised
-    block when the read position first reaches them. ``read_block`` hands
-    out the rest of that block at once; ``next`` hands it out one sample at
-    a time.
+    so ``fill`` generates the samples up to the next event as one vectorised
+    block, into the full-length ``xy`` whose first ``count`` rows are
+    generated. ``next`` hands the samples out one at a time, filling as it
+    goes.
     ``reboot`` re-anchors the origin at the given position and cancels the
     active segment's scale fault (later segments keep their own fault
-    draws); it discards the rest of the block. Without reboots the sensor
-    emits exactly :func:`synth_vo`'s stream.
+    draws); the samples from the reboot on are generated again. Without
+    reboots the sensor emits exactly :func:`synth_vo`'s stream.
     """
 
     def __init__(self, truth: GroundTruth, model: VoModel, seed: int) -> None:
         _, _, rng_noise, rng_fault = _child_rngs(seed)
         self.truth = truth
-        self.model = model
         self.ts = sample_times(model.rate_hz, truth.duration_ms)
         self._noise = rng_noise.normal(0.0, model.sigma_mm, size=(len(self.ts), 2))
         self._scales = _segment_scales(truth, model.underestimate, rng_fault)
-        self._true_xy = truth.sample(self.ts)
         self._seg_ptr = 0
-        self._ref_pos = self._true_xy[0].copy()
+        self._ref_pos = truth.sample(self.ts[:1])[0]
         self._ref_bias = np.zeros(2)
         self._active_scale = 1.0
         self._in_segment = False
-        # the current block covers samples [_start, _end); _idx is the read position
-        self._idx = self._start = self._end = 0
-        self._xy = np.empty((0, 2))
-        self._rows: list[tuple[int, float, float]] | None = None
+        self.xy = np.empty((len(self.ts), 2))
+        self.count = 0  # rows [0, count) of xy are generated
+        self._idx = 0  # the read position of next
         self.reboots: list[int] = []
 
     def _advance_segments(self, t: float) -> float:
@@ -408,62 +403,56 @@ class VoSensor:
             self._in_segment = True
         return seg.t1_ms
 
-    def _next_block(self) -> None:
-        """Compute the block starting at the read position, at 0.1 mm."""
-        i = self._idx
-        j = int(np.searchsorted(self.ts, self._advance_segments(float(self.ts[i]))))
-        true_xy = self._true_xy[i:j]
-        bias = self._ref_bias + (self._active_scale - 1.0) * (true_xy - self._ref_pos)
-        self._xy = np.round(true_xy + bias + self._noise[i:j], MM_DECIMALS)
-        self._start, self._end, self._rows = i, j, None
-
-    def read_block(self) -> tuple[int, np.ndarray]:
-        """Start index and positions of the samples from the read position to
-        the end of the current block; the read position moves there.
-
-        At the end of the stream the positions are empty.
-        """
-        i = self._idx
-        if i == self._end < len(self.ts):
-            self._next_block()
-        self._idx = self._end
-        return i, self._xy[i - self._start :]
+    def fill(self, stop: int) -> None:
+        """Generate whole blocks until ``count`` reaches ``stop`` (at most the stream's length)."""
+        while self.count < stop:
+            i = self.count
+            j = int(np.searchsorted(self.ts, self._advance_segments(float(self.ts[i]))))
+            # the truth is sampled per block: a sensor holds two stream-length arrays, not three
+            true_xy = self.truth.sample(self.ts[i:j])
+            bias = self._ref_bias + (self._active_scale - 1.0) * (true_xy - self._ref_pos)
+            self.xy[i:j] = np.round(true_xy + bias + self._noise[i:j], MM_DECIMALS)
+            self.count = j
 
     def __iter__(self) -> Iterator[Sample]:
         return self
 
     def __next__(self) -> Sample:
         i = self._idx
-        if i == self._end:
-            if i == len(self.ts):
-                raise StopIteration
-            self._next_block()
-        if self._rows is None:
-            ts = self.ts[self._start : self._end].tolist()
-            self._rows = list(zip(ts, *self._xy.T.tolist()))
+        if i == len(self.ts):
+            raise StopIteration
+        self.fill(i + 1)
         self._idx = i + 1
-        t, x, y = self._rows[i - self._start]
-        return Sample(t, Position2D(x, y), VO)
+        x, y = self.xy[i].tolist()
+        return Sample(int(self.ts[i]), Position2D(x, y), VO)
 
     def reboot(self, anchor: Position2D, at: int | None = None) -> None:
-        """Re-anchor at ``anchor``; the active scale fault is cleared.
+        """Re-anchor at ``anchor`` from sample ``at`` on; the active scale fault is cleared.
 
-        The new frame applies from sample ``at`` on, by default the read
-        position. ``at`` may lie back within the current block: the samples
-        from there on are discarded and the read position moves back to it.
+        ``at`` is any index from 0 to the stream's length, by default the
+        read position. The samples before it keep the old frame, generated
+        now if they were not yet; the ones from it on are generated again,
+        and a read position past it moves back to it.
         """
+        n = len(self.ts)
         if at is None:
             at = self._idx
-        elif not self._start <= at <= self._idx:
-            raise ValueError(
-                f"reboot at sample {at} outside the current block [{self._start}, {self._idx}]"
-            )
-        t_now = float(self.ts[min(at, len(self.ts) - 1)])
+        elif not 0 <= at <= n:
+            raise ValueError(f"reboot at sample {at} outside the stream [0, {n}]")
+        self.fill(at)
+        # the segment state the old frame reached at sample at - 1
+        t_prev = float(self.ts[at - 1]) if at else -math.inf
+        segs = self.truth.segments
+        started = int(np.searchsorted([s.t0_ms for s in segs], t_prev, side="right"))
+        self._seg_ptr = int(np.searchsorted([s.t1_ms for s in segs], t_prev, side="right"))
+        self._in_segment = started > self._seg_ptr
+        t_now = float(self.ts[min(at, n - 1)])
         true_now = self.truth.sample(np.array([t_now]))[0]
         self._ref_pos = true_now
         self._ref_bias = np.array([anchor.x, anchor.y]) - true_now
         self._active_scale = 1.0
-        self._idx = self._end = at
+        self.count = at
+        self._idx = min(self._idx, at)
         self.reboots.append(int(t_now))
 
 

@@ -136,6 +136,17 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["simulate", "--scenario", "default", "--seeds", "0",
                  "--out", str(tmp_path / "none")]) == 1
     assert not (tmp_path / "none").exists()
+    # a gamma whose stop regions overlap (stops 500 mm apart in the best case,
+    # 1000 mm in the small scenario) fails before any file is written
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", "best-case", "--gamma-mm", "900",
+                 "--out", str(tmp_path / "overlap")]) == 1
+    assert "gamma_mm" in capsys.readouterr().err
+    assert not (tmp_path / "overlap").exists()
+    assert main(["run", "--logs", str(out), "--method", "raw-uwb",
+                 "--method", "self-corrective", "--gamma-mm", "900"]) == 1
+    assert "gamma_mm" in capsys.readouterr().err
+    assert not (out / "reports.csv").exists() and not (out / "failures.csv").exists()
     lacking = tmp_path / "lacking"
     lacking.mkdir()
     (lacking / "reports.csv").write_text("method,seed,std_stop_mm\nraw-uwb,0,1.0\n")
@@ -317,6 +328,19 @@ def test_calibrate_without_seeds_or_rounds_is_usage_error(tmp_path, capsys, flag
     assert main(["calibrate", "--scenario", "best-case", flag, "0",
                  "--write-config", str(written)]) == 1
     assert flag in capsys.readouterr().err
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--target-mm", "-5"), ("--target-mm", "0"), ("--target-mm", "nan"), ("--target-mm", "inf"),
+    ("--tol-mm", "-1"), ("--tol-mm", "nan"), ("--tol-mm", "inf"),
+])
+def test_calibrate_bad_target_or_tolerance_is_usage_error(tmp_path, capsys, flag, value):
+    written = tmp_path / "calibrated.ini"
+    assert main(["calibrate", "--scenario", "best-case", flag, value,
+                 "--write-config", str(written)]) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and "round" not in captured.out
     assert not written.exists()
 
 

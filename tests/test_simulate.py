@@ -282,23 +282,15 @@ def reboot_points(truth, rate_hz, seed):
     return reboot_at, empty
 
 
-def drive_blocks(sensor, reboot_at):
-    """The positions ``drive`` yields, read with ``read_block``: the sensor
-    reads ahead, then reboots back at each sample k."""
-    n = len(sensor.ts)
-    xy = np.empty((n, 2))
-    filled = 0
-    for k in [*sorted(reboot_at), None]:
-        while filled < (n if k is None else k):
-            i, block = sensor.read_block()
-            filled = i + len(block)
-            xy[i:filled] = block
-        if k is not None:
-            r = len(sensor.reboots)
-            sensor.reboot(Position2D(100.0 + 37.5 * r, 200.0 - 12.25 * r), at=k)
-            filled = k
-    assert len(sensor.read_block()[1]) == 0  # drained
-    return [Position2D(x, y) for x, y in xy.tolist()]
+def drive_blocks(sensor, reboot_at, ahead):
+    """The positions ``drive`` yields, read from ``xy``: before each reboot
+    at sample k the sensor fills ``ahead(k)`` samples, which may run past k."""
+    for k in sorted(reboot_at):
+        sensor.fill(ahead(k))
+        r = len(sensor.reboots)
+        sensor.reboot(Position2D(100.0 + 37.5 * r, 200.0 - 12.25 * r), at=k)
+    sensor.fill(len(sensor.ts))
+    return [Position2D(x, y) for x, y in sensor.xy.tolist()]
 
 
 class TestSensorOracle:
@@ -324,25 +316,43 @@ class TestSensorOracle:
         truth = build_truth(short_dwell_loop())
         model = replace(worst_case_scenario().vo, rate_hz=rate_hz)
         reboot_at, _ = reboot_points(truth, rate_hz, seed)
-        block = VoSensor(truth, model, seed)
         loop = LoopVoSensor(truth, model, seed)
         expected = [s.pos for s in drive(loop, reboot_at)[:-1]]
-        assert drive_blocks(block, reboot_at) == expected
-        assert block.reboots == loop.reboots
+        n = len(loop.ts)
+        # fill the block holding k (k may start the next block), or the whole stream
+        for ahead in (lambda k: min(k + 1, n), lambda k: n):
+            block = VoSensor(truth, model, seed)
+            assert drive_blocks(block, reboot_at, ahead) == expected
+            assert block.reboots == loop.reboots
 
-    def test_reboot_back_past_the_current_block_is_refused(self):
+    def test_reboot_at_a_sample_ignores_what_was_filled_first(self):
+        """A reboot at sample k gives the oracle's stream however far the
+        sensor had filled: none, up to k, the block starting at k, or the
+        whole stream. Here k is the first sample of the first faulted
+        segment, so it starts a block, and the reboot must keep that
+        segment's fault, which only starts at sample k."""
+        scenario = worst_case_scenario()
+        truth = build_truth(scenario.plan)
+        ts = sample_times(scenario.vo.rate_hz, truth.duration_ms)
+        n = len(ts)
+        k = int(np.searchsorted(ts, truth.segments[4].t0_ms))
+        expected = [s.pos for s in drive(LoopVoSensor(truth, scenario.vo, 0), [k])[:-1]]
+        for filled in (0, k, k + 1, n):
+            sensor = VoSensor(truth, scenario.vo, seed=0)
+            sensor.fill(filled)
+            sensor.reboot(Position2D(100.0, 200.0), at=k)
+            assert sensor.count == k
+            sensor.fill(n)
+            assert [Position2D(x, y) for x, y in sensor.xy.tolist()] == expected, filled
+
+    def test_reboot_outside_the_stream_is_refused(self):
         scenario = worst_case_scenario()
         sensor = VoSensor(build_truth(scenario.plan), scenario.vo, seed=0)
-        start, first = sensor.read_block()
-        i, second = sensor.read_block()
-        assert start == 0 and i == len(first) and len(second)
-        with pytest.raises(ValueError, match="outside the current block"):
-            sensor.reboot(Position2D(0.0, 0.0), at=i - 1)
-        with pytest.raises(ValueError, match="outside the current block"):
-            sensor.reboot(Position2D(0.0, 0.0), at=i + len(second) + 1)
-        assert sensor.reboots == []
-        sensor.reboot(Position2D(0.0, 0.0), at=i)
-        assert sensor.read_block()[0] == i
+        n = len(sensor.ts)
+        for at in (-1, n + 1):
+            with pytest.raises(ValueError, match="outside the stream"):
+                sensor.reboot(Position2D(0.0, 0.0), at=at)
+        assert sensor.reboots == [] and sensor.count == 0
 
     @pytest.mark.parametrize(
         "preset, seed", [("default", 0), ("worst-case", 1), ("best-case", 2)]

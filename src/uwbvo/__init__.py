@@ -9,7 +9,7 @@ technologies disagree. Kalman-fusion baselines, a fault-injecting flight
 simulator, accuracy metrics, and a benchmark CLI round out the package.
 """
 
-from .baselines import BaselineKind, run_method
+from .baselines import BaselineKind, filter_inputs, run_method
 from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
 from .core import (
     FlightPlan,
@@ -36,7 +36,6 @@ from .pipeline import (
     StopDecision,
     StopDetectionFailure,
     corrected_vo,
-    mode_select,
     run_pipeline,
     run_pipeline_live,
     update_correction,

@@ -4,15 +4,23 @@ All CTRA variants share one filter implementation, one noise configuration,
 and one restart policy (the self-corrective pipeline's: restart at every
 stop arrival after the initial dwell), so the comparison isolates how the
 streams are combined rather than how each filter is tuned.
+
+The filtering is done once per seed: :func:`filter_inputs` builds the
+inputs the selected methods read (the UWB, the per-sample average, the
+merged stream) and filters them all in one ``run_filter`` lockstep.
+:func:`run_method` then picks its method's result. pozyx-ctra's filtered
+UWB is also the one the self-corrective pipeline fuses with the VO, so
+that stream is filtered once for both.
 """
 from __future__ import annotations
 
 import enum
+from typing import Iterable
 
 import numpy as np
 
 from .core import UWB, FlightPlan, Stream, StreamPair, nearest_indices
-from .ekf import run_filter
+from .ekf import FilterError, checked, run_filter
 from .pipeline import FusedTrack, PipelineParams, run_pipeline, stop_visits
 
 
@@ -45,6 +53,30 @@ _FILTER_INPUT = {
     BaselineKind.AVG_FUSION: averaged_stream,
     BaselineKind.DIRECT_FUSION: merge_streams,
 }
+# self-corrective fuses the VO with pozyx-ctra's filtered UWB
+_SHARES_INPUT = {BaselineKind.SELF_CORRECTIVE: BaselineKind.POZYX_CTRA}
+
+Filtered = dict[BaselineKind, Stream | FilterError]
+
+
+def filter_inputs(
+    methods: Iterable[BaselineKind],
+    pair: StreamPair,
+    plan: FlightPlan,
+    params: PipelineParams,
+) -> Filtered:
+    """Every CTRA input the methods read, filtered in one lockstep.
+
+    Keyed by the baseline that filters the input, as :func:`run_method`
+    reads it. Only the inputs the methods need are built, all with the
+    pipeline's restart schedule; a failed input holds its
+    :class:`FilterError`.
+    """
+    needed = {_SHARES_INPUT.get(m, m) for m in methods}
+    kinds = [k for k in _FILTER_INPUT if k in needed]
+    restarts = [w.t0_ms for w in stop_visits(plan)]
+    streams = [_FILTER_INPUT[k](pair) for k in kinds]
+    return dict(zip(kinds, run_filter(streams, params.ekf, restart_times_ms=restarts)))
 
 
 def run_method(
@@ -52,14 +84,19 @@ def run_method(
     pair: StreamPair,
     plan: FlightPlan,
     params: PipelineParams,
+    filtered: Filtered,
 ) -> tuple[Stream, FusedTrack | None]:
-    """Produce the method's output track; the fused track where one exists."""
+    """Produce the method's output track; the fused track where one exists.
+
+    ``filtered`` is :func:`filter_inputs` of these methods; a failed input
+    raises its :class:`FilterError` for every method that reads it.
+    """
     if kind is BaselineKind.RAW_UWB:
         return pair.uwb, None
     if kind is BaselineKind.RAW_VO:
         return pair.vo, None
+    stream = checked(filtered[_SHARES_INPUT.get(kind, kind)])
     if kind is BaselineKind.SELF_CORRECTIVE:
-        track = run_pipeline(pair, plan, params)
+        track = run_pipeline(pair, plan, params, stream)
         return track.samples, track
-    restarts = [w.t0_ms for w in stop_visits(plan)]
-    return run_filter(_FILTER_INPUT[kind](pair), params.ekf, restart_times_ms=restarts), None
+    return stream, None

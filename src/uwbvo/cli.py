@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineKind, run_method
+from .baselines import BaselineKind, filter_inputs, run_method
 from .clustering import ClusterParams
 from .config import ConfigError, load_config, resolve_scenario, save_config
 from .core import FlightPlan, LogFormatError, Stream, csv_text, read_log, write_log
@@ -266,10 +266,11 @@ def _run_seed(
     """Every selected method on one seed's log, which is read once.
 
     The methods share the read pair: its streams' arrays are read-only, so
-    no method can change what the next one reads. Each
-    method's files are written as soon as it finishes; only its report, or
-    its failure text, is returned. A malformed log fails every method of
-    the seed; a method that fails (stop detection, filter divergence, or a
+    no method can change what the next one reads. The inputs of the
+    filtered methods are filtered first, in one lockstep. Each method's
+    files are written as soon as it finishes; only its report, or its
+    failure text, is returned. A malformed log fails every method of the
+    seed; a method that fails (stop detection, filter divergence, or a
     track that misses a dwell window) leaves the others of the seed running.
     """
     try:
@@ -280,9 +281,10 @@ def _run_seed(
     tracks_dir = logs_dir / "tracks"
     reports: list[RunReport] = []
     failures: list[tuple[str, int, str]] = []
+    filtered = filter_inputs(methods, pair, plan, params)
     for kind in methods:
         try:
-            samples, track = run_method(kind, pair, plan, params)
+            samples, track = run_method(kind, pair, plan, params, filtered)
             reports.append(
                 _score_and_write(kind.value, seed, samples, track, truth, tracks_dir)
             )

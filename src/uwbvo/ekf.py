@@ -14,12 +14,16 @@ predicted state and its Jacobian.
 
 The motion model and :class:`CtraFilter` take a single 6-vector state or a
 stack of them with leading axes, through one numpy code path (a single state
-is a stack with no leading axes). :func:`run_filter` uses the stack: a
-restart resets both the state and its covariance, so the restart segments
-of a stream share nothing, and it filters them in lockstep, one stacked
-step per local sample index. Stacked ``matmul`` and ``linalg.solve`` apply
-the same per-matrix kernels as the 2-D calls, so a row of the stack follows
-the same arithmetic as a lone filter.
+is a stack with no leading axes). :func:`run_filter` uses the stack. It
+filters a sequence of streams that share one restart schedule; the
+baselines pass every CTRA input of a seed at once (the UWB, the averaged and
+the merged stream), and the UWB result also serves the self-corrective
+pipeline. A restart resets both the state and its covariance, so the
+restart segments of every stream share nothing, and one lockstep filters
+them all, one stacked step per local sample index. Stacked ``matmul`` and
+``linalg.solve`` apply the same per-matrix kernels as the 2-D calls, so a
+row of the stack follows the same arithmetic as a lone filter, and each
+stream's result is bit for bit what a run of that stream alone gives.
 """
 from __future__ import annotations
 
@@ -40,6 +44,9 @@ class FilterError(RuntimeError):
     """Numerical failure inside the filter."""
 
 
+DEGENERATE = "degenerate innovation covariance"
+
+
 def wrap_angle(angle):
     """Wrap an angle, or each angle of an array, to (-pi, pi].
 
@@ -55,7 +62,7 @@ def wrap_angle(angle):
 
 
 def ctra_transition(
-    state: np.ndarray, dt_s, eps_yaw: float = 1e-6
+    state: np.ndarray, dt_s, eps_yaw: float = 1e-6, grid_terms=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One motion-model step of length ``dt_s`` seconds, and its Jacobian.
 
@@ -72,9 +79,18 @@ def ctra_transition(
     ``v * chord * cos(psi + h)`` with ``h = dt psi_dot / 2`` and
     ``chord = 2 sin(h) / psi_dot``, which degrades gracefully into the
     straight-line limit ``chord = dt``.
+
+    ``grid_terms`` is ``(0.5 * dt_s, np.float_power(dt_s, 3), eye)``, with
+    ``eye`` identities shaped like the Jacobian; a caller stepping a fixed
+    time grid computes them once for the whole grid instead of per step.
     """
+    if grid_terms is None:
+        half_dt, dt_cubed = 0.5 * dt_s, np.float_power(dt_s, 3)
+        eye = np.broadcast_to(_EYE, np.shape(state) + (STATE_DIM,))
+    else:
+        half_dt, dt_cubed, eye = grid_terms
     x, y, v, psi, psi_dot, a = (state[..., i] for i in range(STATE_DIM))
-    h = 0.5 * dt_s * psi_dot
+    h = half_dt * psi_dot
     straight = np.abs(psi_dot) < eps_yaw
     safe_psi_dot = np.where(straight, 1.0, psi_dot)
     chord = np.where(straight, dt_s, 2.0 * np.sin(h) / safe_psi_dot)
@@ -99,13 +115,12 @@ def ctra_transition(
         0.0,
         np.where(
             np.abs(h) < 1e-4,
-            -np.float_power(dt_s, 3) * psi_dot / 12.0,
+            -dt_cubed * psi_dot / 12.0,
             (dt_s * np.cos(h) - chord) / safe_psi_dot,
         ),
     )
-    half_dt_chord = 0.5 * dt_s * chord
-    jac = np.empty(np.shape(state) + (STATE_DIM,))
-    jac[...] = _EYE
+    half_dt_chord = half_dt * chord
+    jac = eye.copy()
     jac[..., 0, 2] = chord * cos_m
     jac[..., 0, 3] = -(v_chord * sin_m)
     jac[..., 0, 4] = v * (dchord * cos_m - half_dt_chord * sin_m)
@@ -165,10 +180,6 @@ def _significance(n) -> float | np.ndarray:
     return np.maximum(_MOTION_SIGNIFICANCE, np.sqrt(_MOTION_SIGNIFICANCE_SMALL_N / n))
 
 
-def _transpose(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2)
-
-
 class CtraFilter:
     """EKF over one stream, or over a stack of independent streams.
 
@@ -197,30 +208,49 @@ class CtraFilter:
         self.state = state
         self.P = np.broadcast_to(self._p0, state.shape + (STATE_DIM,)).copy()
 
-    def predict(self, dt_s) -> None:
-        """Advance every row by its ``dt_s`` (a scalar, or one per row)."""
-        self.state, jac = ctra_transition(self.state, dt_s, self.params.eps_yaw)
-        self.P = jac @ self.P @ _transpose(jac) + np.multiply.outer(dt_s, self._q)
+    def predict(self, dt_s, grid_terms=None) -> None:
+        """Advance every row by its ``dt_s`` (a scalar, or one per row).
+
+        ``grid_terms`` are passed on to :func:`ctra_transition`.
+        """
+        self.state, jac = ctra_transition(
+            self.state, dt_s, self.params.eps_yaw, grid_terms
+        )
+        self.P = jac @ self.P @ jac.swapaxes(-1, -2) + np.multiply.outer(dt_s, self._q)
 
     def update(self, u: np.ndarray) -> None:
         """Correct every row with its full-state measurement (shaped like ``state``)."""
         innovation_cov = self.P + self._r
         try:
-            gain_t = np.linalg.solve(_transpose(innovation_cov), _transpose(self.P))
+            gain_t = np.linalg.solve(
+                innovation_cov.swapaxes(-1, -2), self.P.swapaxes(-1, -2)
+            )
         except np.linalg.LinAlgError:
-            raise FilterError("degenerate innovation covariance") from None
-        gain = _transpose(gain_t)
+            raise FilterError(DEGENERATE) from None
+        gain = gain_t.swapaxes(-1, -2)
         innovation = u - self.state
         innovation[..., 3] = wrap_angle(innovation[..., 3])
         self.state = self.state + (gain @ innovation[..., None])[..., 0]
         self.state[..., 3] = wrap_angle(self.state[..., 3])
         self.P = (_EYE - gain) @ self.P
-        self.P = 0.5 * (self.P + _transpose(self.P))
+        self.P = 0.5 * (self.P + self.P.swapaxes(-1, -2))
 
     def diverged(self) -> np.ndarray:
         """Per row: a non-finite state or a covariance diagonal that is not >= 0."""
         diag = self.P.diagonal(0, -2, -1)
         return ~(np.isfinite(self.state) & (diag >= 0.0)).all(axis=-1)
+
+    def degenerate(self) -> np.ndarray:
+        """Per row: an innovation covariance that :meth:`update` cannot solve."""
+        cov_t = (self.P + self._r).swapaxes(-1, -2).reshape(-1, STATE_DIM, STATE_DIM)
+        p_t = self.P.swapaxes(-1, -2).reshape(-1, STATE_DIM, STATE_DIM)
+        out = np.zeros(len(cov_t), dtype=bool)
+        for r in range(len(cov_t)):
+            try:
+                np.linalg.solve(cov_t[r], p_t[r])
+            except np.linalg.LinAlgError:
+                out[r] = True
+        return out.reshape(self.state.shape[:-1])
 
     def step(self, u: np.ndarray, dt_s) -> "CtraFilter":
         """Predict over ``dt_s`` then update with measurement ``u``."""
@@ -326,74 +356,130 @@ def _segment_measurements(
     return u
 
 
+def checked(result: Stream | FilterError) -> Stream:
+    """The stream of one :func:`run_filter` result; raises a failed stream's error."""
+    if isinstance(result, FilterError):
+        raise result
+    return result
+
+
 def run_filter(
-    stream: Stream,
+    streams: Sequence[Stream],
     params: CtraParams,
     restart_times_ms: Sequence[float] = (),
-) -> Stream:
-    """Filter a stream, producing one output sample per input sample.
+) -> list[Stream | FilterError]:
+    """Filter streams that share one restart schedule: one result per stream.
 
-    The filter (re)starts at the first sample and again at the first sample
-    at or after each entry of ``restart_times_ms``: covariance back to its
-    initial diagonal, state reseeded from that measurement. Each restart
-    segment is processed exactly like a fresh run; the two samples after a
-    (re)start run prediction-only while the differencing window refills.
-    A non-finite state or a negative covariance diagonal raises
-    :class:`FilterError` naming the sample where it appeared. The output
-    keeps the input's timestamps and source.
+    Each stream is filtered as if alone, with one output sample per input
+    sample. The filter (re)starts at the stream's first sample and again at
+    its first sample at or after each entry of ``restart_times_ms``:
+    covariance back to its initial diagonal, state reseeded from that
+    measurement. Each restart segment is processed exactly like a fresh run;
+    the two samples after a (re)start run prediction-only while the
+    differencing window refills. The output keeps the input's timestamps
+    and source.
 
-    Segments share nothing, so they are filtered in lockstep: one
-    :class:`CtraFilter` holds a stack with one row per segment, longest
-    first, and step ``k`` advances the ``k``-th sample of every segment
-    that has one. Inputs and estimates live on a (step, segment) grid, so
-    a step reads and writes plain slices.
+    A stream whose filter fails gets a :class:`FilterError` as its result,
+    with the text a lone run of it gives: ``filter diverged at sample i
+    (t_ms ...)`` for a non-finite state or a negative covariance diagonal,
+    ``i`` indexing that stream, or ``degenerate innovation covariance``.
+    The other streams are then filtered again without it, so their results
+    are the same as if it had never been there. An empty stream is its own
+    result; :func:`checked` turns a result back into a stream or raises.
+
+    One lockstep holds the restart segments of every stream (see
+    :func:`_lockstep`), so short streams ride along with a long one.
     """
-    if not len(stream):
-        return stream
-    ts_ms, xy, n = stream.t_ms, stream.xy, len(stream)
-    ts_s = ts_ms / 1000.0
-    start_idx = {0}
-    for t in restart_times_ms:
-        i = int(np.searchsorted(ts_ms, t, side="left"))
-        if i < n:
-            start_idx.add(i)
-    starts = np.array(sorted(start_idx))
-    lengths = np.diff(starts, append=n)
+    results: list[Stream | FilterError] = list(streams)
+    pending = [i for i, stream in enumerate(streams) if len(stream)]
+    while pending:
+        outcome = _lockstep([streams[i] for i in pending], params, restart_times_ms)
+        for i, result in zip(pending, outcome):
+            if result is not None:
+                results[i] = result
+        pending = [i for i, result in zip(pending, outcome) if result is None]
+    return results
+
+
+def _lockstep(
+    streams: Sequence[Stream], params: CtraParams, restart_times_ms: Sequence[float]
+) -> list[Stream | FilterError | None]:
+    """Filter the restart segments of non-empty streams as rows of one stack.
+
+    Segments share nothing, so one :class:`CtraFilter` holds a stack with one
+    row per segment, longest first, and step ``k`` advances the ``k``-th
+    sample of every segment that has one. The rows still running at step
+    ``k`` are a prefix, so inputs and estimates are packed step-major: step
+    ``k`` reads and writes the slice ``off[k]:off[k + 1]`` of flat arrays
+    that hold one entry per input sample.
+
+    Returns a stream per input stream; if some streams fail at a step, they
+    get their :class:`FilterError` and the rest ``None``.
+    """
+    seg_stream, seg_first, seg_len = [], [], []
+    for s, stream in enumerate(streams):
+        n = len(stream)
+        cut = np.searchsorted(stream.t_ms, restart_times_ms, side="left")
+        is_start = np.zeros(n, dtype=bool)
+        is_start[0] = True
+        is_start[cut[cut < n]] = True
+        starts = np.flatnonzero(is_start)
+        seg_stream.append(np.full(len(starts), s))
+        seg_first.append(starts)
+        seg_len.append(np.diff(starts, append=n))
+    lengths = np.concatenate(seg_len)
     order = np.argsort(-lengths, kind="stable")
-    first, lengths = starts[order], lengths[order]
-    # cell [k, r] of the grid is sample k of segment r; the segments still
-    # running at step k are a prefix, as lengths descend
-    grid_shape = (lengths[0], len(first))
-    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left").tolist()
-    u = np.full(grid_shape + (STATE_DIM,), np.nan)
-    dt = np.zeros(grid_shape)
-    for r, (s0, length) in enumerate(zip(first, lengths)):
-        seg = slice(s0, s0 + length)
-        u[:length, r] = _segment_measurements(
-            ts_ms[seg], xy[seg], params.diff_span_s, params.min_speed_mm_s
-        )
-        dt[1:length, r] = np.diff(ts_s[seg])
+    row_stream = np.concatenate(seg_stream)[order]
+    first, lengths = np.concatenate(seg_first)[order], lengths[order]
+    active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
+    off = np.concatenate(([0], np.cumsum(active)))
+    rows = list(enumerate(zip(row_stream.tolist(), first.tolist(), lengths.tolist())))
+    u = np.empty((off[-1], STATE_DIM))
+    dt = np.zeros(off[-1])
+    for r, (s, s0, length) in rows:
+        at = off[:length] + r  # entry off[k] + r holds sample k of row r
+        t_ms, xy = streams[s].t_ms[s0 : s0 + length], streams[s].xy[s0 : s0 + length]
+        u[at] = _segment_measurements(t_ms, xy, params.diff_span_s, params.min_speed_mm_s)
+        dt[at[1:]] = np.diff(t_ms / 1000.0)
+    half_dt, dt_cubed = 0.5 * dt, np.float_power(dt, 3)
+    eye = np.broadcast_to(_EYE, (len(lengths), STATE_DIM, STATE_DIM)).copy()
+
+    def failed(bad: np.ndarray, k: int, text: str = "") -> list[FilterError | None]:
+        """Fail each stream with a ``bad`` row at step ``k``, named by its
+        earliest bad sample; the other streams are left to filter again."""
+        if not bad.any():  # no row fails alone: the stack failed as a whole
+            bad = np.ones_like(bad)
+        bad_stream, bad_first = row_stream[: len(bad)][bad], first[: len(bad)][bad]
+        out: list[FilterError | None] = [None] * len(streams)
+        for s in set(bad_stream.tolist()):
+            i = int(bad_first[bad_stream == s].min()) + k
+            t_ms = streams[s].t_ms[i]
+            out[s] = FilterError(text or f"filter diverged at sample {i} (t_ms {t_ms})")
+        return out
 
     filt = CtraFilter(params)
-    filt.reset(xy[first, 0], xy[first, 1])
-    est = np.empty(grid_shape + (2,))
-    est[0] = filt.state[:, :2]
-    for k in range(1, lengths[0]):
-        m = active[k]
-        if m < len(filt.state):
-            filt.state, filt.P = filt.state[:m], filt.P[:m]
-        # the rows share local index k, and a segment's measurements are
-        # NaN in exactly its first two rows, so the rows agree
-        if np.isnan(u[k, :m, 2]).all():
-            filt.predict(dt[k, :m])
-        else:
-            filt.step(u[k, :m], dt[k, :m])
-        bad = filt.diverged()
-        if bad.any():
-            i = first[:m][bad].min() + k
-            raise FilterError(f"filter diverged at sample {i} (t_ms {ts_ms[i]})")
-        est[k, :m] = filt.state[:, :2]
-    out_xy = np.empty((n, 2))
-    for r, (s0, length) in enumerate(zip(first, lengths)):
-        out_xy[s0 : s0 + length] = est[:length, r]
-    return Stream(ts_ms, out_xy, stream.source)
+    seeds = np.array([streams[s].xy[s0] for _, (s, s0, _) in rows])
+    filt.reset(seeds[:, 0], seeds[:, 1])
+    est = np.empty((off[-1], 2))
+    est[: off[1]] = seeds
+    bounds = off.tolist()
+    for k in range(1, len(active)):
+        a, b = bounds[k], bounds[k + 1]
+        if b - a < len(filt.state):
+            filt.state, filt.P = filt.state[: b - a], filt.P[: b - a]
+        filt.predict(dt[a:b], (half_dt[a:b], dt_cubed[a:b], eye[: b - a]))
+        # every row is at its segment's sample k, and a segment has no
+        # measurement before its third sample
+        if k >= 2:
+            try:
+                filt.update(u[a:b])
+            except FilterError:
+                return failed(filt.degenerate(), k, DEGENERATE)
+        if not (np.isfinite(filt.state).all() and (filt.P.diagonal(0, -2, -1) >= 0.0).all()):
+            return failed(filt.diverged(), k)
+        est[a:b] = filt.state[:, :2]
+    del u, dt, half_dt, dt_cubed  # freed before the outputs are allocated
+    out_xy = [np.empty((len(stream), 2)) for stream in streams]
+    for r, (s, s0, length) in rows:
+        out_xy[s][s0 : s0 + length] = est[off[:length] + r]
+    return [Stream(st.t_ms, xy, st.source) for st, xy in zip(streams, out_xy)]

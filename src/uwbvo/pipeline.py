@@ -11,6 +11,10 @@ disagrees with the closest corrected-VO vertex by at least ``beta``, their
 difference is added to ``w`` (once, applying to everything after) and a
 sensor reboot is requested.
 
+A replay run takes the filtered UWB from its caller, which filters it once
+for this method and the pozyx-ctra baseline (see :mod:`uwbvo.baselines`);
+a live run filters its own.
+
 Stop visits are scheduled from the flight plan: flight plans are known in
 advance in this setting, so arrival and departure times need no feedback
 from the estimates themselves. The initial dwell at the first stop seeds
@@ -34,7 +38,7 @@ import numpy as np
 
 from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
 from .core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean, nearest_indices
-from .ekf import CtraParams, run_filter
+from .ekf import CtraParams, checked, run_filter
 from .simulate import StopWindow, VoSensor, build_truth
 
 VO_SELECTED = "vo"
@@ -80,13 +84,9 @@ def corrected_vo(x_o: Position2D, w: Position2D) -> Position2D:
     return x_o + w
 
 
-def mode_select(y_o: Position2D, y_u: Position2D, beta_mm: float) -> str:
-    """Distrust the VO once the mutual error reaches ``beta`` (inclusive)."""
-    return _mode(y_o.x - y_u.x, y_o.y - y_u.y, beta_mm)
-
-
 def _mode(dx: float, dy: float, beta_mm: float) -> str:
-    """:func:`mode_select` on the coordinate differences ``y_o - y_u``."""
+    """Distrust the VO once the mutual error ``|y_o - y_u|`` reaches ``beta``
+    (inclusive), given the coordinate differences ``y_o - y_u``."""
     return KALMAN_SELECTED if math.hypot(dx, dy) >= beta_mm else VO_SELECTED
 
 
@@ -135,14 +135,17 @@ class FusedTrack:
 
 
 def run_pipeline(
-    pair: StreamPair, plan: FlightPlan, params: PipelineParams
+    pair: StreamPair, plan: FlightPlan, params: PipelineParams, filtered_uwb: Stream
 ) -> FusedTrack:
     """Replay-mode run over a recorded stream pair.
 
-    Reboot requests are recorded but cannot reach the recorded sensor, so
-    the correction vector stays cumulative across the run.
+    ``filtered_uwb`` is ``pair.uwb`` through :func:`~uwbvo.ekf.run_filter`
+    with ``params.ekf`` and the :func:`stop_visits` restarts: the track of
+    the pozyx-ctra baseline, which filters it for both methods. Reboot
+    requests are recorded but cannot reach the recorded sensor, so the
+    correction vector stays cumulative across the run.
     """
-    return _run(pair.uwb, pair.vo.t_ms, pair.vo.xy, None, plan, params)
+    return _run(filtered_uwb, pair.vo.t_ms, pair.vo.xy, None, plan, params)
 
 
 def run_pipeline_live(
@@ -154,20 +157,24 @@ def run_pipeline_live(
     """Live-mode run: correction restarts re-anchor the VO sensor.
 
     The sensor restarts at the corrected stop estimate, so its output needs
-    no further correction: the vector re-zeroes at each reboot.
+    no further correction: the vector re-zeroes at each reboot. The UWB
+    stream is filtered here, with the :func:`stop_visits` restarts.
     """
-    return _run(uwb, vo_sensor.ts, vo_sensor.xy, vo_sensor, plan, params)
+    restarts = [w.t0_ms for w in stop_visits(plan)]
+    filtered = checked(run_filter([uwb], params.ekf, restart_times_ms=restarts)[0])
+    return _run(filtered, vo_sensor.ts, vo_sensor.xy, vo_sensor, plan, params)
 
 
 def _run(
-    uwb: Stream,
+    filtered: Stream,
     vo_t: np.ndarray,
     vo_xy: np.ndarray,
     sensor: VoSensor | None,
     plan: FlightPlan,
     params: PipelineParams,
 ) -> FusedTrack:
-    """The fusion loop, over UWB ticks; the VO samples are emitted as columns.
+    """The fusion loop, over the ticks of the filtered UWB; the VO samples
+    are emitted as columns.
 
     Each VO sample is emitted after every UWB tick at or before its time
     (UWB first on a tie), with the mode and ``w`` in force after the last of
@@ -184,12 +191,12 @@ def _run(
     n_vo = len(vo_t)
     if not n_vo:
         raise ValueError("empty stream: vo")
-    filtered = run_filter(uwb, params.ekf, restart_times_ms=[w.t0_ms for w in visits])
-    uwb_ts = uwb.t_ms.tolist()
+    uwb_t = filtered.t_ms
+    uwb_ts = uwb_t.tolist()
     fx, fy = filtered.xy.T.tolist()
     # j at each tick, and at the end of the run (k == len(uwb_ts))
-    emitted = np.searchsorted(vo_t, uwb.t_ms).tolist() + [n_vo]
-    near = nearest_indices(vo_t, uwb.t_ms).tolist()  # nearest VO sample at each tick
+    emitted = np.searchsorted(vo_t, uwb_t).tolist() + [n_vo]
+    near = nearest_indices(vo_t, uwb_t).tolist()  # nearest VO sample at each tick
     # w in force after tick k is row k + 1; row 0 holds before the first tick
     w_after = np.zeros((len(uwb_ts) + 1, 2))
     kalman_after = [False]  # the same for "mode is KALMAN"
@@ -276,7 +283,7 @@ def _run(
             # dwelling here, renewed divergence can only be a UWB artifact
             mode = VO_SELECTED
         else:
-            # mode_select(corrected_vo(vo, w), y_u, beta), without the Position2D values
+            # the mode of corrected_vo(vo, w) against y_u, without Position2D values
             mode = _mode(vx + w.x - ux, vy + w.y - uy, beta)
         if in_visit and not decided:
             visit = visits[visit_ptr]
@@ -301,10 +308,10 @@ def _run(
         visit_ptr += 1
 
     # each VO sample takes the mode and w in force after its governing tick
-    gov = np.searchsorted(uwb.t_ms, vo_t, side="right")
+    gov = np.searchsorted(uwb_t, vo_t, side="right")
     out_xy = vo_xy + w_after[gov]
     in_kalman = np.array(kalman_after)[gov]
-    out_xy[in_kalman] = filtered.xy[nearest_indices(uwb.t_ms, vo_t[in_kalman])]
+    out_xy[in_kalman] = filtered.xy[nearest_indices(uwb_t, vo_t[in_kalman])]
     track.samples = Stream(vo_t, out_xy, VO)
     track.modes = _MODE_NAMES[in_kalman.view(np.uint8)].tolist()
     return track

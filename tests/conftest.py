@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from uwbvo.baselines import filter_inputs, run_method
 from uwbvo.core import UWB, FlightPlan, Position2D, Stream
 from uwbvo.config import default_pipeline_params
-from uwbvo.pipeline import PipelineParams
+from uwbvo.ekf import checked, run_filter
+from uwbvo.pipeline import PipelineParams, run_pipeline, stop_visits
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,24 @@ def positions(stream):
 def path_length(stream) -> float:
     xy = positions(stream)
     return float(np.sum(np.hypot(*np.diff(xy, axis=0).T)))
+
+
+def filter_one(stream, params, restart_times_ms=()):
+    """``run_filter`` of one stream; raises its ``FilterError`` if it fails."""
+    return checked(run_filter([stream], params, restart_times_ms)[0])
+
+
+def filtered_uwb(pair, plan, params):
+    """``pair.uwb`` filtered as ``run_pipeline`` takes it: with ``params.ekf``,
+    restarted at every stop visit, as the pozyx-ctra baseline filters it."""
+    return filter_one(pair.uwb, params.ekf, [w.t0_ms for w in stop_visits(plan)])
+
+
+def replay_pipeline(pair, plan, params):
+    """``run_pipeline`` over ``pair``, given its :func:`filtered_uwb`."""
+    return run_pipeline(pair, plan, params, filtered_uwb(pair, plan, params))
+
+
+def run_one_method(kind, pair, plan, params):
+    """``run_method`` of one method, with the inputs it reads filtered for it."""
+    return run_method(kind, pair, plan, params, filter_inputs([kind], pair, plan, params))

@@ -7,7 +7,8 @@ mode and correction vector then in force. In live mode it pulls every VO
 sample through ``VoSensor.__next__``. ``uwbvo.pipeline`` loops over the UWB
 ticks only and emits the VO samples as columns, and must match it exactly:
 samples, modes, stop decisions, restarts, correction vectors and sensor
-reboots.
+reboots. ``mode_select`` is the trust rule on ``Position2D`` values, which
+the pipeline applies to coordinate differences.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from uwbvo.clustering import StopClusterer, StopEstimate, region_gate
 from uwbvo.core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean
-from uwbvo.ekf import run_filter
+from uwbvo.ekf import checked, run_filter
 from uwbvo.pipeline import (
     KALMAN_SELECTED,
     VO_SELECTED,
@@ -26,10 +27,14 @@ from uwbvo.pipeline import (
     StopDecision,
     StopDetectionFailure,
     corrected_vo,
-    mode_select,
     update_correction,
 )
 from uwbvo.simulate import StopWindow, VoSensor, build_truth
+
+
+def mode_select(y_o: Position2D, y_u: Position2D, beta_mm: float) -> str:
+    """Distrust the VO once the mutual error reaches ``beta`` (inclusive)."""
+    return KALMAN_SELECTED if euclidean(y_o, y_u) >= beta_mm else VO_SELECTED
 
 
 def _closest(window: list[tuple[float, float]], target: Position2D) -> Position2D | None:
@@ -82,7 +87,7 @@ def _run(
     visits: Sequence[StopWindow] = truth.stop_windows[1:]
     restart_times = [w.t0_ms for w in visits]
 
-    filtered = run_filter(uwb, params.ekf, restart_times_ms=restart_times)
+    filtered = checked(run_filter([uwb], params.ekf, restart_times_ms=restart_times)[0])
     uwb_ts, uwb_ts_arr = uwb.t_ms.tolist(), uwb.t_ms
     fx, fy = filtered.xy.T.tolist()
 

@@ -9,18 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_position_stream, path_length, positions
+from conftest import constant_position_stream, filter_one, path_length, positions, replay_pipeline
 from test_clustering import brute_force_argmax, cloud_and_ray_stream, detect_stop, vectorized_counts
 from test_ekf import fd_jacobian, random_states
 
-from uwbvo.baselines import BaselineKind, run_method
+from uwbvo.baselines import BaselineKind, filter_inputs, run_method
 from uwbvo.cli import main as cli_main
 from uwbvo.clustering import ClusterParams
 from uwbvo.config import DESK_CLUSTER
 from uwbvo.core import FlightPlan, Position2D, euclidean
-from uwbvo.ekf import CtraParams, ctra_transition, run_filter
+from uwbvo.ekf import CtraParams, ctra_transition
 from uwbvo.metrics import RunReport, stop_accuracy
-from uwbvo.pipeline import KALMAN_SELECTED, PipelineParams, run_pipeline
+from uwbvo.pipeline import KALMAN_SELECTED, PipelineParams
 from uwbvo.simulate import (
     RaySpec,
     ScaleFaultSpec,
@@ -58,8 +58,9 @@ def worst_batch():
     t0 = time.perf_counter()
     for seed in SEEDS:
         pair, _, _ = simulate_pair(scenario, seed)
+        filtered = filter_inputs(CRITERION_6_METHODS, pair, scenario.plan, params)
         for kind in CRITERION_6_METHODS:
-            samples, track = run_method(kind, pair, scenario.plan, params)
+            samples, track = run_method(kind, pair, scenario.plan, params, filtered)
             reports[kind].append(
                 RunReport.build(kind.value, seed, track if track else samples, truth)
             )
@@ -76,7 +77,7 @@ def restart_counts(worst_batch):
     params60 = _params(60.0)
     for seed in SEEDS:
         pair, _, _ = simulate_pair(scenario, seed)
-        track = run_pipeline(pair, scenario.plan, params60)
+        track = replay_pipeline(pair, scenario.plan, params60)
         b60.append(len(track.restarts))
     return b30, b60
 
@@ -90,7 +91,7 @@ def best_batch():
     runs = []
     for seed in SEEDS:
         pair, _, _ = simulate_pair(scenario, seed)
-        track = run_pipeline(pair, scenario.plan, params)
+        track = replay_pipeline(pair, scenario.plan, params)
         runs.append({"pair": pair, "track": track})
     return {"runs": runs, "truth": truth, "uwb_rate_hz": scenario.uwb.rate_hz}
 
@@ -117,7 +118,7 @@ def test_criterion_2_filter_smooths_constant_position_noise():
     worst_ratio = 0.0
     for seed in range(10):
         raw = constant_position_stream(50.0, 500, seed=seed)
-        filtered = run_filter(raw, params)
+        filtered = filter_one(raw, params)
         ratio = float((positions(filtered).std(axis=0) / positions(raw).std(axis=0)).max())
         worst_ratio = max(worst_ratio, ratio)
         assert ratio < 0.5
@@ -173,7 +174,7 @@ def test_criterion_4_correction_algebra():
         pair, _, _ = simulate_pair(scenario, seed)
         uncorrected = dict(stop_accuracy(pair.vo, truth).per_stop)[1]
         assert uncorrected >= 280.0
-        track = run_pipeline(pair, plan, params)
+        track = replay_pipeline(pair, plan, params)
         assert track.corrections == 1
         event = track.stop_events[0]
         estimate_error = euclidean(event.estimate.pos, plan.stops[1])

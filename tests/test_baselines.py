@@ -1,13 +1,23 @@
 import numpy as np
+import pytest
 
 from align_oracle import align_streams
-from conftest import positions
-from uwbvo.baselines import BaselineKind, averaged_stream, merge_streams, run_method
-from uwbvo.core import UWB, VO, FlightPlan, Position2D, Stream, StreamPair
+from conftest import filter_one, filtered_uwb, positions, run_one_method
+from ekf_oracle import loop_filter
+from uwbvo import baselines
+from uwbvo.baselines import (
+    BaselineKind,
+    averaged_stream,
+    filter_inputs,
+    merge_streams,
+    run_method,
+)
+from uwbvo.core import UWB, VO, FlightPlan, Position2D, Stream, StreamPair, nearest_indices
 from uwbvo.ekf import run_filter
 from uwbvo.metrics import stop_accuracy
-from uwbvo.pipeline import PipelineParams, stop_visits
+from uwbvo.pipeline import KALMAN_SELECTED, PipelineParams, stop_visits
 from uwbvo.simulate import (
+    SCENARIO_PRESETS,
     RaySpec,
     ScaleFaultSpec,
     ScenarioConfig,
@@ -63,7 +73,7 @@ def test_averaged_stream_pairs_nearest_vo_sample():
 def test_avg_fusion_output_at_uwb_rate():
     scenario = tiny_scenario(sigma_uwb=30.0, sigma_vo=1.0)
     pair, _, _ = simulate_pair(scenario, 0)
-    out, _ = run_method(BaselineKind.AVG_FUSION, pair, scenario.plan, PipelineParams())
+    out, _ = run_one_method(BaselineKind.AVG_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb)
     assert [s.t_ms for s in out] == [s.t_ms for s in pair.uwb]
 
@@ -82,7 +92,7 @@ def test_direct_fusion_tracks_noiseless_truth():
     scenario = tiny_scenario()
     pair, _, _ = simulate_pair(scenario, 2)
     truth = build_truth(scenario.plan)
-    out, _ = run_method(BaselineKind.DIRECT_FUSION, pair, scenario.plan, PipelineParams())
+    out, _ = run_one_method(BaselineKind.DIRECT_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb) + len(pair.vo)
     ts = np.array([s.t_ms for s in out], dtype=float)
     err = np.hypot(*(positions(out) - truth.sample(ts)).T)
@@ -104,9 +114,9 @@ def test_filtered_methods_delegate_bit_exactly():
         BaselineKind.DIRECT_FUSION: merge_streams(pair),
     }
     for kind, stream in inputs.items():
-        out, track = run_method(kind, pair, scenario.plan, params)
+        out, track = run_one_method(kind, pair, scenario.plan, params)
         assert track is None
-        assert out == run_filter(stream, params.ekf, restart_times_ms=restarts), kind
+        assert out == filter_one(stream, params.ekf, restarts), kind
 
 
 def test_pozyx_only_beats_raw_on_stop_accuracy():
@@ -116,7 +126,7 @@ def test_pozyx_only_beats_raw_on_stop_accuracy():
     for seed in range(5):
         pair, _, _ = simulate_pair(scenario, seed)
         raw_avgs.append(stop_accuracy(pair.uwb, truth).avg_mm)
-        flt, _ = run_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, PipelineParams())
+        flt, _ = run_one_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, PipelineParams())
         flt_avgs.append(stop_accuracy(flt, truth).avg_mm)
     assert np.mean(flt_avgs) < 0.3 * np.mean(raw_avgs)
 
@@ -125,13 +135,82 @@ def test_run_method_dispatch(desk_params):
     scenario = tiny_scenario(sigma_uwb=20.0)
     pair, _, _ = simulate_pair(scenario, 4)
     for kind in BaselineKind:
-        samples, track = run_method(kind, pair, scenario.plan, desk_params)
+        samples, track = run_one_method(kind, pair, scenario.plan, desk_params)
         assert samples, kind
         if kind is BaselineKind.SELF_CORRECTIVE:
             assert track is not None
         else:
             assert track is None
-    raw_u, _ = run_method(BaselineKind.RAW_UWB, pair, scenario.plan, desk_params)
+    raw_u, _ = run_one_method(BaselineKind.RAW_UWB, pair, scenario.plan, desk_params)
     assert raw_u == pair.uwb
-    raw_v, _ = run_method(BaselineKind.RAW_VO, pair, scenario.plan, desk_params)
+    raw_v, _ = run_one_method(BaselineKind.RAW_VO, pair, scenario.plan, desk_params)
     assert raw_v == pair.vo
+
+
+SEED_CASES = [(preset, seed) for preset in ("worst-case", "best-case") for seed in range(3)]
+
+
+@pytest.mark.parametrize("case", range(len(SEED_CASES)))
+def test_stacked_streams_equal_lone_runs_and_loop(case, desk_params):
+    preset, seed = SEED_CASES[case]
+    scenario = SCENARIO_PRESETS[preset]()
+    pair, _, _ = simulate_pair(scenario, seed)
+    params = desk_params.ekf
+    restarts = [w.t0_ms for w in stop_visits(scenario.plan)]
+    streams = [pair.uwb, averaged_stream(pair), merge_streams(pair)]
+    stacked = run_filter(streams, params, restarts)
+    for stream, out in zip(streams, stacked):
+        assert out == filter_one(stream, params, restarts)
+        # a restart segment is a fresh filter: every sixth segment, a
+        # different sixth per case, against the per-sample loop
+        cut = np.searchsorted(stream.t_ms, restarts)
+        bounds = np.unique(np.concatenate(([0], cut, [len(stream)]))).tolist()
+        for s0, s1 in list(zip(bounds, bounds[1:]))[case::len(SEED_CASES)]:
+            assert list(out[s0:s1]) == loop_filter(stream[s0:s1], params)
+
+
+def test_filter_inputs_builds_only_what_the_methods_read(desk_params):
+    scenario = tiny_scenario(sigma_uwb=20.0, sigma_vo=1.0)
+    pair, _, _ = simulate_pair(scenario, 1)
+    plan = scenario.plan
+
+    def keys(*methods):
+        return list(filter_inputs(methods, pair, plan, desk_params))
+
+    assert keys(BaselineKind.RAW_UWB, BaselineKind.RAW_VO) == []
+    assert keys(BaselineKind.SELF_CORRECTIVE) == [BaselineKind.POZYX_CTRA]
+    assert keys(BaselineKind.DIRECT_FUSION, BaselineKind.SELF_CORRECTIVE) == [
+        BaselineKind.POZYX_CTRA,
+        BaselineKind.DIRECT_FUSION,
+    ]
+    assert keys(*BaselineKind) == [
+        BaselineKind.POZYX_CTRA,
+        BaselineKind.AVG_FUSION,
+        BaselineKind.DIRECT_FUSION,
+    ]
+
+
+def test_self_corrective_fuses_pozyx_ctra_track(desk_params, monkeypatch):
+    scenario = SCENARIO_PRESETS["worst-case"]()
+    pair, _, _ = simulate_pair(scenario, 0)
+    fused_with = []
+    run_pipeline = baselines.run_pipeline
+
+    def spy(pair, plan, params, filtered_uwb):
+        fused_with.append(filtered_uwb)
+        return run_pipeline(pair, plan, params, filtered_uwb)
+
+    filtered = filter_inputs(list(BaselineKind), pair, scenario.plan, desk_params)
+    pozyx, _ = run_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, desk_params, filtered)
+    monkeypatch.setattr(baselines, "run_pipeline", spy)
+    _, track = run_method(
+        BaselineKind.SELF_CORRECTIVE, pair, scenario.plan, desk_params, filtered
+    )
+    assert fused_with == [pozyx]
+    # the UWB the pipeline used to filter for itself
+    assert pozyx == filtered_uwb(pair, scenario.plan, desk_params)
+    # while the VO is distrusted, the output is pozyx-ctra's nearest sample
+    kalman = np.array(track.modes) == KALMAN_SELECTED
+    assert kalman.any()
+    near = nearest_indices(pair.uwb.t_ms, track.samples.t_ms[kalman])
+    assert np.array_equal(track.samples.xy[kalman], pozyx.xy[near])

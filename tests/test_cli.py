@@ -218,10 +218,10 @@ def test_filter_error_fails_only_its_cell(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
                  "--out", str(out)]) == 0
 
-    def diverging_run_method(kind, pair, plan, params):
+    def diverging_run_method(kind, pair, plan, params, filtered):
         if kind is BaselineKind.POZYX_CTRA:
             raise FilterError("degenerate innovation covariance")
-        return run_method(kind, pair, plan, params)
+        return run_method(kind, pair, plan, params, filtered)
 
     monkeypatch.setattr(cli, "run_method", diverging_run_method)
     code = main(["run", "--logs", str(out), "--method", "pozyx-ctra",
@@ -292,11 +292,11 @@ def test_filter_divergence_fails_its_cell(tmp_path, monkeypatch):
     assert main(["simulate", "--scenario", str(scenario), "--seeds", "1",
                  "--out", str(out)]) == 0
 
-    def diverging_filter(stream, params, **kwargs):
+    def diverging_filter(streams, params, **kwargs):
         # CtraParams rejects a non-finite diagonal, so set it past the check
         params = replace(params)
         object.__setattr__(params, "q_diag", (math.inf,) * 6)
-        return run_filter(stream, params, **kwargs)
+        return run_filter(streams, params, **kwargs)
 
     monkeypatch.setattr(baselines, "run_filter", diverging_filter)
     with pytest.warns(RuntimeWarning):

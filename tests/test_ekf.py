@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import constant_position_stream, make_stream, path_length, positions
+from conftest import constant_position_stream, filter_one, make_stream, path_length, positions
 from ekf_oracle import (
     CtraState,
     MeasurementBuilder,
@@ -246,7 +246,7 @@ class TestRunFilter:
         params = CtraParams()
         for seed in range(10):
             raw = constant_position_stream(50.0, 500, seed=seed)
-            filtered = run_filter(raw, params)
+            filtered = filter_one(raw, params)
             assert len(filtered) == len(raw)
             raw_std = positions(raw).std(axis=0)
             flt_std = positions(filtered).std(axis=0)
@@ -256,7 +256,7 @@ class TestRunFilter:
     def test_noiseless_input_converges_within_five_samples(self):
         ts = np.round(np.arange(60) * 37.037).astype(int)
         xy = np.stack([500.0 * ts / 1000.0, np.full(len(ts), 20.0)], axis=1)
-        filtered = run_filter(make_stream(ts, xy), CtraParams())
+        filtered = filter_one(make_stream(ts, xy), CtraParams())
         err = np.hypot(*(positions(filtered) - xy).T)
         assert np.all(err[5:] < 1.0)
 
@@ -264,8 +264,8 @@ class TestRunFilter:
         raw = constant_position_stream(40.0, 200, seed=3)
         params = CtraParams()
         restart_t = raw[120].t_ms
-        with_restart = run_filter(raw, params, restart_times_ms=[restart_t])
-        fresh_suffix = run_filter(raw[120:], params)
+        with_restart = filter_one(raw, params, [restart_t])
+        fresh_suffix = filter_one(raw[120:], params)
         assert with_restart[120:] == fresh_suffix
         # the restart sample reseeds the state from the measurement itself
         assert with_restart[120].pos == raw[120].pos
@@ -281,12 +281,12 @@ class TestRunFilter:
         zigzag[:, 0] += 120.0 * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         zigzag += rng.normal(0, 40.0, size=(n, 2))
         raw = make_stream(ts, zigzag)
-        filtered = run_filter(raw, CtraParams())
+        filtered = filter_one(raw, CtraParams())
         assert path_length(filtered) < path_length(raw)
 
     def test_empty_stream(self):
         empty = make_stream([], [])
-        assert run_filter(empty, CtraParams()) == empty
+        assert filter_one(empty, CtraParams()) == empty
 
     @pytest.mark.parametrize(
         "restarts",
@@ -313,7 +313,7 @@ class TestRunFilter:
             starts = sorted({0, *np.searchsorted(ts, restarts).tolist()} - {len(ts)})
             assert np.diff(starts)[1:4].tolist() == [1, 1, 2]
         params = CtraParams()
-        assert list(run_filter(stream, params, restarts)) == loop_filter(stream, params, restarts)
+        assert list(filter_one(stream, params, restarts)) == loop_filter(stream, params, restarts)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_names_the_sample(self):
@@ -322,7 +322,53 @@ class TestRunFilter:
         # CtraParams rejects a non-finite diagonal, so set it past the check
         object.__setattr__(params, "q_diag", (math.inf,) * 6)
         with pytest.raises(FilterError, match=r"diverged at sample 2 \(t_ms 74\)"):
-            run_filter(raw, params)
+            filter_one(raw, params)
+
+
+class TestStackedStreams:
+    """A failing stream fails alone, with the text a lone run of it gives."""
+
+    def test_diverging_stream_fails_alone(self):
+        params = CtraParams()
+        healthy = constant_position_stream(40.0, 400, seed=1)
+        raw = constant_position_stream(40.0, 500, seed=2)
+        xy = raw.xy.copy()
+        xy[300, 0] = 1e200  # its square overflows in the differencing sums
+        diverging = make_stream(raw.t_ms, xy)
+        restarts = [raw.t_ms[100], raw.t_ms[250]]
+        with pytest.warns(RuntimeWarning):
+            [lone] = run_filter([diverging], params, restarts)
+            stacked = run_filter([healthy, diverging, healthy], params, restarts)
+        assert isinstance(lone, FilterError)
+        assert str(lone) == f"filter diverged at sample 301 (t_ms {raw.t_ms[301]})"
+        assert isinstance(stacked[1], FilterError) and str(stacked[1]) == str(lone)
+        assert stacked[0] == stacked[2] == filter_one(healthy, params, restarts)
+
+    def test_degenerate_stream_fails_alone(self):
+        # no prior, process or measurement noise on the acceleration: the
+        # innovation covariance is singular at a segment's first update,
+        # which a segment of two samples never reaches
+        zero_a = CtraParams(
+            q_diag=CtraParams().q_diag[:5] + (0.0,),
+            r_diag=CtraParams().r_diag[:5] + (0.0,),
+            p0_diag=CtraParams().p0_diag[:5] + (0.0,),
+        )
+        long = constant_position_stream(40.0, 50, seed=3)
+        short = constant_position_stream(40.0, 2, seed=4)
+        [lone] = run_filter([long], zero_a)
+        assert isinstance(lone, FilterError)
+        assert str(lone) == "degenerate innovation covariance"
+        stacked = run_filter([short, long, short], zero_a)
+        assert isinstance(stacked[1], FilterError) and str(stacked[1]) == str(lone)
+        assert stacked[0] == stacked[2] == filter_one(short, zero_a)
+
+    def test_empty_streams_are_their_own_results(self):
+        empty = make_stream([], [])
+        stream = constant_position_stream(40.0, 30, seed=5)
+        out = run_filter([empty, stream, empty], CtraParams())
+        assert out[0] is empty and out[2] is empty
+        assert out[1] == filter_one(stream, CtraParams())
+        assert run_filter([], CtraParams()) == []
 
 
 class TestStacks:
@@ -376,6 +422,12 @@ class TestStacks:
         filt.P[1] = 0.0
         with pytest.raises(FilterError, match="degenerate"):
             filt.update(np.zeros((3, 6)))
+
+    def test_degenerate_flags_rows(self):
+        filt = CtraFilter(CtraParams(r_diag=(0.0,) * 6))
+        filt.reset(np.zeros(3), np.zeros(3))
+        filt.P[1] = 0.0
+        assert filt.degenerate().tolist() == [False, True, False]
 
     def test_diverged_flags_rows(self):
         filt = CtraFilter(CtraParams())

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import pipeline_oracle as oracle
+from conftest import replay_pipeline
 from uwbvo.config import default_pipeline_params
-from uwbvo.pipeline import VO_SELECTED, run_pipeline, run_pipeline_live
+from uwbvo.pipeline import VO_SELECTED, run_pipeline_live
 from uwbvo.simulate import SCENARIO_PRESETS, VoSensor, build_truth, simulate_pair
 
 
@@ -36,7 +37,7 @@ def both_modes(scenario, seed, params, uwb_from=0):
     pair, _, _ = simulate_pair(scenario, seed)
     uwb = pair.uwb[uwb_from:]
     replay_pair = replace(pair, uwb=uwb)
-    replay = run_pipeline(replay_pair, scenario.plan, params)
+    replay = replay_pipeline(replay_pair, scenario.plan, params)
     assert_same_track(replay, oracle.run_pipeline(replay_pair, scenario.plan, params))
 
     truth = build_truth(scenario.plan)

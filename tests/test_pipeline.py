@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import replay_pipeline
+from pipeline_oracle import mode_select
 from uwbvo.clustering import ClusterParams
 from uwbvo.core import FlightPlan, Position2D, euclidean
 from uwbvo.metrics import stop_accuracy
@@ -9,8 +11,6 @@ from uwbvo.pipeline import (
     PipelineParams,
     StopDetectionFailure,
     corrected_vo,
-    mode_select,
-    run_pipeline,
     run_pipeline_live,
     update_correction,
 )
@@ -91,7 +91,7 @@ def test_noiseless_streams_pass_vo_through():
     # legs, so brief distrust transients there are tolerated
     scenario = scenario_two_stop(sigma_uwb=0.0)
     pair, _, _ = simulate_pair(scenario, 0)
-    track = run_pipeline(pair, scenario.plan, small_params())
+    track = replay_pipeline(pair, scenario.plan, small_params())
     assert track.corrections == 0 and track.restarts == []
     assert track.w_history == [(0, 0.0, 0.0)]
     assert len(track.samples) == len(pair.vo)
@@ -116,7 +116,7 @@ def test_correction_algebra_on_injected_fault():
     uncorrected = stop_accuracy(pair.vo, truth)
     assert uncorrected.avg_mm >= 140.0  # 300 mm miss at the far stop
 
-    track = run_pipeline(pair, scenario.plan, small_params())
+    track = replay_pipeline(pair, scenario.plan, small_params())
     assert track.corrections == 1 and len(track.restarts) == 1
     event = track.stop_events[0]
     assert event.corrected and event.stop_index == 1
@@ -130,7 +130,7 @@ def test_correction_algebra_on_injected_fault():
 def test_post_correction_state_matches_estimate():
     scenario = scenario_two_stop(seg_scale=0.7)
     pair, _, _ = simulate_pair(scenario, 2)
-    track = run_pipeline(pair, scenario.plan, small_params())
+    track = replay_pipeline(pair, scenario.plan, small_params())
     event = track.stop_events[0]
     w = Position2D(*track.w_history[-1][1:])
     realigned = corrected_vo(
@@ -144,7 +144,7 @@ def test_post_correction_state_matches_estimate():
 def test_w_changes_only_at_corrections():
     scenario = scenario_two_stop(seg_scale=0.7)
     pair, _, _ = simulate_pair(scenario, 3)
-    track = run_pipeline(pair, scenario.plan, small_params())
+    track = replay_pipeline(pair, scenario.plan, small_params())
     assert len(track.w_history) == 1 + track.corrections
     ts = [t for t, _, _ in track.w_history]
     assert ts == sorted(ts)
@@ -155,7 +155,7 @@ def test_correction_applied_once_not_compounded():
     # sensor discrepancy (plus one sample of ordinary motion)
     scenario = scenario_two_stop(seg_scale=0.7)
     pair, _, _ = simulate_pair(scenario, 9)
-    track = run_pipeline(pair, scenario.plan, small_params())
+    track = replay_pipeline(pair, scenario.plan, small_params())
     event = track.stop_events[0]
     assert event.corrected
     ts = [s.t_ms for s in track.samples]
@@ -167,8 +167,8 @@ def test_correction_applied_once_not_compounded():
 def test_restart_timestamps_strictly_increase_and_monotone_beta():
     scenario = scenario_two_stop(seg_scale=0.7)
     pair, _, _ = simulate_pair(scenario, 4)
-    r3 = run_pipeline(pair, scenario.plan, small_params(beta=30.0)).restarts
-    r6 = run_pipeline(pair, scenario.plan, small_params(beta=60.0)).restarts
+    r3 = replay_pipeline(pair, scenario.plan, small_params(beta=30.0)).restarts
+    r6 = replay_pipeline(pair, scenario.plan, small_params(beta=60.0)).restarts
     assert len(r3) >= len(r6)
     ts = [t for t, _ in r3]
     assert ts == sorted(set(ts))
@@ -178,7 +178,7 @@ def test_below_threshold_discrepancy_not_corrected():
     # 20 mm of missing displacement stays below a 30 mm threshold
     scenario = scenario_two_stop(seg_scale=0.98)
     pair, _, _ = simulate_pair(scenario, 5)
-    track = run_pipeline(pair, scenario.plan, small_params())
+    track = replay_pipeline(pair, scenario.plan, small_params())
     assert track.corrections == 0
 
 
@@ -190,7 +190,7 @@ def test_stop_detection_failure_aborts_with_stop_index():
         cluster=ClusterParams(alpha_mm=10.0, k1=9000, k2=9500, gamma_mm=100.0),
     )
     with pytest.raises(StopDetectionFailure, match="stop 2"):
-        run_pipeline(pair, scenario.plan, params)
+        replay_pipeline(pair, scenario.plan, params)
 
 
 def test_gamma_overlap_rejected():
@@ -204,7 +204,7 @@ def test_gamma_overlap_rejected():
     )
     pair = simulate_pair(scenario, 0)[0]
     with pytest.raises(ValueError, match="mm apart"):
-        run_pipeline(pair, plan, small_params())
+        replay_pipeline(pair, plan, small_params())
 
 
 def test_live_mode_reboot_reanchors_next_segment():
@@ -237,13 +237,13 @@ def test_live_mode_reboot_reanchors_next_segment():
     # replay of the same fault cannot re-anchor: second leg inherits only
     # the w-correction, so it still lands close, but the sensor keeps its bias
     pair, _, _ = simulate_pair(scenario, 7)
-    replay = run_pipeline(pair, plan, small_params())
+    replay = replay_pipeline(pair, plan, small_params())
     assert replay.corrections >= 1
 
 
 def test_output_covers_every_vo_timestamp_in_kalman_mode_too():
     scenario = scenario_two_stop(seg_scale=0.7, sigma_uwb=40.0)
     pair, _, _ = simulate_pair(scenario, 8)
-    track = run_pipeline(pair, scenario.plan, small_params())
+    track = replay_pipeline(pair, scenario.plan, small_params())
     assert [s.t_ms for s in track.samples] == [s.t_ms for s in pair.vo]
     assert any(m == KALMAN_SELECTED for m in track.modes)

@@ -10,7 +10,7 @@ simulator, accuracy metrics, and a benchmark CLI round out the package.
 """
 
 from .baselines import BaselineKind, filter_inputs, run_method
-from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
+from .clustering import ClusterParams, StopClusterer, StopEstimate
 from .core import (
     FlightPlan,
     LogFormatError,

@@ -69,22 +69,11 @@ def stop_accuracy(track, truth: TruthLike) -> StopAccuracy:
     )
 
 
-def trajectory_rmse(track, truth: TruthLike, segments_only: bool = False) -> float:
-    """RMS Euclidean error of every track sample against the true pose.
-
-    ``segments_only`` drops samples inside dwell windows, leaving only the
-    flight legs.
-    """
+def trajectory_rmse(track, truth: TruthLike) -> float:
+    """RMS Euclidean error of every track sample against the true pose."""
     ts, xy = _track_arrays(track)
     if len(ts) == 0:
         raise CoverageError("empty track")
-    if segments_only:
-        keep = np.ones(len(ts), dtype=bool)
-        for w in truth.stop_windows:
-            keep &= ~((ts >= w.t0_ms) & (ts <= w.t1_ms))
-        if not np.any(keep):
-            raise CoverageError("no samples outside dwell windows")
-        ts, xy = ts[keep], xy[keep]
     true_xy = truth.sample(ts)
     err_sq = np.sum((xy - true_xy) ** 2, axis=1)
     return float(np.sqrt(err_sq.mean()))

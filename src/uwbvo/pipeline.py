@@ -20,13 +20,18 @@ advance in this setting, so arrival and departure times need no feedback
 from the estimates themselves. The initial dwell at the first stop seeds
 the filter and is not a correction opportunity; every later arrival is.
 
-Trust and ``w`` change only at UWB ticks, so the loop visits the ticks
-alone and emits every VO sample afterwards as columns, each with the mode
-and ``w`` in force at its time. Replay runs (recorded logs) record reboot
-requests but cannot re-anchor the sensor; live runs against a
-:class:`~uwbvo.simulate.VoSensor` do both: the loop reads the sensor's own
-position array, has the sensor fill it as far as each tick needs, and
-reboots it from a sample index on, which rewrites the array from there.
+Trust is re-chosen only at UWB ticks, and ``w`` and the VO frame change
+only at a stop decision, at most once per visit. So the loop visits the
+~16 stop visits, not the ticks: between two decisions the mode, the region
+gate and the detector's input are columns over the ticks, one
+:meth:`~uwbvo.clustering.StopClusterer.push` counts a visit's gated ticks
+in blocks, and every VO sample is emitted afterwards as columns, each with
+the mode and ``w`` in force at its time. Replay runs (recorded logs)
+record reboot requests but cannot re-anchor the sensor; live runs against
+a :class:`~uwbvo.simulate.VoSensor` do both: the loop reads the sensor's
+own position array, has the sensor fill it as far as each visit's close
+needs, and reboots it from a sample index on, which rewrites the array
+from there.
 """
 from __future__ import annotations
 
@@ -36,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
+from .clustering import ClusterParams, StopClusterer, StopEstimate
 from .core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean, nearest_indices
 from .ekf import CtraParams, checked, run_filter
 from .simulate import StopWindow, VoSensor, build_truth
@@ -84,10 +89,17 @@ def corrected_vo(x_o: Position2D, w: Position2D) -> Position2D:
     return x_o + w
 
 
-def _mode(dx: float, dy: float, beta_mm: float) -> str:
-    """Distrust the VO once the mutual error ``|y_o - y_u|`` reaches ``beta``
-    (inclusive), given the coordinate differences ``y_o - y_u``."""
-    return KALMAN_SELECTED if math.hypot(dx, dy) >= beta_mm else VO_SELECTED
+def _norms(d: np.ndarray, bound: float) -> np.ndarray:
+    """The row norms of an ``(m, 2)`` array, as ``math.hypot`` gives them
+    wherever they decide a comparison with ``bound``.
+
+    ``np.hypot`` can differ from ``math.hypot`` in the last ulp, so the rows
+    within a few ulps of ``bound`` are computed again with ``math.hypot``.
+    """
+    r = np.hypot(d[:, 0], d[:, 1])
+    for i in np.flatnonzero(np.abs(r - bound) <= 8 * np.spacing(bound)).tolist():
+        r[i] = math.hypot(*d[i].tolist())
+    return r
 
 
 def update_correction(
@@ -173,15 +185,25 @@ def _run(
     plan: FlightPlan,
     params: PipelineParams,
 ) -> FusedTrack:
-    """The fusion loop, over the ticks of the filtered UWB; the VO samples
-    are emitted as columns.
+    """The fusion loop, over the stop visits; the UWB ticks and the VO
+    samples are columns.
+
+    A visit's ticks run from the first tick after the previous visit closed
+    to the last tick at or before its own end, and the visit closes at the
+    tick after that, or at the end of the run. Until a decision, ``w`` and
+    the VO frame are fixed, so the mode at each of those ticks, the region
+    gate and the detector's start (the first in-visit tick that is KALMAN
+    and gated) are columns, and the detector counts every gated tick from
+    its start on in one ``push``. After a decision, the visit's remaining
+    ticks trust the VO.
 
     Each VO sample is emitted after every UWB tick at or before its time
     (UWB first on a tie), with the mode and ``w`` in force after the last of
     those ticks. At tick ``k`` the first ``j = searchsorted(vo_t, t_k)`` VO
     samples have been emitted, sample ``j`` is the next one, and a live
     sensor reboots from sample ``j + 1`` on. A live ``sensor`` fills
-    ``vo_xy``, its own array, as far as each tick needs.
+    ``vo_xy``, its own array, as far as each visit's close needs; a reboot
+    rewrites it from there.
     """
     gamma = params.cluster.gamma_mm
     beta = params.beta_mm
@@ -192,29 +214,33 @@ def _run(
     if not n_vo:
         raise ValueError("empty stream: vo")
     uwb_t = filtered.t_ms
-    uwb_ts = uwb_t.tolist()
-    fx, fy = filtered.xy.T.tolist()
-    # j at each tick, and at the end of the run (k == len(uwb_ts))
-    emitted = np.searchsorted(vo_t, uwb_t).tolist() + [n_vo]
-    near = nearest_indices(vo_t, uwb_t).tolist()  # nearest VO sample at each tick
+    u = filtered.xy
+    n_uwb = len(uwb_t)
+    # j at each tick, and at the end of the run (k == n_uwb)
+    emitted = np.append(np.searchsorted(vo_t, uwb_t), n_vo)
+    near = nearest_indices(vo_t, uwb_t)  # nearest VO sample at each tick
+    # each visit's first tick, and the tick it closes at
+    starts = np.searchsorted(uwb_t, [v.t0_ms for v in visits]).tolist()
+    closes = np.searchsorted(uwb_t, [v.t1_ms for v in visits], side="right").tolist()
     # w in force after tick k is row k + 1; row 0 holds before the first tick
-    w_after = np.zeros((len(uwb_ts) + 1, 2))
-    kalman_after = [False]  # the same for "mode is KALMAN"
+    w_after = np.zeros((n_uwb + 1, 2))
+    kalman_after = np.zeros(n_uwb + 1, dtype=bool)  # the same for "mode is KALMAN"
 
     track = FusedTrack(Stream((), (), VO), [], [], [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
-    mode = VO_SELECTED
     window_start = 0  # the corrected VO since the previous visit starts here
-    visit_ptr = 0
-    detector: StopClusterer | None = None
-    decided = False
-    k = 0  # the tick being processed; len(uwb_ts) once the ticks are done
 
-    def decide(est: StopEstimate, t_ms: int, stop_idx: int, fallback: int) -> None:
-        """Decide one stop. ``fallback`` is the VO sample nearest ``t_ms``: the
-        vertex compared with when no VO sample was emitted since the previous visit."""
-        nonlocal w, decided
-        j = emitted[k]
+    def kalman(lo: int, hi: int) -> np.ndarray:
+        """The mode at ticks ``[lo, hi)`` under the current ``w``: the mutual
+        error ``|vo + w - y_u|`` reaches ``beta`` (inclusive)."""
+        return _norms(vo_xy[near[lo:hi]] + (w.x, w.y) - u[lo:hi], beta) >= beta
+
+    def decide(est: StopEstimate, k: int, t_ms: int, stop_idx: int, fallback: int) -> None:
+        """Decide one stop at tick ``k``. ``fallback`` is the VO sample nearest
+        ``t_ms``: the vertex compared with when no VO sample was emitted since
+        the previous visit."""
+        nonlocal w
+        j = int(emitted[k])
         if window_start < j:
             # the corrected VO since the previous visit: w changes only at a
             # decision, at most once per visit, so all of it was emitted under this w
@@ -248,69 +274,54 @@ def _run(
                 restart=restart,
             )
         )
-        decided = True
 
-    def close_visit(stop_idx: int) -> None:
-        nonlocal detector, decided, window_start
-        j = emitted[k]
-        if detector is not None and not decided:
+    cursor = 0  # the first tick not yet processed
+    for visit, start, close in zip(visits, starts, closes):
+        start, close = max(start, cursor), max(close, cursor)
+        if sensor is not None:
+            sensor.fill(min(int(emitted[close]) + 1, n_vo))
+        mode = kalman(cursor, close)
+        stop = plan.stops[visit.stop_index]
+        gated = _norms(u[start:close] - (stop.x, stop.y), gamma) <= gamma
+        began = np.flatnonzero(mode[start - cursor :] & gated)
+        detector = est = None
+        if began.size:
+            rows = start + began[0] + np.flatnonzero(gated[began[0] :])
+            detector = StopClusterer(params.cluster, stop_index=visit.stop_index)
+            est = detector.push(u[rows])
+        if est is not None:
+            k = int(rows[est.samples_consumed - 1])
+            decide(est, k, int(uwb_t[k]), visit.stop_index, int(near[k]))
+            # re-evaluate trust with the fresh correction in place; while
+            # still dwelling here, renewed divergence can only be a UWB
+            # artifact, since this stop already reconciled the sensors
+            mode[k - cursor] = kalman(k, k + 1)[0]
+            mode[k - cursor + 1 :] = False
+        kalman_after[cursor + 1 : close + 1] = mode
+        cursor = close
+
+        # close the visit, at tick close
+        j = int(emitted[close])
+        if detector is not None and est is None:
             est = detector.finish()
             if est.support >= params.cluster.k1:
                 # at the last emitted VO sample, or at 0 before the first
-                decide(est, int(vo_t[j - 1]) if j else 0, stop_idx, max(j - 1, 0))
-            elif mode == KALMAN_SELECTED:
-                raise StopDetectionFailure(stop_idx, est.support)
+                decide(est, close, int(vo_t[j - 1]) if j else 0, visit.stop_index, max(j - 1, 0))
+            elif kalman_after[close]:  # the mode of the visit's last tick
+                raise StopDetectionFailure(visit.stop_index, est.support)
             else:
                 track.discarded_detectors += 1
-        detector = None
-        decided = False
         window_start = j
 
-    for k, t in enumerate(uwb_ts):
-        if sensor is not None:
-            sensor.fill(min(emitted[k] + 1, n_vo))
-        while visit_ptr < len(visits) and t > visits[visit_ptr].t1_ms:
-            close_visit(visits[visit_ptr].stop_index)
-            visit_ptr += 1
-        ux, uy = fx[k], fy[k]
-        vx, vy = vo_xy[near[k]].tolist()
-        in_visit = (
-            visit_ptr < len(visits)
-            and visits[visit_ptr].t0_ms <= t <= visits[visit_ptr].t1_ms
-        )
-        if decided and in_visit:
-            # this stop already reconciled the sensors; while still
-            # dwelling here, renewed divergence can only be a UWB artifact
-            mode = VO_SELECTED
-        else:
-            # the mode of corrected_vo(vo, w) against y_u, without Position2D values
-            mode = _mode(vx + w.x - ux, vy + w.y - uy, beta)
-        if in_visit and not decided:
-            visit = visits[visit_ptr]
-            stop = plan.stops[visit.stop_index]
-            y_u = Position2D(ux, uy)
-            gated = region_gate(y_u, stop, gamma)
-            if detector is None and mode == KALMAN_SELECTED and gated:
-                detector = StopClusterer(params.cluster, stop_index=visit.stop_index)
-            if detector is not None and gated:
-                est = detector.push(y_u)
-                if est is not None:
-                    decide(est, t, visit.stop_index, near[k])
-                    # re-evaluate trust with the fresh correction in place
-                    mode = _mode(vx + w.x - ux, vy + w.y - uy, beta)
-        kalman_after.append(mode == KALMAN_SELECTED)
-
-    k = len(uwb_ts)
     if sensor is not None:
         sensor.fill(n_vo)
-    while visit_ptr < len(visits):
-        close_visit(visits[visit_ptr].stop_index)
-        visit_ptr += 1
+    kalman_after[cursor + 1 :] = kalman(cursor, n_uwb)
 
-    # each VO sample takes the mode and w in force after its governing tick
-    gov = np.searchsorted(uwb_t, vo_t, side="right")
-    out_xy = vo_xy + w_after[gov]
-    in_kalman = np.array(kalman_after)[gov]
+    # each VO sample takes the mode and w in force after its governing tick:
+    # sample i follows the ticks k with emitted[k] <= i
+    gov = np.cumsum(np.bincount(emitted[:n_uwb], minlength=n_vo)[:n_vo])
+    out_xy = vo_xy + w_after.take(gov, axis=0)
+    in_kalman = kalman_after[gov]
     out_xy[in_kalman] = filtered.xy[nearest_indices(uwb_t, vo_t[in_kalman])]
     track.samples = Stream(vo_t, out_xy, VO)
     track.modes = _MODE_NAMES[in_kalman.view(np.uint8)].tolist()

@@ -88,13 +88,15 @@ class GroundTruth:
         """Vectorized pose lookup; times clamp to the flight duration."""
         ts = np.clip(np.asarray(ts_ms, dtype=np.float64), 0.0, self.duration_ms)
         idx = self._phase_index(ts)
-        tau = (ts - self._t0s[idx]) / 1000.0
+        # take gathers the same rows as fancy indexing, several times faster
+        tau = (ts - self._t0s.take(idx)) / 1000.0
+        prof = self._profile
         s = (
-            self._profile[idx, 0]
-            + self._profile[idx, 1] * tau
-            + 0.5 * self._profile[idx, 2] * tau * tau
+            prof[:, 0].take(idx)
+            + prof[:, 1].take(idx) * tau
+            + 0.5 * prof[:, 2].take(idx) * tau * tau
         )
-        return self._origins[idx] + self._dirs[idx] * s[:, None]
+        return self._origins.take(idx, axis=0) + self._dirs.take(idx, axis=0) * s[:, None]
 
     def pose_at(self, t_ms: float) -> Position2D:
         xy = self.sample(np.array([t_ms]))[0]

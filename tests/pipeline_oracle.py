@@ -4,11 +4,13 @@
 as it was: it merges the two streams sample by sample, processes each UWB
 tick as it comes (UWB first on a tie) and emits each VO sample with the
 mode and correction vector then in force. In live mode it pulls every VO
-sample through ``VoSensor.__next__``. ``uwbvo.pipeline`` loops over the UWB
-ticks only and emits the VO samples as columns, and must match it exactly:
-samples, modes, stop decisions, restarts, correction vectors and sensor
-reboots. ``mode_select`` is the trust rule on ``Position2D`` values, which
-the pipeline applies to coordinate differences.
+sample through ``VoSensor.__next__``, and its detectors are the per-sample
+clusterers of ``cluster_oracle``. ``uwbvo.pipeline`` loops over the stop
+visits, with the UWB ticks, the VO samples and each visit's detector input
+as columns, and must match it exactly: samples, modes, stop decisions,
+restarts, correction vectors and sensor reboots. ``mode_select`` is the
+trust rule on ``Position2D`` values, which the pipeline applies to columns
+of coordinate differences.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from uwbvo.clustering import StopClusterer, StopEstimate, region_gate
+from cluster_oracle import StopClusterer, region_gate
+from uwbvo.clustering import StopEstimate
 from uwbvo.core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean
 from uwbvo.ekf import checked, run_filter
 from uwbvo.pipeline import (

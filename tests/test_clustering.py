@@ -1,12 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbvo.clustering import ClusterParams, StopClusterer, StopEstimate, region_gate
+import cluster_oracle
+from cluster_oracle import region_gate
+from uwbvo import clustering
+from uwbvo.clustering import ClusterParams, StopClusterer, StopEstimate
 from uwbvo.core import Position2D, euclidean
+
+
+def as_rows(stream) -> np.ndarray:
+    """The ``(m, 2)`` array of a sequence of positions."""
+    return np.array([(p.x, p.y) for p in stream], dtype=np.float64).reshape(-1, 2)
 
 
 def detect_stop(stream, params: ClusterParams, stop_index: int = 0) -> StopEstimate:
@@ -17,11 +26,22 @@ def detect_stop(stream, params: ClusterParams, stop_index: int = 0) -> StopEstim
     incomplete (the caller decides whether its support suffices).
     """
     clusterer = StopClusterer(params, stop_index)
+    return clusterer.push(as_rows(stream)) or clusterer.finish()
+
+
+def oracle_detect(stream, params: ClusterParams, stop_index: int = 0) -> StopEstimate:
+    """:func:`detect_stop` with the per-sample clusterer of ``cluster_oracle``."""
+    clusterer = cluster_oracle.StopClusterer(params, stop_index)
     for pos in stream:
         result = clusterer.push(pos)
         if result is not None:
             return result
     return clusterer.finish()
+
+
+def counts_by_value(clusterer: StopClusterer) -> dict[tuple[float, float], int]:
+    """The block clusterer's count of every distinct value seen so far."""
+    return dict(zip(map(tuple, clusterer._points.tolist()), clusterer._counts.tolist()))
 
 
 def brute_force_counts(points, alpha):
@@ -204,13 +224,9 @@ def test_online_counts_match_oracle_with_duplicates():
     points = [grid[i] for i in rng.integers(0, len(grid), 200)]
     clusterer = StopClusterer(params)
     for i, p in enumerate(points):
-        clusterer.push(p)
+        clusterer.push(as_rows([p]))
         _, expected = brute_force_counts(points[: i + 1], params.alpha_mm)
-        got = {
-            (clusterer._points[s, 0], clusterer._points[s, 1]): int(clusterer._counts[s])
-            for s in range(clusterer._n)
-        }
-        assert got == expected
+        assert counts_by_value(clusterer) == expected
 
 
 def test_termination_index_monotone_in_k2():
@@ -234,8 +250,8 @@ def test_counters_never_decrease():
     clusterer = StopClusterer(params)
     prev_max = 0
     for p in rng.normal(0.0, 5.0, size=(400, 2)):
-        clusterer.push(Position2D(float(p[0]), float(p[1])))
-        current = int(clusterer._counts[: clusterer._n].max(initial=0))
+        clusterer.push(p[None, :])
+        current = int(clusterer._counts.max(initial=0))
         assert current >= prev_max
         prev_max = current
 
@@ -262,7 +278,7 @@ def test_far_outliers_never_change_estimate(seed, n_outliers):
 
 def test_candidate_hysteresis_requires_k1_before_k2():
     params = ClusterParams(alpha_mm=5.0, k1=3, k2=5, gamma_mm=50.0)
-    clusterer = StopClusterer(params)
+    clusterer = cluster_oracle.StopClusterer(params)
     p = Position2D(0.0, 0.0)
     for _ in range(3):
         assert clusterer.push(p) is None
@@ -272,3 +288,95 @@ def test_candidate_hysteresis_requires_k1_before_k2():
     assert clusterer.push(p) is None  # count == 4
     est = clusterer.push(p)  # count == 5 == k2 -> terminate
     assert est is not None and est.complete
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def tie_stream(seed, n, spread, noisy_share):
+    """``n`` positions from a small integer grid, so that values repeat and
+    neighbours sit at exactly alpha = 10 (say (6, 8) apart), mixed with a
+    share of noisy positions around the grid."""
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(-spread, spread + 1, size=(n, 2)).astype(np.float64)
+    noisy = rng.random(n) < noisy_share
+    xy[noisy] += rng.normal(0.0, 3.0, size=(int(noisy.sum()), 2))
+    return [Position2D(float(x), float(y)) for x, y in xy.tolist()]
+
+
+def chunkings(n, cuts, at):
+    """Sizes of push calls to split a stream of ``n`` positions into: one
+    position per call, prime-sized calls, the whole stream, ``cuts``, and,
+    given a position ``at``, a call that starts there and one that ends there."""
+    primes = [PRIMES[i % len(PRIMES)] for i in range(n)]
+    ways = [[1] * n, primes, [n], cuts]
+    if at is not None:
+        ways += [[at], [at + 1]]
+    return ways
+
+
+def pushed_in_calls(rows, params, sizes):
+    """The estimate of a block clusterer fed ``rows`` in calls of ``sizes``
+    (cut short at the stream's end), then the rest in one call."""
+    clusterer = StopClusterer(params, stop_index=7)
+    bounds = np.cumsum([0, *sizes, len(rows)]).clip(max=len(rows))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        est = clusterer.push(rows[lo:hi])
+        if est is not None:
+            # a push after termination returns the same estimate
+            assert clusterer.push(rows) is est
+            assert clusterer.finish() is est
+            return est
+    return clusterer.finish()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 320),
+    spread=st.integers(2, 15),
+    noisy_share=st.sampled_from([0.0, 0.3, 1.0]),
+    k1=st.integers(1, 40),
+    extra=st.integers(1, 120),
+    cuts=st.lists(st.integers(0, 320), max_size=6),
+)
+def test_block_push_matches_per_sample_oracle(seed, n, spread, noisy_share, k1, extra, cuts):
+    params = ClusterParams(alpha_mm=10.0, k1=k1, k2=k1 + extra, gamma_mm=100.0)
+    stream = tie_stream(seed, n, spread, noisy_share)
+    expected = oracle_detect(stream, params, stop_index=7)
+    last = expected.samples_consumed - 1 if expected.complete else None
+    cuts = np.diff(sorted({0, *cuts})).tolist()
+    rows = as_rows(stream)
+    for sizes in chunkings(n, cuts, last):
+        assert pushed_in_calls(rows, params, sizes) == expected
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_block_push_terminates_at_block_edges(blocks, offset):
+    # one repeated value: its count reaches k2 at position k2 (0-based), the
+    # last or first position of an internal block, or one either side
+    k2 = blocks * clustering._BLOCK + offset
+    params = ClusterParams(alpha_mm=5.0, k1=2, k2=k2, gamma_mm=50.0)
+    stream = [Position2D(1.0, 2.0)] * (k2 + 40)
+    est = detect_stop(stream, params)
+    assert est == oracle_detect(stream, params)
+    assert est.complete and est.samples_consumed == k2 + 1 and est.support == k2
+
+
+def test_long_dwell_counted_in_bounded_memory():
+    # 1,600 gated positions, more than a 60 s dwell yields at 27 Hz, that
+    # never terminate: one (positions x positions) float matrix would be
+    # 20 MB, while a block's matrices are (block x distinct values)
+    params = ClusterParams(alpha_mm=10.0, k1=100, k2=10**9, gamma_mm=100.0)
+    rows = np.random.default_rng(0).normal(0.0, 5.0, size=(1600, 2))
+    clusterer = StopClusterer(params)
+    tracemalloc.start()
+    try:
+        assert clusterer.push(rows) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    stream = [Position2D(x, y) for x, y in rows.tolist()]
+    assert clusterer.finish() == oracle_detect(stream, params)

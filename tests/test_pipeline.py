@@ -1,9 +1,16 @@
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from conftest import replay_pipeline
+import pipeline_oracle as oracle
+from conftest import filtered_uwb, replay_pipeline
 from pipeline_oracle import mode_select
+from test_fusion_loop import both_modes
 from uwbvo.clustering import ClusterParams
-from uwbvo.core import FlightPlan, Position2D, euclidean
+from uwbvo.config import default_pipeline_params
+from uwbvo.core import FlightPlan, Position2D, euclidean, nearest_indices
 from uwbvo.metrics import stop_accuracy
 from uwbvo.pipeline import (
     KALMAN_SELECTED,
@@ -12,9 +19,11 @@ from uwbvo.pipeline import (
     StopDetectionFailure,
     corrected_vo,
     run_pipeline_live,
+    stop_visits,
     update_correction,
 )
 from uwbvo.simulate import (
+    SCENARIO_PRESETS,
     RaySpec,
     ScaleFaultSpec,
     ScenarioConfig,
@@ -43,6 +52,55 @@ def test_mode_select_boundary():
     assert mode_select(Position2D(29.9, 0.0), y_u, 30.0) == VO_SELECTED
     # 20-25 hypotenuse is ~32.0, above a 30 mm threshold
     assert mode_select(Position2D(0.0, 0.0), Position2D(20.0, 25.0), 30.0) == KALMAN_SELECTED
+
+
+def ulp_ties(d, rounds):
+    """``math.hypot`` of the rows of ``d`` where ``np.hypot`` rounds the
+    other way by ``rounds`` (``np.less`` or ``np.greater``), in tick order."""
+    exact = np.array([math.hypot(x, y) for x, y in d.tolist()])
+    return exact[rounds(np.hypot(d[:, 0], d[:, 1]), exact)]
+
+
+def test_beta_on_a_tick_where_np_hypot_rounds_below():
+    # no stop is corrected on this seed, so w stays 0 and the mode at each
+    # tick compares |vo[near] - y_u| with beta
+    scenario, seed = SCENARIO_PRESETS["best-case"](), 3
+    params = default_pipeline_params()
+    pair, _, _ = simulate_pair(scenario, seed)
+    uwb = filtered_uwb(pair, scenario.plan, params)
+    d = pair.vo.xy[nearest_indices(pair.vo.t_ms, uwb.t_ms)] - uwb.xy
+    ties = ulp_ties(d, np.less)
+    beta = float(ties[np.argmin(np.abs(ties - 30.0))])
+    params = replace(params, beta_mm=beta)
+    replay, _, _ = both_modes(scenario, seed, params)
+    assert not replay.restarts
+    # the tie decides a mode: one ulp higher, that tick trusts the VO, as it
+    # would if np.hypot decided it
+    above = replace(params, beta_mm=math.nextafter(beta, math.inf))
+    assert oracle.run_pipeline(pair, scenario.plan, above).modes != replay.modes
+
+
+def test_gamma_on_a_tick_where_np_hypot_rounds_above():
+    # no dwell reaches this k2: every gated tick from a detector's start to
+    # its visit's close is counted, and the count shows in samples_consumed
+    scenario, seed = SCENARIO_PRESETS["worst-case"](), 0
+    base = default_pipeline_params()
+    params = replace(base, cluster=replace(base.cluster, k2=100_000))
+    pair, _, _ = simulate_pair(scenario, seed)
+    uwb = filtered_uwb(pair, scenario.plan, params)
+    ties = []
+    for v in stop_visits(scenario.plan):
+        stop = scenario.plan.stops[v.stop_index]
+        in_visit = (uwb.t_ms >= v.t0_ms) & (uwb.t_ms <= v.t1_ms)
+        ties.extend(ulp_ties(uwb.xy[in_visit] - (stop.x, stop.y), np.greater))
+    ties = np.array(ties)
+    gamma = float(ties[np.argmin(np.abs(ties - 100.0))])
+    params = replace(params, cluster=replace(params.cluster, gamma_mm=gamma))
+    replay, _, _ = both_modes(scenario, seed, params)
+    # the tie decides a gate: one ulp lower, that tick is not counted, as it
+    # would not be if np.hypot decided it
+    below = replace(params, cluster=replace(params.cluster, gamma_mm=math.nextafter(gamma, 0.0)))
+    assert oracle.run_pipeline(pair, scenario.plan, below).stop_events != replay.stop_events
 
 
 def test_update_correction_rule():

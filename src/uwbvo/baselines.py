@@ -5,17 +5,18 @@ and one restart policy (the self-corrective pipeline's: restart at every
 stop arrival after the initial dwell), so the comparison isolates how the
 streams are combined rather than how each filter is tuned.
 
-The filtering is done once per seed: :func:`filter_inputs` builds the
-inputs the selected methods read (the UWB, the per-sample average, the
-merged stream) and filters them all in one ``run_filter`` lockstep.
-:func:`run_method` then picks its method's result. pozyx-ctra's filtered
-UWB is also the one the self-corrective pipeline fuses with the VO, so
-that stream is filtered once for both.
+The filtering is done once per batch of seeds: :func:`filter_inputs`
+builds the inputs the selected methods read (the UWB, the per-sample
+average, the merged stream) for every seed of the batch and filters them
+all in one ``run_filter`` lockstep, since every seed of a plan shares one
+restart schedule. :func:`run_method` then picks its method's result.
+pozyx-ctra's filtered UWB is also the one the self-corrective pipeline
+fuses with the VO, so that stream is filtered once for both.
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,22 +62,25 @@ Filtered = dict[BaselineKind, Stream | FilterError]
 
 def filter_inputs(
     methods: Iterable[BaselineKind],
-    pair: StreamPair,
+    pairs: Sequence[StreamPair],
     plan: FlightPlan,
     params: PipelineParams,
-) -> Filtered:
-    """Every CTRA input the methods read, filtered in one lockstep.
+) -> list[Filtered]:
+    """Every CTRA input the methods read, for every pair, filtered in one lockstep.
 
-    Keyed by the baseline that filters the input, as :func:`run_method`
-    reads it. Only the inputs the methods need are built, all with the
-    pipeline's restart schedule; a failed input holds its
-    :class:`FilterError`.
+    One dict per pair, keyed by the baseline that filters the input, as
+    :func:`run_method` reads it. Only the inputs the methods need are
+    built, all with the pipeline's restart schedule, which depends on the
+    plan alone; a failed input holds its :class:`FilterError`, and fails no
+    other input, of its pair or of another.
     """
     needed = {_SHARES_INPUT.get(m, m) for m in methods}
     kinds = [k for k in _FILTER_INPUT if k in needed]
     restarts = [w.t0_ms for w in stop_visits(plan)]
-    streams = [_FILTER_INPUT[k](pair) for k in kinds]
-    return dict(zip(kinds, run_filter(streams, params.ekf, restart_times_ms=restarts)))
+    streams = [_FILTER_INPUT[k](pair) for pair in pairs for k in kinds]
+    results = run_filter(streams, params.ekf, restart_times_ms=restarts)
+    n = len(kinds)
+    return [dict(zip(kinds, results[i * n : (i + 1) * n])) for i in range(len(pairs))]
 
 
 def run_method(

@@ -28,7 +28,17 @@ import numpy as np
 from .baselines import BaselineKind, filter_inputs, run_method
 from .clustering import ClusterParams
 from .config import ConfigError, load_config, resolve_scenario, save_config
-from .core import FlightPlan, LogFormatError, Stream, csv_text, read_log, write_log
+from .core import (
+    FlightPlan,
+    LogFormatError,
+    Stream,
+    StreamPair,
+    csv_blocks,
+    csv_header,
+    read_log,
+    write_blocks,
+    write_log,
+)
 from .ekf import FilterError
 from .metrics import (
     COMPARE_HEADER,
@@ -114,9 +124,9 @@ def _truth_csv_bytes(truth, rate_hz: float) -> bytes:
     for w in truth.stop_windows:
         inside = (ts >= w.t0_ms) & (ts <= w.t1_ms)
         stop_idx[inside] = w.stop_index
-    rows = zip(ts.tolist(), *xy.T.tolist(), stop_idx.tolist())
-    header = ("t_ms", "x_mm", "y_mm", "stop_index")
-    return csv_text(header, "%d,%.1f,%.1f,%d\r\n", rows).encode("utf-8")
+    header = csv_header(("t_ms", "x_mm", "y_mm", "stop_index"))
+    blocks = csv_blocks("%d,%.1f,%.1f,%d\r\n", ts, *xy.T, stop_idx)
+    return "".join([header, *blocks]).encode("utf-8")
 
 
 def cmd_simulate(args) -> int:
@@ -203,8 +213,9 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_rows(path: Path, header, row_format: str, rows) -> None:
-    path.write_text(csv_text(header, row_format, rows), encoding="utf-8", newline="")
+def _write_rows(path: Path, header, row_format: str, *columns) -> None:
+    """Write one ``row_format`` line per row of the columns, a block at a time."""
+    write_blocks(path, header, csv_blocks(row_format, *columns))
 
 
 def _score_and_write(
@@ -220,7 +231,9 @@ def _score_and_write(
         tracks_dir / f"track_{name}",
         TRACK_HEADER,
         "%d,%.1f,%.1f,%s\r\n",
-        zip(samples.t_ms.tolist(), *samples.xy.T.tolist(), modes),
+        samples.t_ms,
+        *samples.xy.T,
+        modes,
     )
     # plot data: the error-vs-time curve, decimated to a plottable size
     ts = samples.t_ms.astype(np.float64)
@@ -230,7 +243,8 @@ def _score_and_write(
         tracks_dir / f"errors_{name}",
         ERRORS_HEADER,
         "%d,%.1f\r\n",
-        zip(samples.t_ms[::stride].tolist(), err[::stride].tolist()),
+        samples.t_ms[::stride],
+        err[::stride],
     )
     if track is not None:
         _write_csv(
@@ -256,40 +270,49 @@ def _score_and_write(
     return report
 
 
-def _run_seed(
+# seeds filtered in one lockstep: a batch pays the lockstep's fixed cost
+# per step once, and holds the logs and filtered streams of all its seeds
+_SEEDS_PER_LOCKSTEP = 4
+
+
+def _run_seeds(
     logs_dir: Path,
     plan: FlightPlan,
     params: PipelineParams,
     methods: list[BaselineKind],
-    seed: int,
+    seeds: list[int],
 ) -> tuple[list[RunReport], list[tuple[str, int, str]]]:
-    """Every selected method on one seed's log, which is read once.
+    """Every selected method on a batch of seeds, each seed's log read once.
 
-    The methods share the read pair: its streams' arrays are read-only, so
-    no method can change what the next one reads. The inputs of the
-    filtered methods are filtered first, in one lockstep. Each method's
-    files are written as soon as it finishes; only its report, or its
-    failure text, is returned. A malformed log fails every method of the
-    seed; a method that fails (stop detection, filter divergence, or a
-    track that misses a dwell window) leaves the others of the seed running.
+    A seed's methods share its read pair: the streams' arrays are
+    read-only, so no method can change what the next one reads. The inputs
+    of the filtered methods of every seed are filtered first, in one
+    lockstep; then the seeds run one by one. Each method's files are
+    written as soon as it finishes; only its report, or its failure text,
+    is returned. A malformed log fails every method of its seed; a method
+    that fails (stop detection, filter divergence, or a track that misses a
+    dwell window) leaves the other methods and seeds running.
     """
-    try:
-        pair = read_log(_stream_path(logs_dir, seed))
-    except LogFormatError as exc:
-        return [], [(kind.value, seed, str(exc)) for kind in methods]
+    pairs: dict[int, StreamPair] = {}
+    failures: list[tuple[str, int, str]] = []
+    for seed in seeds:
+        try:
+            pairs[seed] = read_log(_stream_path(logs_dir, seed))
+        except LogFormatError as exc:
+            failures += [(kind.value, seed, str(exc)) for kind in methods]
     truth = build_truth(plan)
     tracks_dir = logs_dir / "tracks"
     reports: list[RunReport] = []
-    failures: list[tuple[str, int, str]] = []
-    filtered = filter_inputs(methods, pair, plan, params)
-    for kind in methods:
-        try:
-            samples, track = run_method(kind, pair, plan, params, filtered)
-            reports.append(
-                _score_and_write(kind.value, seed, samples, track, truth, tracks_dir)
-            )
-        except (StopDetectionFailure, FilterError, CoverageError) as exc:
-            failures.append((kind.value, seed, str(exc)))
+    filtered = filter_inputs(methods, list(pairs.values()), plan, params)
+    for (seed, pair), seed_filtered in zip(pairs.items(), filtered):
+        for kind in methods:
+            try:
+                samples, track = run_method(kind, pair, plan, params, seed_filtered)
+                reports.append(
+                    _score_and_write(kind.value, seed, samples, track, truth, tracks_dir)
+                )
+            except (StopDetectionFailure, FilterError, CoverageError) as exc:
+                failures.append((kind.value, seed, str(exc)))
     return reports, failures
 
 
@@ -312,17 +335,20 @@ def cmd_run(args) -> int:
         return USAGE_ERROR
 
     (logs_dir / "tracks").mkdir(exist_ok=True)
-    task = partial(_run_seed, logs_dir, scenario.plan, params, methods)
+    # a batch per worker while that keeps every worker busy
+    size = min(_SEEDS_PER_LOCKSTEP, math.ceil(len(seeds) / max(args.jobs, 1)))
+    batches = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+    task = partial(_run_seeds, logs_dir, scenario.plan, params, methods)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_seed = list(pool.map(task, seeds))
+            per_batch = list(pool.map(task, batches))
     else:
-        per_seed = map(task, seeds)
+        per_batch = map(task, batches)
     reports: list[RunReport] = []
     failures: list[tuple[str, int, str]] = []
-    for seed_reports, seed_failures in per_seed:
-        reports += seed_reports
-        failures += seed_failures
+    for batch_reports, batch_failures in per_batch:
+        reports += batch_reports
+        failures += batch_failures
     reports.sort(key=lambda r: (r.method, r.seed))
     failures.sort()
 
@@ -448,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", type=int, default=1)
     p_run.add_argument("--seed", type=int, action="append", default=[])
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="concurrent seeds")
+                       help="worker processes, each running batches of up to "
+                            f"{_SEEDS_PER_LOCKSTEP} seeds")
     _add_param_overrides(p_run)
     p_run.set_defaults(func=cmd_run)
 

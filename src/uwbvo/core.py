@@ -18,9 +18,9 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -212,19 +212,40 @@ def nearest_indices(ts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.where(earlier, lo, hi)
 
 
-def csv_text(header, row_format: str, rows) -> str:
-    """A header and one ``row_format % row`` line per row: what ``csv`` writes
-    for rows of numbers and plain words, which need no quoting."""
-    return "".join([",".join(header) + "\r\n"] + [row_format % row for row in rows])
+# rows formatted at a time: a block's Python values and text are all that
+# a write holds, whatever the length of the columns
+_ROWS_PER_BLOCK = 4096
+
+
+def csv_blocks(row_format: str, *columns) -> Iterator[str]:
+    """The text of one ``row_format % row`` line per row of the columns, a
+    block of rows at a time: what ``csv`` writes for rows of numbers and
+    plain words, which need no quoting. A numpy column becomes Python
+    values one block at a time."""
+    for i in range(0, len(columns[0]), _ROWS_PER_BLOCK):
+        block = (c[i : i + _ROWS_PER_BLOCK] for c in columns)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+        yield "".join([row_format % row for row in rows])
+
+
+def csv_header(header) -> str:
+    return ",".join(header) + "\r\n"
+
+
+def write_blocks(path, header, blocks: Iterable[str]) -> None:
+    """Write a CSV file: the header line, then the text blocks."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_header(header))
+        fh.writelines(blocks)
 
 
 def write_log(pair: StreamPair, path) -> None:
     """Write a stream pair as CSV, rows sorted by (sensor, t_ms)."""
-    rows = chain.from_iterable(
-        zip(s.t_ms.tolist(), repeat(s.source), *s.xy.T.tolist()) for s in (pair.uwb, pair.vo)
+    blocks = (
+        csv_blocks(f"%d,{s.source},%.1f,%.1f\r\n", s.t_ms, *s.xy.T)
+        for s in (pair.uwb, pair.vo)
     )
-    text = csv_text(LOG_HEADER, "%d,%s,%.1f,%.1f\r\n", rows)
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    write_blocks(path, LOG_HEADER, chain.from_iterable(blocks))
 
 
 def _log_rows(path) -> Iterator[list[str]]:

@@ -16,14 +16,16 @@ The motion model and :class:`CtraFilter` take a single 6-vector state or a
 stack of them with leading axes, through one numpy code path (a single state
 is a stack with no leading axes). :func:`run_filter` uses the stack. It
 filters a sequence of streams that share one restart schedule; the
-baselines pass every CTRA input of a seed at once (the UWB, the averaged and
-the merged stream), and the UWB result also serves the self-corrective
-pipeline. A restart resets both the state and its covariance, so the
-restart segments of every stream share nothing, and one lockstep filters
-them all, one stacked step per local sample index. Stacked ``matmul`` and
-``linalg.solve`` apply the same per-matrix kernels as the 2-D calls, so a
-row of the stack follows the same arithmetic as a lone filter, and each
-stream's result is bit for bit what a run of that stream alone gives.
+baselines pass every CTRA input of a batch of seeds at once (each seed's
+UWB, averaged and merged stream), and the UWB result also serves the
+self-corrective pipeline. A restart resets both the state and its
+covariance, so the restart segments of every stream share nothing, and one
+lockstep filters them all, one stacked step per local sample index. Stacked
+``matmul`` and ``linalg.solve`` apply the same per-matrix kernels as the
+2-D calls, so a row of the stack follows the same arithmetic as a lone
+filter, and each stream's result is bit for bit what a run of that stream
+alone gives. The lockstep packs and steps one block of steps at a time, so
+its memory is bounded by a block, not by the samples it filters.
 """
 from __future__ import annotations
 
@@ -267,10 +269,22 @@ def _forward_fill(values: np.ndarray, initial: float) -> np.ndarray:
     return filled[idx][1:]
 
 
+# steps of the lockstep packed and filtered at a time: blocks bound the
+# lockstep's memory, and 1024 steps still hold a live run's UWB lockstep
+# (under 600 steps on the worst-case preset) in one block
+_STEPS_PER_BLOCK = 1024
+
+
 def _segment_measurements(
-    t_ms: np.ndarray, xy: np.ndarray, span_s: float, min_speed_mm_s: float
-) -> np.ndarray:
-    """Full-state measurements over one restart segment.
+    t_ms: np.ndarray,
+    xy: np.ndarray,
+    span_s: float,
+    min_speed_mm_s: float,
+    k0: int = 0,
+    k1: int | None = None,
+    carry: tuple | None = None,
+) -> tuple[np.ndarray, tuple]:
+    """Full-state measurements over one restart segment: rows ``k0:k1``, and a carry.
 
     Row ``k`` holds the measurement derived from the trailing window ending
     at sample ``k`` (NaN for the first two rows, where no window exists yet);
@@ -281,27 +295,40 @@ def _segment_measurements(
     circle. A window whose net motion is slower than ``min_speed_mm_s``, or
     not significant against the fit's residual scatter, reads as a
     stationary platform: zero speed and rates, the previous heading kept.
+
+    The window sums come from prefix sums over the samples. A segment can
+    be derived a block of rows at a time: ``carry`` is what the call for
+    the rows before ``k0`` returned (None at ``k0 = 0``), holding the
+    window start of row ``k0``, the eight prefix sums at that sample and
+    the last heading. Resuming the prefix sums from the carried ones
+    performs the same sequential additions as one cumulative sum over the
+    whole segment, so the rows are bit for bit those of one call.
     """
     n = len(t_ms)
-    u = np.full((n, STATE_DIM), np.nan)
-    if n < 3:
-        return u
-    rel_ms = t_ms - t_ms[0]
-    rel = rel_ms / 1000.0
-    zeros = np.zeros(1)
-    p_t = np.concatenate([zeros, np.cumsum(rel)])
-    p_tt = np.concatenate([zeros, np.cumsum(rel * rel)])
-    p_x = np.concatenate([zeros, np.cumsum(xy[:, 0])])
-    p_y = np.concatenate([zeros, np.cumsum(xy[:, 1])])
-    p_tx = np.concatenate([zeros, np.cumsum(rel * xy[:, 0])])
-    p_ty = np.concatenate([zeros, np.cumsum(rel * xy[:, 1])])
-    p_xx = np.concatenate([zeros, np.cumsum(xy[:, 0] * xy[:, 0])])
-    p_yy = np.concatenate([zeros, np.cumsum(xy[:, 1] * xy[:, 1])])
-
-    k = np.arange(2, n)
-    a = np.searchsorted(rel_ms, rel_ms[k] - span_s * 1000.0, side="right")
+    k1 = n if k1 is None else k1
+    lo0, sums0, psi0 = (0, None, 0.0) if carry is None else carry
+    u = np.full((k1 - k0, STATE_DIM), np.nan)
+    first = max(k0, 2)
+    if first >= k1:  # no row with a window: the carry holds still
+        return u, (lo0, sums0, psi0)
+    # rows first:k1, and row k1 itself for the next block's window start
+    k = np.arange(first, min(k1 + 1, n))
+    rel_ms = t_ms[lo0 : k1 + 1] - t_ms[0]
+    a = lo0 + np.searchsorted(rel_ms, rel_ms[k - lo0] - span_s * 1000.0, side="right")
     lo = np.clip(np.minimum(a - 1, k - 2), 0, None)
+    lo_next = int(lo[-1])
+    # from here on, indices count from sample lo0
+    k, lo = k[: k1 - first] - lo0, lo[: k1 - first] - lo0
     mid = lo + (k - lo + 1) // 2
+
+    rel = rel_ms[: k1 - lo0] / 1000.0
+    x, y = xy[lo0:k1, 0], xy[lo0:k1, 1]
+    terms = np.stack((rel, rel * rel, x, y, rel * x, rel * y, x * x, y * y), axis=1)
+    if lo0 == 0:  # cumsum's first entry is its first term, -0.0 included
+        prefix = np.concatenate((np.zeros((1, 8)), np.cumsum(terms, axis=0)))
+    else:
+        prefix = np.cumsum(np.concatenate((sums0[None], terms)), axis=0)
+    p_t, p_tt, p_x, p_y, p_tx, p_ty, p_xx, p_yy = prefix.T
 
     floor = max(min_speed_mm_s, 1e-9)
 
@@ -343,17 +370,16 @@ def _segment_measurements(
     dpsi -= TAU * np.round(dpsi / TAU)
     psi_dot = np.where(mov_f & mov_o & mov_n, dpsi / half_dt, 0.0)
     accel = np.where(mov_f, (v_new - v_old) / half_dt, 0.0)
-    psi = _forward_fill(
-        np.where(mov_f, np.arctan2(vy_f, vx_f), np.nan), initial=0.0
-    )
+    psi = _forward_fill(np.where(mov_f, np.arctan2(vy_f, vx_f), np.nan), initial=psi0)
 
-    u[2:, 0] = xy[2:, 0]
-    u[2:, 1] = xy[2:, 1]
-    u[2:, 2] = v_full
-    u[2:, 3] = psi
-    u[2:, 4] = psi_dot
-    u[2:, 5] = accel
-    return u
+    rows = u[first - k0 :]
+    rows[:, 0] = xy[first:k1, 0]
+    rows[:, 1] = xy[first:k1, 1]
+    rows[:, 2] = v_full
+    rows[:, 3] = psi
+    rows[:, 4] = psi_dot
+    rows[:, 5] = accel
+    return u, (lo_next, prefix[lo_next - lo0].copy(), float(psi[-1]))
 
 
 def checked(result: Stream | FilterError) -> Stream:
@@ -409,9 +435,13 @@ def _lockstep(
     Segments share nothing, so one :class:`CtraFilter` holds a stack with one
     row per segment, longest first, and step ``k`` advances the ``k``-th
     sample of every segment that has one. The rows still running at step
-    ``k`` are a prefix, so inputs and estimates are packed step-major: step
-    ``k`` reads and writes the slice ``off[k]:off[k + 1]`` of flat arrays
-    that hold one entry per input sample.
+    ``k`` are a prefix, so inputs are packed step-major: step ``k`` reads
+    the slice ``off[k]:off[k + 1]`` of flat arrays that hold one entry per
+    input sample, then writes its estimates over the measurements it read.
+
+    The steps are packed and filtered :data:`_STEPS_PER_BLOCK` at a time,
+    each row's measurements resuming from the carry of its previous block,
+    so the packed arrays hold one block of steps, not the whole run.
 
     Returns a stream per input stream; if some streams fail at a step, they
     get their :class:`FilterError` and the rest ``None``.
@@ -434,14 +464,6 @@ def _lockstep(
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
     off = np.concatenate(([0], np.cumsum(active)))
     rows = list(enumerate(zip(row_stream.tolist(), first.tolist(), lengths.tolist())))
-    u = np.empty((off[-1], STATE_DIM))
-    dt = np.zeros(off[-1])
-    for r, (s, s0, length) in rows:
-        at = off[:length] + r  # entry off[k] + r holds sample k of row r
-        t_ms, xy = streams[s].t_ms[s0 : s0 + length], streams[s].xy[s0 : s0 + length]
-        u[at] = _segment_measurements(t_ms, xy, params.diff_span_s, params.min_speed_mm_s)
-        dt[at[1:]] = np.diff(t_ms / 1000.0)
-    half_dt, dt_cubed = 0.5 * dt, np.float_power(dt, 3)
     eye = np.broadcast_to(_EYE, (len(lengths), STATE_DIM, STATE_DIM)).copy()
 
     def failed(bad: np.ndarray, k: int, text: str = "") -> list[FilterError | None]:
@@ -460,26 +482,42 @@ def _lockstep(
     filt = CtraFilter(params)
     seeds = np.array([streams[s].xy[s0] for _, (s, s0, _) in rows])
     filt.reset(seeds[:, 0], seeds[:, 1])
-    est = np.empty((off[-1], 2))
-    est[: off[1]] = seeds
-    bounds = off.tolist()
-    for k in range(1, len(active)):
-        a, b = bounds[k], bounds[k + 1]
-        if b - a < len(filt.state):
-            filt.state, filt.P = filt.state[: b - a], filt.P[: b - a]
-        filt.predict(dt[a:b], (half_dt[a:b], dt_cubed[a:b], eye[: b - a]))
-        # every row is at its segment's sample k, and a segment has no
-        # measurement before its third sample
-        if k >= 2:
-            try:
-                filt.update(u[a:b])
-            except FilterError:
-                return failed(filt.degenerate(), k, DEGENERATE)
-        if not (np.isfinite(filt.state).all() and (filt.P.diagonal(0, -2, -1) >= 0.0).all()):
-            return failed(filt.diverged(), k)
-        est[a:b] = filt.state[:, :2]
-    del u, dt, half_dt, dt_cubed  # freed before the outputs are allocated
     out_xy = [np.empty((len(stream), 2)) for stream in streams]
-    for r, (s, s0, length) in rows:
-        out_xy[s][s0 : s0 + length] = est[off[:length] + r]
+    carry: list[tuple | None] = [None] * len(rows)
+    bounds = off.tolist()
+    for k0 in range(0, len(active), _STEPS_PER_BLOCK):
+        k1 = min(k0 + _STEPS_PER_BLOCK, len(active))
+        base = bounds[k0]
+        u = np.empty((bounds[k1] - base, STATE_DIM))
+        dt = np.zeros(len(u))
+        placed = []
+        for r, (s, s0, length) in rows[: active[k0]]:
+            end = min(k1, length)
+            at = off[k0:end] + (r - base)  # entry off[k] + r holds sample k of row r
+            t_ms, xy = streams[s].t_ms[s0 : s0 + length], streams[s].xy[s0 : s0 + length]
+            u[at], carry[r] = _segment_measurements(
+                t_ms, xy, params.diff_span_s, params.min_speed_mm_s, k0, end, carry[r]
+            )
+            # sample k's step spans t[k - 1] to t[k]; sample 0 has none
+            dt[at[1:] if k0 == 0 else at] = np.diff(t_ms[max(k0 - 1, 0) : end] / 1000.0)
+            placed.append((out_xy[s][s0 + k0 : s0 + end], at))
+        half_dt, dt_cubed = 0.5 * dt, np.float_power(dt, 3)
+        for k in range(k0, k1):
+            a, b = bounds[k] - base, bounds[k + 1] - base
+            if b - a < len(filt.state):
+                filt.state, filt.P = filt.state[: b - a], filt.P[: b - a]
+            if k:
+                filt.predict(dt[a:b], (half_dt[a:b], dt_cubed[a:b], eye[: b - a]))
+            # every row is at its segment's sample k, and a segment has no
+            # measurement before its third sample
+            if k >= 2:
+                try:
+                    filt.update(u[a:b])
+                except FilterError:
+                    return failed(filt.degenerate(), k, DEGENERATE)
+            if not (np.isfinite(filt.state).all() and (filt.P.diagonal(0, -2, -1) >= 0.0).all()):
+                return failed(filt.diverged(), k)
+            u[a:b, :2] = filt.state[:, :2]
+        for out, at in placed:
+            out[:] = u[at, :2]
     return [Stream(st.t_ms, xy, st.source) for st, xy in zip(streams, out_xy)]

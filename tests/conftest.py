@@ -62,4 +62,4 @@ def replay_pipeline(pair, plan, params):
 
 def run_one_method(kind, pair, plan, params):
     """``run_method`` of one method, with the inputs it reads filtered for it."""
-    return run_method(kind, pair, plan, params, filter_inputs([kind], pair, plan, params))
+    return run_method(kind, pair, plan, params, filter_inputs([kind], [pair], plan, params)[0])

@@ -100,7 +100,7 @@ def loop_filter(
     starts = sorted(start_idx)
     u_all = np.full((n, STATE_DIM), np.nan)
     for s0, s1 in zip(starts, starts[1:] + [n]):
-        u_all[s0:s1] = _segment_measurements(
+        u_all[s0:s1], _ = _segment_measurements(
             ts_ms[s0:s1], xy[s0:s1], params.diff_span_s, params.min_speed_mm_s
         )
     filt = CtraFilter(params)

@@ -58,7 +58,7 @@ def worst_batch():
     t0 = time.perf_counter()
     for seed in SEEDS:
         pair, _, _ = simulate_pair(scenario, seed)
-        filtered = filter_inputs(CRITERION_6_METHODS, pair, scenario.plan, params)
+        [filtered] = filter_inputs(CRITERION_6_METHODS, [pair], scenario.plan, params)
         for kind in CRITERION_6_METHODS:
             samples, track = run_method(kind, pair, scenario.plan, params, filtered)
             reports[kind].append(

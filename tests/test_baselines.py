@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,13 +171,46 @@ def test_stacked_streams_equal_lone_runs_and_loop(case, desk_params):
             assert list(out[s0:s1]) == loop_filter(stream[s0:s1], params)
 
 
+def test_filter_inputs_of_a_batch_equal_one_pair_calls(desk_params):
+    scenario = SCENARIO_PRESETS["worst-case"]()
+    pairs = [simulate_pair(scenario, seed)[0] for seed in range(3)]
+    batch = filter_inputs(list(BaselineKind), pairs, scenario.plan, desk_params)
+    assert len(batch) == len(pairs)
+    for pair, filtered in zip(pairs, batch):
+        [alone] = filter_inputs(list(BaselineKind), [pair], scenario.plan, desk_params)
+        assert filtered.keys() == alone.keys()
+        for kind, stream in filtered.items():
+            assert np.array_equal(stream.t_ms, alone[kind].t_ms)
+            assert np.array_equal(stream.xy.view(np.int64), alone[kind].xy.view(np.int64))
+
+
+def test_lockstep_memory_is_bounded_by_a_block(desk_params):
+    # packed whole, the lockstep of 4 worst-case seeds held ~27 MB beyond
+    # the streams it returns; a block of steps holds less than 16 MB
+    scenario = SCENARIO_PRESETS["worst-case"]()
+    restarts = [w.t0_ms for w in stop_visits(scenario.plan)]
+    streams = []
+    for seed in range(4):
+        pair, _, _ = simulate_pair(scenario, seed)
+        streams += [pair.uwb, averaged_stream(pair), merge_streams(pair)]
+    tracemalloc.start()
+    try:
+        out = run_filter(streams, desk_params.ekf, restarts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(stream.t_ms.nbytes + stream.xy.nbytes for stream in out)
+    assert peak - returned < 16 * 2**20
+
+
 def test_filter_inputs_builds_only_what_the_methods_read(desk_params):
     scenario = tiny_scenario(sigma_uwb=20.0, sigma_vo=1.0)
     pair, _, _ = simulate_pair(scenario, 1)
     plan = scenario.plan
 
     def keys(*methods):
-        return list(filter_inputs(methods, pair, plan, desk_params))
+        [filtered] = filter_inputs(methods, [pair], plan, desk_params)
+        return list(filtered)
 
     assert keys(BaselineKind.RAW_UWB, BaselineKind.RAW_VO) == []
     assert keys(BaselineKind.SELF_CORRECTIVE) == [BaselineKind.POZYX_CTRA]
@@ -200,7 +235,7 @@ def test_self_corrective_fuses_pozyx_ctra_track(desk_params, monkeypatch):
         fused_with.append(filtered_uwb)
         return run_pipeline(pair, plan, params, filtered_uwb)
 
-    filtered = filter_inputs(list(BaselineKind), pair, scenario.plan, desk_params)
+    [filtered] = filter_inputs(list(BaselineKind), [pair], scenario.plan, desk_params)
     pozyx, _ = run_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, desk_params, filtered)
     monkeypatch.setattr(baselines, "run_pipeline", spy)
     _, track = run_method(

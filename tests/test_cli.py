@@ -8,9 +8,10 @@ import pytest
 from uwbvo import baselines, cli
 from uwbvo.baselines import BaselineKind, run_method
 from uwbvo.cli import main
-from uwbvo.config import default_pipeline_params, save_config
-from uwbvo.core import Position2D, FlightPlan, read_log
+from uwbvo.config import default_pipeline_params, load_config, save_config
+from uwbvo.core import FlightPlan, Position2D, Stream, read_log
 from uwbvo.ekf import FilterError, run_filter
+from uwbvo.pipeline import stop_visits
 from uwbvo.simulate import (
     RaySpec,
     ScaleFaultSpec,
@@ -101,13 +102,15 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 def test_jobs_parallel_matches_serial(tmp_path):
     scenario = small_scenario_file(tmp_path)
-    out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
-    for out, jobs in ((out_a, "1"), (out_b, "3")):
-        assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
-                     "--out", str(out), "--k1", "40", "--k2", "120"]) == 0
-        assert main(["run", "--logs", str(out), "--method", "self-corrective",
-                     "--method", "pozyx-ctra", "--seeds", "2", "--jobs", jobs]) == 0
-    assert dir_bytes(out_a) == dir_bytes(out_b)
+    # more workers than seeds; and batches of 2 and 1 seeds on 2 workers
+    for seeds, jobs in (("2", "3"), ("3", "2")):
+        out_a, out_b = tmp_path / f"serial{seeds}", tmp_path / f"parallel{seeds}"
+        for out, n in ((out_a, "1"), (out_b, jobs)):
+            assert main(["simulate", "--scenario", str(scenario), "--seeds", seeds,
+                         "--out", str(out), "--k1", "40", "--k2", "120"]) == 0
+            assert main(["run", "--logs", str(out), "--method", "self-corrective",
+                         "--method", "pozyx-ctra", "--seeds", seeds, "--jobs", n]) == 0
+        assert dir_bytes(out_a) == dir_bytes(out_b)
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -309,6 +312,50 @@ def test_filter_divergence_fails_its_cell(tmp_path, monkeypatch):
     assert failures[0]["error"].startswith("filter diverged at sample 2 ")
     with open(out / "reports.csv", newline="") as fh:
         assert [r["method"] for r in csv.DictReader(fh)] == ["raw-uwb"]
+
+
+def test_divergence_in_a_batch_fails_only_its_seed(tmp_path, monkeypatch):
+    scenario = small_scenario_file(tmp_path)
+    clean, out = tmp_path / "clean", tmp_path / "runs"
+    argv = ["--method", "pozyx-ctra", "--method", "direct-fusion",
+            "--method", "raw-vo", "--seeds", "3"]
+    for logs in (clean, out):
+        assert main(["simulate", "--scenario", str(scenario), "--seeds", "3",
+                     "--out", str(logs)]) == 0
+    assert main(["run", "--logs", str(clean), *argv]) == 0
+    # the middle seed's merged stream overflows in the differencing sums
+    merged = baselines.merge_streams(read_log(out / "streams_0001.csv"))
+    xy = merged.xy.copy()
+    xy[300, 0] = 1e200
+    poisoned = Stream(merged.t_ms, xy, merged.source)
+    calls = []
+
+    def poisoning_filter(streams, params, **kwargs):
+        calls.append(len(streams))
+        streams = [poisoned if s == merged else s for s in streams]
+        return run_filter(streams, params, **kwargs)
+
+    monkeypatch.setattr(baselines, "run_filter", poisoning_filter)
+    plan_scenario, params = load_config(out / "scenario.ini")
+    restarts = [w.t0_ms for w in stop_visits(plan_scenario.plan)]
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "--logs", str(out), *argv]) == 2
+        [lone] = run_filter([poisoned], params.ekf, restart_times_ms=restarts)
+    assert calls == [6]  # the 3 seeds' inputs, in one call
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"], r["error"]) for r in failures] == [
+        ("direct-fusion", "1", str(lone))
+    ]
+    assert str(lone).startswith("filter diverged at sample 301 ")
+    # every other cell is as in the run without the fault
+    got, want = dir_bytes(out / "tracks"), dir_bytes(clean / "tracks")
+    assert got == {k: v for k, v in want.items() if "direct-fusion_0001" not in k}
+    with open(clean / "reports.csv", newline="") as fh:
+        want_rows = [r for r in csv.DictReader(fh)
+                     if (r["method"], r["seed"]) != ("direct-fusion", "1")]
+    with open(out / "reports.csv", newline="") as fh:
+        assert list(csv.DictReader(fh)) == want_rows
 
 
 def test_clean_rerun_removes_stale_failures(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_position_stream, filter_one, make_stream, path_length, positions
 from ekf_oracle import (
@@ -13,6 +15,7 @@ from ekf_oracle import (
     pseudo_measurements,
     wrap_angle_scalar,
 )
+from uwbvo import ekf
 from uwbvo.ekf import (
     CtraFilter,
     CtraParams,
@@ -230,7 +233,7 @@ def test_builder_matches_vectorized_derivation():
         samples = make_stream(ts, xy)
         builder = MeasurementBuilder(params.diff_span_s, params.min_speed_mm_s)
         incremental = [builder.push(s) for s in samples]
-        vectorized = _segment_measurements(
+        vectorized, _ = _segment_measurements(
             ts, xy.astype(float), params.diff_span_s, params.min_speed_mm_s
         )
         for k in range(n):
@@ -238,6 +241,77 @@ def test_builder_matches_vectorized_derivation():
                 assert np.isnan(vectorized[k]).all()
             else:
                 assert np.allclose(incremental[k], vectorized[k], rtol=1e-9, atol=1e-9)
+
+
+def _whole_window_starts(t_ms, span_s):
+    """The first sample of each row's window over a whole segment (rows 2 on)."""
+    rel_ms = t_ms - t_ms[0]
+    k = np.arange(2, len(t_ms))
+    a = np.searchsorted(rel_ms, rel_ms[k] - span_s * 1000.0, side="right")
+    return np.clip(np.minimum(a - 1, k - 2), 0, None)
+
+
+def _bits(u):
+    """The rows' bits, every NaN as one NaN: the sign of a zero counts."""
+    return np.where(np.isnan(u), np.nan, u).view(np.int64)
+
+
+@st.composite
+def cut_segments(draw):
+    """A segment and cuts into blocks: a walk, a move into a dwell, or a path
+    along -x on y = -0.0. Two samples may share a time, as in a merged
+    stream, but never three, so every window spans time."""
+    n = draw(st.integers(1, 150))
+    steps = np.array(draw(st.lists(st.integers(1, 90), min_size=n, max_size=n)))
+    tie = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    tie[1:] &= ~tie[:-1]
+    t_ms = np.cumsum(np.where(tie, 0, steps)) + draw(st.integers(0, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t_s = (t_ms - t_ms[0]) / 1000.0
+    shape = draw(st.sampled_from(["walk", "dwell", "minus_x"]))
+    if shape == "walk":
+        xy = np.cumsum(rng.normal(0.0, 30.0, size=(n, 2)), axis=0)
+    elif shape == "dwell":  # moving, then still: the heading is carried
+        stop = draw(st.integers(0, n))
+        xy = np.stack([500.0 * t_s, 300.0 * t_s], axis=1)
+        xy[stop:] = xy[stop - 1] if stop else 0.0
+    else:  # heading pi or -pi, decided by the sign of the zero sums
+        xy = np.stack([-500.0 * t_s, np.full(n, -0.0)], axis=1)
+    span_s = draw(st.sampled_from([0.05, 0.3, 3.0]))
+    sizes = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 64)), max_size=40))
+    cuts = set(np.cumsum(sizes).tolist())
+    starts = _whole_window_starts(t_ms, span_s)
+    if len(starts):
+        cuts |= set(draw(st.lists(st.sampled_from(starts.tolist()), max_size=4)))
+    return t_ms, xy, span_s, sorted({0, n} | {c for c in cuts if 0 < c < n})
+
+
+def _blocked_measurements(t_ms, xy, span_s, cuts):
+    rows, carry = [], None
+    for k0, k1 in zip(cuts, cuts[1:]):
+        block, carry = _segment_measurements(t_ms, xy, span_s, 100.0, k0, k1, carry)
+        rows.append(block)
+    return np.concatenate(rows)
+
+
+_T37 = np.arange(0, 120 * 37, 37)
+_ALONG_MINUS_X = np.stack([-0.5 * _T37, np.full(len(_T37), -0.0)], axis=1)
+_MOVE_THEN_DWELL = np.minimum(_T37, 2000)[:, None] * np.array([[-0.3, 0.4]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_segments())
+# blocks of 1, 2 and 3 rows; the first ends before row 2
+@example((_T37, _ALONG_MINUS_X, 3.0, [0, 1, 3, 6, 7, 9, 120]))
+# windows of 3 s reach sample 0 through row 80: the blocks at 40 and 80
+# start there, and the block at 81 at its window start, sample 1
+@example((_T37, _ALONG_MINUS_X, 3.0, [0, 2, 40, 80, 81, 82, 120]))
+# the dwell from row ~62 on keeps the heading, the last block's from the carry
+@example((_T37, _MOVE_THEN_DWELL, 0.3, [0, 5, 50, 54, 55, 101, 120]))
+def test_blocked_measurements_equal_whole_segment(case):
+    t_ms, xy, span_s, cuts = case
+    whole, _ = _segment_measurements(t_ms, xy, span_s, 100.0)
+    assert _bits(_blocked_measurements(t_ms, xy, span_s, cuts)).tolist() == _bits(whole).tolist()
 
 
 class TestRunFilter:
@@ -314,6 +388,23 @@ class TestRunFilter:
             assert np.diff(starts)[1:4].tolist() == [1, 1, 2]
         params = CtraParams()
         assert list(filter_one(stream, params, restarts)) == loop_filter(stream, params, restarts)
+
+    @pytest.mark.parametrize("steps", [1, 7, 64])
+    def test_blocked_lockstep_equals_per_sample_loop(self, steps, monkeypatch):
+        monkeypatch.setattr(ekf, "_STEPS_PER_BLOCK", steps)
+        # a curving merged-shape stream with ties, and a shorter one at 27 Hz
+        rng = np.random.default_rng(8)
+        ts = np.sort(np.concatenate([np.arange(0, 5000, 37), np.arange(0, 5000, 10)[::3]]))
+        t_s = ts / 1000.0
+        xy = np.stack([800.0 * np.sin(0.6 * t_s), 500.0 * t_s], axis=1)
+        streams = [
+            make_stream(ts, xy + rng.normal(0.0, 15.0, size=xy.shape)),
+            constant_position_stream(40.0, 120, seed=6),
+        ]
+        params, restarts = CtraParams(), [1850.5, 2011.0, 2036.0]
+        out = run_filter(streams, params, restarts)
+        for stream, result in zip(streams, out):
+            assert list(result) == loop_filter(stream, params, restarts)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_names_the_sample(self):

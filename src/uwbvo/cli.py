@@ -51,8 +51,8 @@ from .metrics import (
     report_row,
     stop_accuracy,
 )
-from .pipeline import PipelineParams, StopDetectionFailure
-from .simulate import ScenarioConfig, build_truth, sample_times, simulate_pair
+from .pipeline import VO_SELECTED, PipelineParams, StopDetectionFailure
+from .simulate import ScenarioConfig, build_truth, sample_times, simulate_pair, synth_uwb
 
 USAGE_ERROR = 1
 EXPERIMENT_ERROR = 2
@@ -63,6 +63,21 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(USAGE_ERROR)
+
+
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_param_overrides(p: argparse.ArgumentParser) -> None:
@@ -176,15 +191,18 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_methods(values: list[str]) -> list[BaselineKind]:
+    """The methods named, each once, in the order first named."""
     if not values or "all" in values:
         return list(BaselineKind)
     out = []
     for v in values:
         try:
-            out.append(BaselineKind(v))
+            kind = BaselineKind(v)
         except ValueError:
             valid = ", ".join(k.value for k in BaselineKind)
             raise ConfigError(f"unknown method {v!r} (choose from: {valid}, all)")
+        if kind not in out:
+            out.append(kind)
     return out
 
 
@@ -226,7 +244,7 @@ def _score_and_write(
         method_value, seed, track if track is not None else samples, truth
     )
     name = f"{method_value}_{seed:04d}.csv"
-    modes = track.modes if track is not None else ["vo"] * len(samples)
+    modes = track.modes if track is not None else [VO_SELECTED] * len(samples)
     _write_rows(
         tracks_dir / f"track_{name}",
         TRACK_HEADER,
@@ -261,7 +279,7 @@ def _score_and_write(
                     e.estimate.support,
                     e.estimate.samples_consumed,
                     int(e.estimate.complete),
-                    int(e.corrected),
+                    int(e.restart),  # the corrected column: a correction is a restart
                     int(e.restart),
                 ]
                 for e in track.stop_events
@@ -336,7 +354,7 @@ def cmd_run(args) -> int:
 
     (logs_dir / "tracks").mkdir(exist_ok=True)
     # a batch per worker while that keeps every worker busy
-    size = min(_SEEDS_PER_LOCKSTEP, math.ceil(len(seeds) / max(args.jobs, 1)))
+    size = min(_SEEDS_PER_LOCKSTEP, math.ceil(len(seeds) / args.jobs))
     batches = [seeds[i : i + size] for i in range(0, len(seeds), size)]
     task = partial(_run_seeds, logs_dir, scenario.plan, params, methods)
     if args.jobs > 1:
@@ -379,7 +397,6 @@ def read_reports(path: Path) -> list[RunReport]:
                     RunReport(
                         method=row["method"],
                         seed=int(row["seed"]),
-                        per_stop_error=(),
                         avg_stop_mm=float(row["avg_stop_mm"]),
                         std_stop_mm=float(row["std_stop_mm"]),
                         rmse_mm=float(row["rmse_mm"]),
@@ -415,8 +432,8 @@ def raw_stop_accuracy(scenario: ScenarioConfig, sigma_mm: float, seeds: int) -> 
     truth = build_truth(probe.plan)
     values = []
     for seed in range(seeds):
-        pair, _, _ = simulate_pair(probe, seed)
-        values.append(stop_accuracy(pair.uwb, truth).avg_mm)
+        uwb = synth_uwb(truth, probe.uwb, seed).samples  # simulate_pair's UWB, without the VO
+        values.append(stop_accuracy(uwb, truth).avg_mm)
     return float(np.mean(values))
 
 
@@ -460,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate stream-pair + truth logs")
     p_sim.add_argument("--scenario", default="default",
                        help="preset name or config file path")
-    p_sim.add_argument("--seeds", type=int, default=1, help="use seeds 0..N-1")
-    p_sim.add_argument("--seed", type=int, action="append", default=[],
+    p_sim.add_argument("--seeds", type=_int_at_least(0), default=1, help="use seeds 0..N-1")
+    p_sim.add_argument("--seed", type=_int_at_least(0), action="append", default=[],
                        help="explicit seed (repeatable; overrides --seeds)")
     p_sim.add_argument("--out", required=True, help="output directory")
     _add_param_overrides(p_sim)
@@ -471,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--logs", required=True, help="directory from simulate")
     p_run.add_argument("--method", action="append", default=[],
                        help="method name or 'all' (repeatable)")
-    p_run.add_argument("--seeds", type=int, default=1)
-    p_run.add_argument("--seed", type=int, action="append", default=[])
-    p_run.add_argument("--jobs", type=int, default=1,
+    p_run.add_argument("--seeds", type=_int_at_least(0), default=1)
+    p_run.add_argument("--seed", type=_int_at_least(0), action="append", default=[])
+    p_run.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="worker processes, each running batches of up to "
                             f"{_SEEDS_PER_LOCKSTEP} seeds")
     _add_param_overrides(p_run)

@@ -56,7 +56,6 @@ class ClusterParams:
 class StopEstimate:
     """Result of one detector instance."""
 
-    index: int
     pos: Position2D
     support: int
     samples_consumed: int
@@ -78,9 +77,8 @@ class StopClusterer:
     stops at the first block that terminates.
     """
 
-    def __init__(self, params: ClusterParams, stop_index: int = 0) -> None:
+    def __init__(self, params: ClusterParams) -> None:
         self.params = params
-        self.stop_index = stop_index
         # the distinct values, in order of first arrival, and their counts
         self._points = np.empty((0, 2), dtype=np.float64)
         self._counts = np.zeros(0, dtype=np.int64)
@@ -167,7 +165,6 @@ class StopClusterer:
             winner = int(np.argmax(counts))
         pos = Position2D(float(self._points[winner, 0]), float(self._points[winner, 1]))
         return StopEstimate(
-            index=self.stop_index,
             pos=pos,
             support=int(counts[winner]),
             samples_consumed=self._consumed,

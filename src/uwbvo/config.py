@@ -1,9 +1,11 @@
 """Scenario and parameter files: a flat key-value format with sections.
 
-One file carries everything needed to reproduce a run: the flight plan, both
-sensor models, the filter noise configuration, and the fusion thresholds.
+One file carries everything needed to reproduce a run but the seeds: the
+flight plan, both sensor models, the filter noise configuration, and the
+fusion thresholds. Seeds come from the command line (``--seed``/``--seeds``).
 ``simulate`` writes the resolved file next to the logs it generates so that
-``run`` can pick it up without further flags.
+``run`` can pick it up without further flags. Unknown keys are ignored, so
+older files with the unused ``kind``, ``seed`` and ``[anchors]`` still load.
 
 Unit conventions inside the file: lengths in mm, times in s or ms as named,
 angles in radians. The filter diagonals are ordered like the state
@@ -83,8 +85,8 @@ def save_config(
 ) -> None:
     """Write one reproducible scenario + parameter file."""
     cp = configparser.ConfigParser()
-    cp["meta"] = {"schema_version": str(SCHEMA_VERSION), "kind": "scenario"}
-    cp["scenario"] = {"name": scenario.name, "seed": str(scenario.seed)}
+    cp["meta"] = {"schema_version": str(SCHEMA_VERSION)}
+    cp["scenario"] = {"name": scenario.name}
     plan = scenario.plan
     cp["flight_plan"] = {
         "stops": _fmt_points(plan.stops),
@@ -109,7 +111,6 @@ def save_config(
         "underestimate_scale_max": _fmt_float(under.scale_range[1]),
         "forced_fault_segments": ",".join(str(i) for i in under.forced_segments),
     }
-    cp["anchors"] = {"points": _fmt_points(scenario.anchors)}
     ekf = params.ekf
     cp["ekf"] = {
         "q_diag": ", ".join(_fmt_float(v) for v in ekf.q_diag),
@@ -183,8 +184,6 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, PipelineParams]:
             plan=plan,
             uwb=uwb,
             vo=vo,
-            anchors=_parse_points(cp.get("anchors", "points"), "anchors.points"),
-            seed=cp.getint("scenario", "seed", fallback=0),
         )
         ekf = CtraParams(
             q_diag=_parse_floats(cp.get("ekf", "q_diag"), 6, "ekf.q_diag"),

@@ -85,7 +85,6 @@ class RunReport:
 
     method: str
     seed: int
-    per_stop_error: tuple[float, ...]
     avg_stop_mm: float
     std_stop_mm: float
     rmse_mm: float
@@ -101,7 +100,6 @@ class RunReport:
         return RunReport(
             method=method,
             seed=seed,
-            per_stop_error=tuple(err for _, err in acc.per_stop),
             avg_stop_mm=acc.avg_mm,
             std_stop_mm=acc.std_mm,
             rmse_mm=rmse,

@@ -126,8 +126,7 @@ class StopDecision:
     estimate: StopEstimate
     closest_vo: Position2D
     distance_mm: float
-    corrected: bool
-    restart: bool
+    restart: bool  # the estimate was folded into w, and a sensor restart requested
 
 
 @dataclass
@@ -143,7 +142,7 @@ class FusedTrack:
 
     @property
     def corrections(self) -> int:
-        return sum(1 for e in self.stop_events if e.corrected)
+        return len(self.restarts)
 
 
 def run_pipeline(
@@ -270,7 +269,6 @@ def _run(
                 estimate=est,
                 closest_vo=y_oi,
                 distance_mm=dist,
-                corrected=restart,
                 restart=restart,
             )
         )
@@ -287,7 +285,7 @@ def _run(
         detector = est = None
         if began.size:
             rows = start + began[0] + np.flatnonzero(gated[began[0] :])
-            detector = StopClusterer(params.cluster, stop_index=visit.stop_index)
+            detector = StopClusterer(params.cluster)
             est = detector.push(u[rows])
         if est is not None:
             k = int(rows[est.samples_consumed - 1])

@@ -7,8 +7,9 @@ while dwelling.
 
 Sensor streams are synthesized from the truth:
 
-* UWB: truth at its sample rate plus isotropic white Gaussian noise; with
-  some probability per stop window, a burst of samples early in the dwell is
+* UWB: the positioning unit's position output, not its anchor ranges:
+  truth at its sample rate plus isotropic white Gaussian noise; with some
+  probability per stop window, a burst of samples late in the dwell is
   displaced along a random direction with growing magnitude, imitating the
   asymmetric outlier rays seen when an anchor drops out.
 * Visual odometer: truth plus small Gaussian noise, but affected segments
@@ -20,9 +21,9 @@ Sensor streams are synthesized from the truth:
   next, into one full-length array; :func:`synth_vo` is that sensor filled
   to its end without reboots.
 
-Everything is a pure function of (config, seed): one seed is split into
-independent child generators for UWB noise, UWB rays, VO noise, and VO
-faults, in that order.
+Everything is a pure function of (config, seed); a config holds no seed.
+One seed is split into independent child generators for UWB noise, UWB
+rays, VO noise, and VO faults, in that order.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ class StopWindow:
 @dataclass(frozen=True)
 class SegmentInfo:
     index: int
-    from_stop: int
     to_stop: int
     t0_ms: float
     t1_ms: float
@@ -157,7 +157,6 @@ def build_truth(plan: FlightPlan) -> GroundTruth:
         segments.append(
             SegmentInfo(
                 index=visit,
-                from_stop=stop_idx,
                 to_stop=stop_order[visit + 1],
                 t0_ms=t_seg_start,
                 t1_ms=t,
@@ -251,8 +250,6 @@ class ScenarioConfig:
     plan: FlightPlan
     uwb: UwbModel = field(default_factory=UwbModel)
     vo: VoModel = field(default_factory=VoModel)
-    anchors: tuple[Position2D, ...] = ()
-    seed: int = 0
 
 
 class RayEvent(NamedTuple):
@@ -289,7 +286,7 @@ def sample_times(rate_hz: float, duration_ms: float) -> np.ndarray:
 
 
 def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:
-    """Noisy UWB positions plus optional early-dwell outlier rays."""
+    """Noisy UWB positions plus optional late-dwell outlier rays."""
     rng_noise, rng_ray, _, _ = _child_rngs(seed)
     ts = sample_times(model.rate_hz, truth.duration_ms)
     xy = truth.sample(ts) + rng_noise.normal(0.0, model.sigma_mm, size=(len(ts), 2))
@@ -442,12 +439,10 @@ class VoSensor:
         elif not 0 <= at <= n:
             raise ValueError(f"reboot at sample {at} outside the stream [0, {n}]")
         self.fill(at)
-        # the segment state the old frame reached at sample at - 1
-        t_prev = float(self.ts[at - 1]) if at else -math.inf
-        segs = self.truth.segments
-        started = int(np.searchsorted([s.t0_ms for s in segs], t_prev, side="right"))
-        self._seg_ptr = int(np.searchsorted([s.t1_ms for s in segs], t_prev, side="right"))
-        self._in_segment = started > self._seg_ptr
+        # the segment state the old frame reached at sample at - 1, by the
+        # walk fill uses; the frame it leaves is replaced below
+        self._seg_ptr, self._in_segment = 0, False
+        self._advance_segments(float(self.ts[at - 1]) if at else -math.inf)
         t_now = float(self.ts[min(at, n - 1)])
         true_now = self.truth.sample(np.array([t_now]))[0]
         self._ref_pos = true_now
@@ -469,8 +464,8 @@ def simulate_pair(scenario: ScenarioConfig, seed: int) -> tuple[StreamPair, UwbT
 # ---------------------------------------------------------------------------
 # scenario presets
 
-# Counterclockwise loop: the vertices of an octagon inscribed in the 3 m
-# anchor square plus the midpoint of every octagon edge, starting at
+# Counterclockwise loop: the vertices of an octagon inscribed in a 3 m
+# square plus the midpoint of every octagon edge, starting at
 # (1000, 0). Stop 6 is (3000, 1500).
 _LOOP_STOPS = (
     (1000.0, 0.0),
@@ -489,13 +484,6 @@ _LOOP_STOPS = (
     (0.0, 1500.0),
     (0.0, 1000.0),
     (500.0, 500.0),
-)
-
-_ANCHORS = (
-    Position2D(3000.0, 0.0),
-    Position2D(3000.0, 3000.0),
-    Position2D(0.0, 3000.0),
-    Position2D(0.0, 0.0),
 )
 
 # Segments are numbered by their departure stop (0-based); 4..15 are the
@@ -521,7 +509,6 @@ def default_scenario() -> ScenarioConfig:
         plan=default_plan(),
         uwb=UwbModel(),
         vo=VoModel(),
-        anchors=_ANCHORS,
     )
 
 

@@ -29,9 +29,8 @@ class StopClusterer:
     (a few hundred points), so no spatial index is warranted.
     """
 
-    def __init__(self, params: ClusterParams, stop_index: int = 0) -> None:
+    def __init__(self, params: ClusterParams) -> None:
         self.params = params
-        self.stop_index = stop_index
         self._points = np.empty((256, 2), dtype=np.float64)
         self._counts = np.zeros(256, dtype=np.int64)
         self._slots: dict[tuple[float, float], int] = {}
@@ -98,7 +97,6 @@ class StopClusterer:
             winner = int(np.argmax(counts)) if self._n else 0
         pos = Position2D(float(self._points[winner, 0]), float(self._points[winner, 1]))
         return StopEstimate(
-            index=self.stop_index,
             pos=pos,
             support=int(counts[winner]) if self._n else 0,
             samples_consumed=self._consumed,

@@ -158,7 +158,6 @@ def _run(
                 estimate=est,
                 closest_vo=y_oi,
                 distance_mm=dist,
-                corrected=restart,
                 restart=restart,
             )
         )
@@ -203,7 +202,7 @@ def _run(
         stop = plan.stops[visit.stop_index]
         gated = region_gate(y_u_hold, stop, gamma)
         if detector is None and mode == KALMAN_SELECTED and gated:
-            detector = StopClusterer(params.cluster, stop_index=visit.stop_index)
+            detector = StopClusterer(params.cluster)
         if detector is not None and gated:
             est = detector.push(y_u_hold)
             if est is not None:

@@ -11,6 +11,7 @@ from uwbvo.cli import main
 from uwbvo.config import default_pipeline_params, load_config, save_config
 from uwbvo.core import FlightPlan, Position2D, Stream, read_log
 from uwbvo.ekf import FilterError, run_filter
+from uwbvo.metrics import stop_accuracy
 from uwbvo.pipeline import stop_visits
 from uwbvo.simulate import (
     RaySpec,
@@ -18,6 +19,8 @@ from uwbvo.simulate import (
     ScenarioConfig,
     UwbModel,
     VoModel,
+    best_case_scenario,
+    simulate_pair,
 )
 
 
@@ -113,6 +116,26 @@ def test_jobs_parallel_matches_serial(tmp_path):
         assert dir_bytes(out_a) == dir_bytes(out_b)
 
 
+def _rows(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_repeated_method_runs_once(tmp_path, capsys):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(small_scenario_file(tmp_path)),
+                 "--out", str(out), "--k1", "40", "--k2", "120"]) == 0
+    capsys.readouterr()
+    assert main(["run", "--logs", str(out), "--method", "raw-uwb", "--method", "raw-uwb"]) == 0
+    assert "wrote 1 reports" in capsys.readouterr().out
+    assert [(r["method"], r["seed"]) for r in _rows(out / "reports.csv")] == [("raw-uwb", "0")]
+    assert main(["compare", str(out)]) == 0
+    assert [r["seeds"] for r in _rows(out / "compare.csv")] == ["1"]
+    assert main(["run", "--logs", str(out), "--method", "all", "--method", "raw-uwb"]) == 0
+    cells = [(r["method"], r["seed"]) for r in _rows(out / "reports.csv")]
+    assert len(cells) == len(set(cells)) == len(BaselineKind)
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing --out
@@ -126,6 +149,20 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--logs", str(out), "--method", "teleport"]) == 1
     assert main(["run", "--logs", str(out), "--seeds", "5"]) == 1  # missing logs
     assert main(["run", "--logs", str(out), "--seeds", "0"]) == 1  # no seeds
+    # a negative seed or seed count, or fewer than one worker, fails in parsing,
+    # naming the flag, before any file is written
+    listing = sorted(out.rglob("*"))
+    for command, flag, value in (("simulate", "--seed", "-3"), ("simulate", "--seeds", "-1"),
+                                 ("run", "--seed", "-1"), ("run", "--seeds", "-2"),
+                                 ("run", "--jobs", "0"), ("run", "--jobs", "-2")):
+        where = ["--out", str(tmp_path / "neg")] if command == "simulate" else ["--logs", str(out)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, *where, flag, value])
+        assert exc.value.code == 1, (command, flag)
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err, (command, flag)
+    assert not (tmp_path / "neg").exists()
+    assert sorted(out.rglob("*")) == listing
     # overrides that no threshold can take: NaN compares false, so it would pass a bare "<= 0"
     for flag, value in [("--beta-mm", "nan"), ("--beta-mm", "-5"), ("--alpha-mm", "nan"),
                         ("--gamma-mm", "inf"), ("--beta-mm", "inf")]:
@@ -367,6 +404,25 @@ def test_clean_rerun_removes_stale_failures(tmp_path):
     assert (out / "failures.csv").exists()
     assert main(["run", "--logs", str(out), "--method", "raw-uwb"]) == 0
     assert not (out / "failures.csv").exists()
+
+
+def test_calibrate_scores_the_uwb_stream_of_simulate_pair(monkeypatch):
+    scored = []
+
+    def recording_stop_accuracy(track, truth):
+        scored.append(track)
+        return stop_accuracy(track, truth)
+
+    monkeypatch.setattr(cli, "stop_accuracy", recording_stop_accuracy)
+    scenario = best_case_scenario()
+    cli.raw_stop_accuracy(scenario, 90.0, 3)
+    probe = replace(scenario, uwb=replace(scenario.uwb, sigma_mm=90.0))
+    assert len(scored) == 3
+    for seed, stream in enumerate(scored):
+        expected = simulate_pair(probe, seed)[0].uwb
+        assert stream.source == expected.source
+        assert stream.t_ms.tobytes() == expected.t_ms.tobytes()
+        assert stream.xy.tobytes() == expected.xy.tobytes()
 
 
 @pytest.mark.parametrize("flag", ["--seeds", "--rounds"])

@@ -18,20 +18,20 @@ def as_rows(stream) -> np.ndarray:
     return np.array([(p.x, p.y) for p in stream], dtype=np.float64).reshape(-1, 2)
 
 
-def detect_stop(stream, params: ClusterParams, stop_index: int = 0) -> StopEstimate:
+def detect_stop(stream, params: ClusterParams) -> StopEstimate:
     """Run one detector instance over a sample stream of positions.
 
     Returns a complete estimate as soon as the termination count is reached;
     if the stream runs out first, returns the best-so-far estimate flagged
     incomplete (the caller decides whether its support suffices).
     """
-    clusterer = StopClusterer(params, stop_index)
+    clusterer = StopClusterer(params)
     return clusterer.push(as_rows(stream)) or clusterer.finish()
 
 
-def oracle_detect(stream, params: ClusterParams, stop_index: int = 0) -> StopEstimate:
+def oracle_detect(stream, params: ClusterParams) -> StopEstimate:
     """:func:`detect_stop` with the per-sample clusterer of ``cluster_oracle``."""
-    clusterer = cluster_oracle.StopClusterer(params, stop_index)
+    clusterer = cluster_oracle.StopClusterer(params)
     for pos in stream:
         result = clusterer.push(pos)
         if result is not None:
@@ -170,8 +170,8 @@ def test_dense_cloud_with_outlier_ray_default_thresholds():
     points, is_ray = cloud_and_ray_stream(
         rng, 700, 5.0, np.array([1000.0, 0.0]), 50, 500.0
     )
-    est = detect_stop(points, params, stop_index=3)
-    assert est.complete and est.index == 3
+    est = detect_stop(points, params)
+    assert est.complete
     winner = points.index(est.pos)
     assert not is_ray[winner]
     assert euclidean(est.pos, Position2D(1000.0, 0.0)) < 3 * 5.0
@@ -318,7 +318,7 @@ def chunkings(n, cuts, at):
 def pushed_in_calls(rows, params, sizes):
     """The estimate of a block clusterer fed ``rows`` in calls of ``sizes``
     (cut short at the stream's end), then the rest in one call."""
-    clusterer = StopClusterer(params, stop_index=7)
+    clusterer = StopClusterer(params)
     bounds = np.cumsum([0, *sizes, len(rows)]).clip(max=len(rows))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         est = clusterer.push(rows[lo:hi])
@@ -343,7 +343,7 @@ def pushed_in_calls(rows, params, sizes):
 def test_block_push_matches_per_sample_oracle(seed, n, spread, noisy_share, k1, extra, cuts):
     params = ClusterParams(alpha_mm=10.0, k1=k1, k2=k1 + extra, gamma_mm=100.0)
     stream = tie_stream(seed, n, spread, noisy_share)
-    expected = oracle_detect(stream, params, stop_index=7)
+    expected = oracle_detect(stream, params)
     last = expected.samples_consumed - 1 if expected.complete else None
     cuts = np.diff(sorted({0, *cuts})).tolist()
     rows = as_rows(stream)

@@ -31,6 +31,33 @@ def test_round_trip_preserves_everything(tmp_path):
     assert loaded_params == params
 
 
+def test_file_holds_no_seed_kind_or_anchors(tmp_path):
+    path = tmp_path / "scenario.ini"
+    save_config(worst_case_scenario(), default_pipeline_params(), path)
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    assert dict(cp["meta"]) == {"schema_version": "1"}
+    assert dict(cp["scenario"]) == {"name": "worst-case"}
+    assert "anchors" not in cp
+
+
+def test_file_with_the_dropped_keys_still_loads(tmp_path):
+    # files written before the seed, kind and anchors were dropped carry them
+    scenario, params = worst_case_scenario(), default_pipeline_params()
+    path = tmp_path / "scenario.ini"
+    save_config(scenario, params, path)
+    text = path.read_text()
+    for before, after in (
+        ("schema_version = 1\n", "schema_version = 1\nkind = scenario\n"),
+        ("name = worst-case\n", "name = worst-case\nseed = 0\n"),
+        ("\n[ekf]\n", "\n[anchors]\npoints = 3000,0; 3000,3000; 0,3000; 0,0\n\n[ekf]\n"),
+    ):
+        assert text.count(before) == 1
+        text = text.replace(before, after)
+    path.write_text(text)
+    assert load_config(path) == (scenario, params)
+
+
 def test_resolve_presets():
     for name in ("default", "worst-case", "best-case"):
         scenario, params = resolve_scenario(name)

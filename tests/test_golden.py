@@ -7,8 +7,10 @@ before streams became columnar; a change that alters any written byte fails
 here. The live digests cover ``run_pipeline_live`` over a rebooting
 ``VoSensor`` (track bytes, modes, restarts, correction vectors, stop
 decisions and sensor reboots); they were recorded from the per-sample fusion
-loop, before it was driven by UWB ticks. A digest is only ever re-recorded
-for a deliberate change of an output format, never to make a refactor pass.
+loop, before it was driven by UWB ticks. Stop decisions are pinned by their
+values, so a field added to the record leaves the digest alone. A digest is
+only ever re-recorded for a deliberate change of an output format, never to
+make a refactor pass.
 """
 import hashlib
 import io
@@ -25,7 +27,7 @@ GOLDEN_SHA256 = {
     "compare.csv": "c6bf25947a62cce5de1c550c00c090b3f63c48d48c996d0da72e520c9c84d9a2",
     "meta_0000.json": "81c3cede877fa31c9388a1f95bcb5781799b13db2faa8f463d991fac02b4e98a",
     "reports.csv": "729cd065cad2ddea1772226a9770a5f321aec9ca2ec6f8a72e94b48466744480",
-    "scenario.ini": "6ba760398033801cfd1a1d12cac794ebf5b415e6e1ec784df19d8f9697a5deb6",
+    "scenario.ini": "d7716452a91ad33b400f2db31e61bc3e5ed4cf9c673a911f3429ace2485ae69f",
     "streams_0000.csv": "0301f1d35e549277fe0e4081d21f00bb09cc17f32e62db169d0a937ff0595b09",
     "tracks/errors_avg-fusion_0000.csv": "f8ca96ac0668e296e6663f2387425ac73ee2a44b9445f547aefc72975b0eb09b",
     "tracks/errors_direct-fusion_0000.csv": "76495d0d40a1b4d5542d26ff0703842c5d26e9db3cb93f7b77034abfa60d2171",
@@ -73,9 +75,19 @@ LIVE_SHA256 = {
     "modes": "3bc14cc5fbd413600537ddf0a2e13748225723b2b9fc3c0912a058e186f9fbf7",
     "restarts": "8eca37fdaaa8aa20d8255bde57ab9abe4b18ebe3e0fc133dc2c6c8687a5f958d",
     "w_history": "6baf1d557edebdd463e1af8d22a14990f0d109021003ddfca36f35684fb1ca5f",
-    "stop_events": "817e8a3476ab139a4974ac2b63ab933e25aaf1ee5cf8caf778c6cd1907dbd650",
+    "stop_events": "549bfb279d78a88d8c92fa246af175eb5149417b46b69e481d6d165eaf78ced3",
     "reboots": "af51c50edfcb73e0a7abb771748c169ccc83100a903b6c8e0714118c0240aa7d",
 }
+
+
+def _decision_values(e) -> tuple:
+    """One stop decision's values, in a tuple that does not name the record's fields."""
+    est = e.estimate
+    return (
+        e.stop_index, e.t_ms, e.planned.x, e.planned.y, est.pos.x, est.pos.y,
+        est.support, est.samples_consumed, est.complete, e.closest_vo.x, e.closest_vo.y,
+        e.distance_mm, e.restart,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +101,7 @@ def live_parts():
         "modes": "\n".join(track.modes).encode(),
         "restarts": repr(track.restarts).encode(),
         "w_history": repr(track.w_history).encode(),
-        "stop_events": repr(track.stop_events).encode(),
+        "stop_events": repr([_decision_values(e) for e in track.stop_events]).encode(),
         "reboots": repr(sensor.reboots).encode(),
     }
 

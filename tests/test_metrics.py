@@ -189,7 +189,6 @@ def _report(method, seed, avg=1.0, rmse=2.0):
     return RunReport(
         method=method,
         seed=seed,
-        per_stop_error=(avg,),
         avg_stop_mm=avg,
         std_stop_mm=0.1,
         rmse_mm=rmse,

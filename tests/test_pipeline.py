@@ -177,7 +177,7 @@ def test_correction_algebra_on_injected_fault():
     track = replay_pipeline(pair, scenario.plan, small_params())
     assert track.corrections == 1 and len(track.restarts) == 1
     event = track.stop_events[0]
-    assert event.corrected and event.stop_index == 1
+    assert event.restart and event.stop_index == 1
     assert euclidean(event.estimate.pos, scenario.plan.stops[1]) <= 10.0
     corrected = stop_accuracy(track, truth)
     far_stop_error = dict(corrected.per_stop)[1]
@@ -215,7 +215,7 @@ def test_correction_applied_once_not_compounded():
     pair, _, _ = simulate_pair(scenario, 9)
     track = replay_pipeline(pair, scenario.plan, small_params())
     event = track.stop_events[0]
-    assert event.corrected
+    assert event.restart
     ts = [s.t_ms for s in track.samples]
     k = next(i for i, t in enumerate(ts) if t >= event.t_ms)
     jump = euclidean(track.samples[k + 1].pos, track.samples[k].pos)

@@ -380,12 +380,6 @@ class TestScenarios:
         }
         assert named <= {(p.x, p.y) for p in stops}
         assert scenario.plan.closed  # the loop returns to the first stop
-        assert {(a.x, a.y) for a in scenario.anchors} == {
-            (3000.0, 0.0),
-            (3000.0, 3000.0),
-            (0.0, 3000.0),
-            (0.0, 0.0),
-        }
         assert scenario.plan.min_stop_separation() == 500.0
         truth = build_truth(scenario.plan)
         assert truth.stop_windows[-1].stop_index == 0

@@ -51,7 +51,7 @@ from .metrics import (
     report_row,
     stop_accuracy,
 )
-from .pipeline import VO_SELECTED, PipelineParams, StopDetectionFailure
+from .pipeline import MODE_NAMES, VO_SELECTED, PipelineParams, StopDetectionFailure
 from .simulate import ScenarioConfig, build_truth, sample_times, simulate_pair, synth_uwb
 
 USAGE_ERROR = 1
@@ -141,7 +141,7 @@ def _truth_csv_bytes(truth, rate_hz: float) -> bytes:
         stop_idx[inside] = w.stop_index
     header = csv_header(("t_ms", "x_mm", "y_mm", "stop_index"))
     blocks = csv_blocks("%d,%.1f,%.1f,%d\r\n", ts, *xy.T, stop_idx)
-    return "".join([header, *blocks]).encode("utf-8")
+    return b"".join([header, *blocks])
 
 
 def cmd_simulate(args) -> int:
@@ -231,9 +231,9 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_rows(path: Path, header, row_format: str, *columns) -> None:
+def _write_rows(path: Path, header, row_format: str, *columns, words=()) -> None:
     """Write one ``row_format`` line per row of the columns, a block at a time."""
-    write_blocks(path, header, csv_blocks(row_format, *columns))
+    write_blocks(path, header, csv_blocks(row_format, *columns, words=words))
 
 
 def _score_and_write(
@@ -244,14 +244,19 @@ def _score_and_write(
         method_value, seed, track if track is not None else samples, truth
     )
     name = f"{method_value}_{seed:04d}.csv"
-    modes = track.modes if track is not None else [VO_SELECTED] * len(samples)
+    # a fused track names each sample's mode; every other track is all VO
+    if track is not None:
+        mode_field, mode_codes = "%s", (track.kalman,)
+    else:
+        mode_field, mode_codes = VO_SELECTED, ()
     _write_rows(
         tracks_dir / f"track_{name}",
         TRACK_HEADER,
-        "%d,%.1f,%.1f,%s\r\n",
+        f"%d,%.1f,%.1f,{mode_field}\r\n",
         samples.t_ms,
         *samples.xy.T,
-        modes,
+        *mode_codes,
+        words=MODE_NAMES,
     )
     # plot data: the error-vs-time curve, decimated to a plottable size
     ts = samples.t_ms.astype(np.float64)
@@ -438,9 +443,6 @@ def raw_stop_accuracy(scenario: ScenarioConfig, sigma_mm: float, seeds: int) -> 
 
 
 def cmd_calibrate(args) -> int:
-    if args.seeds < 1 or args.rounds < 1:
-        print("error: --seeds and --rounds must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
     if not (math.isfinite(args.target_mm) and args.target_mm > 0):
         print("error: --target-mm must be finite and positive", file=sys.stderr)
         return USAGE_ERROR
@@ -506,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--scenario", default="default")
     p_cal.add_argument("--target-mm", type=float, default=131.9)
     p_cal.add_argument("--tol-mm", type=float, default=3.0)
-    p_cal.add_argument("--seeds", type=int, default=5)
-    p_cal.add_argument("--rounds", type=int, default=3)
+    p_cal.add_argument("--seeds", type=_int_at_least(1), default=5)
+    p_cal.add_argument("--rounds", type=_int_at_least(1), default=3)
     p_cal.add_argument("--write-config", help="write the calibrated scenario here")
     p_cal.set_defaults(func=cmd_calibrate)
     return parser

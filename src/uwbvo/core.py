@@ -7,9 +7,9 @@ quantized samples reads back bit-exact.
 
 A :class:`Stream` holds one source's timestamps and positions as arrays,
 validated once; :class:`Position2D` and :class:`Sample` are the scalar
-types. All are immutable (a Stream owns read-only copies of its arrays, so
-writing into them raises) and all operations are pure functions, so they
-are safe to share across threads, worker processes and methods.
+types. All are immutable (a Stream's arrays are read-only, so writing into
+them raises) and all operations are pure functions, so they are safe to
+share across threads, worker processes and methods.
 """
 from __future__ import annotations
 
@@ -74,15 +74,32 @@ class Sample:
             raise ValueError(f"unknown sensor {self.source!r}")
 
 
+def _adopted(a, dtype) -> np.ndarray:
+    """``a`` itself if it is a read-only, C-ordered ``ndarray`` of ``dtype``
+    that owns its data: another stream's column, or an array its maker set
+    read-only to hand it over. Otherwise a C-ordered copy."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.flags.c_contiguous
+        and not a.flags.writeable
+        and a.base is None
+    ):
+        return a
+    return np.array(a, dtype=dtype, order="C")
+
+
 @dataclass(frozen=True, eq=False)
 class Stream:
     """One source's readings as columns: ``t_ms`` int64[N], ``xy`` float64[N, 2].
 
-    Both arrays are read-only copies, checked once here: a known source,
-    one position per timestamp, finite positions and timestamps in
+    Both arrays are read-only, checked once here: a known source, one
+    position per timestamp, finite positions and timestamps in
     non-decreasing order (a merged stream holds ties; :class:`StreamPair`
-    asks its streams for strictly increasing ones). Iterating or indexing
-    yields :class:`Sample` values for scalar consumers; a slice is a Stream.
+    asks its streams for strictly increasing ones). An input that is
+    already a read-only, C-ordered array of the right dtype owning its data
+    is kept as it is; any other is copied. Iterating or indexing yields :class:`Sample` values for scalar
+    consumers; a slice is a Stream.
     """
 
     t_ms: np.ndarray
@@ -92,8 +109,8 @@ class Stream:
     def __post_init__(self) -> None:
         if self.source not in SENSORS:
             raise ValueError(f"unknown sensor {self.source!r}")
-        t_ms = np.array(self.t_ms, dtype=np.int64)
-        xy = np.array(self.xy, dtype=np.float64, order="C")
+        t_ms = _adopted(self.t_ms, np.int64)
+        xy = _adopted(self.xy, np.float64)
         if xy.size == 0:
             xy = xy.reshape(0, 2)
         if t_ms.ndim != 1 or xy.shape != (len(t_ms), 2):
@@ -212,29 +229,138 @@ def nearest_indices(ts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.where(earlier, lo, hi)
 
 
-# rows formatted at a time: a block's Python values and text are all that
-# a write holds, whatever the length of the columns
-_ROWS_PER_BLOCK = 4096
+# rows formatted at a time: a block's byte matrix and digit columns are all
+# that a write holds, whatever the length of the columns
+_ROWS_PER_BLOCK = 16384
 
 
-def csv_blocks(row_format: str, *columns) -> Iterator[str]:
-    """The text of one ``row_format % row`` line per row of the columns, a
-    block of rows at a time: what ``csv`` writes for rows of numbers and
-    plain words, which need no quoting. A numpy column becomes Python
-    values one block at a time."""
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The text of 4-digit chunks as ``<u4``, for the higher chunks of a
+    number and for its lowest one, indexed by chunk + 10000 * (the chunk is
+    the number's leading one). An inner chunk keeps its zeros; a leading
+    chunk has NUL bytes in their place, so a leading 0 prints nothing,
+    except in the lowest place, where it prints "0"."""
+    i = np.arange(10000, dtype=np.int32)[:, None]
+    scale = np.array([1000, 100, 10, 1], dtype=np.int32)
+    inner = (48 + i // scale % 10).astype(np.uint8)
+    high = np.concatenate((inner, inner * (i >= scale)))
+    low = high.copy()
+    low[10000, 3] = ord("0")
+    return high.view("<u4").ravel(), low.view("<u4").ravel()
+
+
+_HIGH_CHUNKS, _LOW_CHUNKS = _chunk_tables()
+
+
+def _digits(a: np.ndarray) -> np.ndarray:
+    """Decimal digits of the uint64 ``a`` as a uint8 matrix, one row per
+    value, right-aligned and padded with NUL bytes."""
+    n_digits = len(str(int(a.max()))) if len(a) else 1
+    n_chunks = (n_digits + 3) // 4
+    out = np.empty((len(a), n_chunks), "<u4")
+    for k in range(n_chunks - 1, -1, -1):
+        higher = a // 10000
+        chunk = (a - higher * 10000).astype(np.intp)
+        table = _LOW_CHUNKS if k == n_chunks - 1 else _HIGH_CHUNKS
+        out[:, k] = table.take(np.where(higher == 0, chunk + 10000, chunk))
+        a = higher
+    return out.view(np.uint8)[:, 4 * n_chunks - n_digits :]
+
+
+def _sign(negative: np.ndarray) -> list[np.ndarray]:
+    """A column of ``-`` where ``negative``, or no column if none is."""
+    return [negative.view(np.uint8)[:, None] * ord("-")] if negative.any() else []
+
+
+def _int_field(column) -> list[np.ndarray]:
+    """``%d`` of every value of an integer column, as NUL-padded byte matrices."""
+    v = np.asarray(column, dtype=np.int64)
+    u = v.view(np.uint64)
+    negative = v < 0
+    return [*_sign(negative), _digits(np.where(negative, -u, u))]
+
+
+# |x| * 10 below 2**52: its fraction is exact, and its rounding decidable
+_VECTOR_MAX = 2.0**52 / 10
+
+
+def _tenths_field(column) -> list[np.ndarray]:
+    """``%.1f`` of every value of a float column, as NUL-padded byte matrices.
+
+    ``rint(|x| * 10)`` is the value's tenths unless ``|x| * 10`` lies within
+    4 ulps of a half (``a * 2**-50`` bounds 4 ulps of ``a``): a tie such as
+    0.25, or a near-tie the product may have rounded onto either side. Such
+    values, and those too large for the fraction to be exact, take
+    ``'%.1f' % v`` itself.
+    """
+    x = np.asarray(column, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite value in a %.1f column")
+    ax = np.abs(x)
+    large = ax >= _VECTOR_MAX
+    a = np.where(large, 0.0, ax) * 10
+    undecided = large | (np.abs(a - np.floor(a) - 0.5) <= a * 2.0**-50)
+    tenths = np.rint(a).astype(np.uint64)
+    units = tenths // 10
+    tail = np.full((len(x), 2), ord("."), np.uint8)
+    tail[:, 1] = tenths - units * 10 + ord("0")
+    pieces = [*_sign(np.signbit(x)), _digits(units), tail]
+    if undecided.any():
+        for piece in pieces:
+            piece[undecided] = 0
+        texts = np.array([b"%.1f" % v for v in x[undecided].tolist()])
+        text = np.zeros((len(x), texts.itemsize), np.uint8)
+        text[undecided] = texts.view(np.uint8).reshape(len(texts), -1)
+        pieces.append(text)
+    return pieces
+
+
+_CONVERSION = re.compile(r"(%d|%\.1f|%s)")
+
+
+def csv_blocks(row_format: str, *columns, words: Iterable[str] = ()) -> Iterator[bytes]:
+    """The bytes of one ``row_format % row`` line per row of the columns,
+    UTF-8 encoded, a block of rows at a time: what ``csv`` writes for rows
+    of numbers and plain words, which need no quoting.
+
+    ``row_format`` holds ``%d`` for integer columns, ``%.1f`` for float
+    columns and ``%s`` for columns of integer codes into ``words``, between
+    literal text. A block is built as a byte matrix, one row per line and
+    each field a column range padded with NUL bytes, and compacted by
+    dropping the NULs; no Python value is made per row. Non-finite floats
+    raise ValueError.
+    """
+    parts = _CONVERSION.split(row_format)
+    literals, conversions = parts[::2], parts[1::2]
+    if any("%" in s or "\0" in s for s in literals):
+        raise ValueError(f"unsupported row format {row_format!r}")
+    if len(conversions) != len(columns):
+        raise ValueError(f"row format {row_format!r} for {len(columns)} columns")
+    lit = [np.frombuffer(s.encode(), np.uint8) for s in literals]
+    word_bytes = np.array([w.encode() for w in words] or [b""])
+    word_table = word_bytes.view(np.uint8).reshape(len(word_bytes), -1)
+    fields = {
+        "%d": _int_field,
+        "%.1f": _tenths_field,
+        "%s": lambda codes: [word_table[np.asarray(codes, dtype=np.intp)]],
+    }
     for i in range(0, len(columns[0]), _ROWS_PER_BLOCK):
-        block = (c[i : i + _ROWS_PER_BLOCK] for c in columns)
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
-        yield "".join([row_format % row for row in rows])
+        n = min(_ROWS_PER_BLOCK, len(columns[0]) - i)
+        pieces = [np.broadcast_to(lit[0], (n, len(lit[0])))]
+        for conv, column, text in zip(conversions, columns, lit[1:]):
+            pieces += fields[conv](column[i : i + n])
+            pieces.append(np.broadcast_to(text, (n, len(text))))
+        m = np.concatenate(pieces, axis=1)
+        yield m[m != 0].tobytes()
 
 
-def csv_header(header) -> str:
-    return ",".join(header) + "\r\n"
+def csv_header(header) -> bytes:
+    return (",".join(header) + "\r\n").encode()
 
 
-def write_blocks(path, header, blocks: Iterable[str]) -> None:
-    """Write a CSV file: the header line, then the text blocks."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_blocks(path, header, blocks: Iterable[bytes]) -> None:
+    """Write a CSV file in binary mode: the header line, then the byte blocks."""
+    with open(path, "wb") as fh:
         fh.write(csv_header(header))
         fh.writelines(blocks)
 

@@ -520,4 +520,6 @@ def _lockstep(
             u[a:b, :2] = filt.state[:, :2]
         for out, at in placed:
             out[:] = u[at, :2]
+    for xy in out_xy:  # read-only: each output stream adopts its array, uncopied
+        xy.flags.writeable = False
     return [Stream(st.t_ms, xy, st.source) for st, xy in zip(streams, out_xy)]

@@ -48,8 +48,8 @@ from .simulate import StopWindow, VoSensor, build_truth
 
 VO_SELECTED = "vo"
 KALMAN_SELECTED = "kalman"
-# indexed by "KALMAN mode?": the two constants, shared by every FusedTrack.modes entry
-_MODE_NAMES = np.array([VO_SELECTED, KALMAN_SELECTED], dtype=object)
+# indexed by "KALMAN mode?": the mode names a track's flags stand for
+MODE_NAMES = (VO_SELECTED, KALMAN_SELECTED)
 
 
 class StopDetectionFailure(RuntimeError):
@@ -134,7 +134,7 @@ class FusedTrack:
     """Final fused output plus every event the run produced."""
 
     samples: Stream
-    modes: list[str]
+    kalman: np.ndarray  # bool per sample: the KALMAN mode selected it
     stop_events: list[StopDecision]
     restarts: list[tuple[int, int]]  # (t_ms, stop_index)
     w_history: list[tuple[int, float, float]]  # (t_ms, wx, wy) after changes
@@ -143,6 +143,11 @@ class FusedTrack:
     @property
     def corrections(self) -> int:
         return len(self.restarts)
+
+    @property
+    def modes(self) -> list[str]:
+        """The mode name of every sample, from :data:`MODE_NAMES`."""
+        return [MODE_NAMES[k] for k in self.kalman.tolist()]
 
 
 def run_pipeline(
@@ -225,7 +230,7 @@ def _run(
     w_after = np.zeros((n_uwb + 1, 2))
     kalman_after = np.zeros(n_uwb + 1, dtype=bool)  # the same for "mode is KALMAN"
 
-    track = FusedTrack(Stream((), (), VO), [], [], [], [(0, 0.0, 0.0)])
+    track = FusedTrack(Stream((), (), VO), np.zeros(0, bool), [], [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
     window_start = 0  # the corrected VO since the previous visit starts here
 
@@ -322,5 +327,6 @@ def _run(
     in_kalman = kalman_after[gov]
     out_xy[in_kalman] = filtered.xy[nearest_indices(uwb_t, vo_t[in_kalman])]
     track.samples = Stream(vo_t, out_xy, VO)
-    track.modes = _MODE_NAMES[in_kalman.view(np.uint8)].tolist()
+    in_kalman.flags.writeable = False
+    track.kalman = in_kalman
     return track

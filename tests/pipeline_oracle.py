@@ -97,7 +97,8 @@ def _run(
     # the output columns; track.samples is built from them at the end
     out_t: list[int] = []
     out_xy: list[tuple[float, float]] = []
-    track = FusedTrack(Stream((), (), VO), [], [], [], [(0, 0.0, 0.0)])
+    modes: list[str] = []
+    track = FusedTrack(Stream((), (), VO), np.zeros(0, bool), [], [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
     mode = VO_SELECTED
     y_u_hold: Position2D | None = None
@@ -226,7 +227,7 @@ def _run(
             out = (fx[i], fy[i])
         out_t.append(t)
         out_xy.append(out)
-        track.modes.append(mode)
+        modes.append(mode)
         prev_vo = next_vo
         next_vo = next(vo_iter, None)
 
@@ -234,4 +235,5 @@ def _run(
         close_visit(visits[visit_ptr].stop_index)
         visit_ptr += 1
     track.samples = Stream(out_t, out_xy, VO)
+    track.kalman = np.array([m == KALMAN_SELECTED for m in modes], dtype=bool)
     return track

@@ -428,9 +428,11 @@ def test_calibrate_scores_the_uwb_stream_of_simulate_pair(monkeypatch):
 @pytest.mark.parametrize("flag", ["--seeds", "--rounds"])
 def test_calibrate_without_seeds_or_rounds_is_usage_error(tmp_path, capsys, flag):
     written = tmp_path / "calibrated.ini"
-    assert main(["calibrate", "--scenario", "best-case", flag, "0",
-                 "--write-config", str(written)]) == 1
-    assert flag in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--scenario", "best-case", flag, "0",
+              "--write-config", str(written)])
+    assert exc.value.code == 1
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
     assert not written.exists()
 
 

@@ -20,6 +20,7 @@ from uwbvo.core import (
     read_log,
     write_log,
 )
+from uwbvo.ekf import run_filter
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -80,6 +81,38 @@ def test_stream_arrays_are_read_only_copies():
     assert stream[1] == Sample(5, Position2D(2.0, 3.0), VO)
     assert stream[1:] == Stream([5], [(2.0, 3.0)], VO)
     assert list(stream) == [stream[0], stream[1]]
+
+
+def test_stream_adopts_read_only_arrays_that_own_their_data():
+    ts, xy = np.array([0, 5]), np.array([[0.0, 1.0], [2.0, 3.0]])
+    ts.flags.writeable = xy.flags.writeable = False
+    stream = Stream(ts, xy, VO)
+    assert stream.t_ms is ts and stream.xy is xy
+    assert Stream(stream.t_ms, stream.xy, UWB).t_ms is ts  # another stream's columns
+    base = np.array([0, 5, 9])
+    view = base[:2]
+    view.flags.writeable = False  # read-only, but its base is not
+    assert not np.shares_memory(Stream(view, xy, VO).t_ms, base)
+    xy_wrong_dtype = np.array([[0, 1], [2, 3]])
+    xy_wrong_dtype.flags.writeable = False
+    assert Stream(ts, xy_wrong_dtype, VO).xy.dtype == np.float64
+    xy_fortran = np.asfortranarray(np.array([[0.0, 1.0], [2.0, 3.0]]))
+    xy_fortran.flags.writeable = False
+    assert Stream(ts, xy_fortran, VO).xy.flags.c_contiguous
+    with pytest.raises(ValueError, match="non-monotone"):  # adopted or not, checked
+        Stream(ts[::-1].copy(), xy, VO)
+    bad = np.array([[0.0, np.nan], [2.0, 3.0]])
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="non-finite"):
+        Stream(ts, bad, VO)
+
+
+def test_filtered_streams_share_their_input_timestamps(desk_params):
+    stream = Stream(np.arange(0, 3700, 37), np.linspace((0.0, 0.0), (990.0, 0.0), 100), UWB)
+    [out] = run_filter([stream], desk_params.ekf, [])
+    assert np.shares_memory(out.t_ms, stream.t_ms)
+    with pytest.raises(ValueError, match="read-only"):
+        out.xy[0, 0] = 1.0
 
 
 def test_writing_into_a_read_pair_raises(tmp_path):

@@ -258,17 +258,12 @@ def _score_and_write(
         *mode_codes,
         words=MODE_NAMES,
     )
-    # plot data: the error-vs-time curve, decimated to a plottable size
-    ts = samples.t_ms.astype(np.float64)
-    err = np.hypot(*(samples.xy - truth.sample(ts)).T)
-    stride = max(1, len(ts) // 2000)
-    _write_rows(
-        tracks_dir / f"errors_{name}",
-        ERRORS_HEADER,
-        "%d,%.1f\r\n",
-        samples.t_ms[::stride],
-        err[::stride],
-    )
+    # plot data: the error-vs-time curve, decimated to a plottable size; the
+    # truth is sampled only at the rows kept
+    stride = max(1, len(samples) // 2000)
+    t_ms, xy = samples.t_ms[::stride], samples.xy[::stride]
+    err = np.hypot(*(xy - truth.sample(t_ms)).T)
+    _write_rows(tracks_dir / f"errors_{name}", ERRORS_HEADER, "%d,%.1f\r\n", t_ms, err)
     if track is not None:
         _write_csv(
             tracks_dir / f"stops_{name}",

@@ -374,38 +374,33 @@ def write_log(pair: StreamPair, path) -> None:
     write_blocks(path, LOG_HEADER, chain.from_iterable(blocks))
 
 
-def _log_rows(path) -> Iterator[list[str]]:
-    """CSV rows of a log; bytes that are not UTF-8 and CSV errors raise LogFormatError."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            yield from reader
-            return
-        except csv.Error as exc:  # e.g. an unterminated quote past the field size limit
-            raise LogFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            pass
-    # the decoder reads ahead of the reader in chunks: find the byte in the whole file
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _log_rows(path, data: bytes) -> Iterator[list[str]]:
+    """CSV rows of a log's bytes. Bytes that are not UTF-8 raise
+    LogFormatError naming the line of the first bad byte, before any row is
+    read; CSV errors raise it naming their line."""
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
-    raise LogFormatError(f"{path}: not UTF-8")  # the file changed while it was read
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. an unterminated quote past the field size limit
+        raise LogFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 _INT64 = np.iinfo(np.int64)
 
 
-def _read_rows(path) -> StreamPair:
-    """Parse a log row by row, naming the first bad line in a LogFormatError."""
+def _read_rows(path, data: bytes) -> StreamPair:
+    """Parse a log's bytes row by row, naming the first bad line in a
+    LogFormatError; a log that is not UTF-8 is named by its first bad byte."""
     columns: dict[str, tuple[list[int], list[tuple[float, float]]]] = {
         UWB: ([], []),
         VO: ([], []),
     }
-    rows = _log_rows(path)
+    rows = _log_rows(path, data)
     header = next(rows, None)
     if header is None:
         raise LogFormatError(f"{path}: empty log file")
@@ -448,14 +443,13 @@ _HEADER_LINE = (",".join(LOG_HEADER) + "\r\n").encode()
 _CANONICAL_ROW = re.compile(rb"-?\d{1,15},(?:uwb|vo),-?\d+\.\d,-?\d+\.\d\r\n")
 
 
-def _read_canonical(path) -> StreamPair | None:
-    """The pair of a log laid out exactly as :func:`write_log` writes one.
+def _read_canonical(data: bytes) -> StreamPair | None:
+    """The pair of a log's bytes laid out exactly as :func:`write_log` writes them.
 
     None for any other file, valid or not (blank lines, quotes, other number
     spellings, interleaved sensors, ...): what this accepts, the row parser
     accepts with the same values.
     """
-    data = Path(path).read_bytes()
     if not data.startswith(_HEADER_LINE):
         return None
     body = data[len(_HEADER_LINE) :]
@@ -478,11 +472,14 @@ def _read_canonical(path) -> StreamPair | None:
 def read_log(path) -> StreamPair:
     """Read a stream pair written by :func:`write_log`.
 
-    A file laid out exactly as :func:`write_log` writes one is parsed in
-    bulk. Any other file goes to the row-by-row parser, which accepts what
-    the CSV module reads as four valid columns and raises
-    :class:`LogFormatError` naming the offending line for bytes that are
-    not UTF-8, malformed rows and non-monotone timestamps within a stream.
+    The file is read once. A file laid out exactly as :func:`write_log`
+    writes one is parsed in bulk. Any other file goes to the row-by-row
+    parser, which accepts what the CSV module reads as four valid columns
+    and raises :class:`LogFormatError` naming the offending line: for a file
+    that is not UTF-8, the line of its first bad byte; otherwise the first
+    malformed row, or the first timestamp that does not increase within its
+    stream.
     """
-    pair = _read_canonical(path)
-    return pair if pair is not None else _read_rows(path)
+    data = Path(path).read_bytes()
+    pair = _read_canonical(data)
+    return pair if pair is not None else _read_rows(path, data)

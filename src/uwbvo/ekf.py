@@ -198,7 +198,7 @@ class CtraFilter:
         self.state = np.zeros(STATE_DIM)
         self.P = self._p0.copy()
 
-    def reset(self, x, y, psi=0.0) -> None:
+    def reset(self, x, y) -> None:
         """Reseed from a position measurement with the rest of the state at zero.
 
         Array positions seed a stack, one row per position.
@@ -206,7 +206,6 @@ class CtraFilter:
         state = np.zeros(np.shape(x) + (STATE_DIM,))
         state[..., 0] = x
         state[..., 1] = y
-        state[..., 3] = psi
         self.state = state
         self.P = np.broadcast_to(self._p0, state.shape + (STATE_DIM,)).copy()
 
@@ -253,12 +252,6 @@ class CtraFilter:
             except np.linalg.LinAlgError:
                 out[r] = True
         return out.reshape(self.state.shape[:-1])
-
-    def step(self, u: np.ndarray, dt_s) -> "CtraFilter":
-        """Predict over ``dt_s`` then update with measurement ``u``."""
-        self.predict(dt_s)
-        self.update(np.asarray(u, dtype=np.float64))
-        return self
 
 
 def _forward_fill(values: np.ndarray, initial: float) -> np.ndarray:

@@ -30,28 +30,21 @@ class TruthLike(Protocol):
     def pose_at(self, t_ms: float) -> Position2D: ...
 
 
-def _track_arrays(track) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps (as floats) and positions of a Stream or a fused track."""
-    stream: Stream = track.samples if isinstance(track, FusedTrack) else track
-    return stream.t_ms.astype(np.float64), stream.xy
-
-
 @dataclass(frozen=True)
 class StopAccuracy:
     avg_mm: float
     std_mm: float
-    per_stop: tuple[tuple[int, float], ...]  # (stop_index, error_mm)
 
 
-def stop_accuracy(track, truth: TruthLike) -> StopAccuracy:
+def stop_accuracy(track: Stream, truth: TruthLike) -> StopAccuracy:
     """Average and population-std of per-stop positioning error."""
-    ts, xy = _track_arrays(track)
+    ts, xy = track.t_ms.astype(np.float64), track.xy
     if len(ts) == 0:
         raise CoverageError("empty track")
     last_window: dict[int, StopWindow] = {}
     for w in truth.stop_windows:
         last_window[w.stop_index] = w
-    errors: list[tuple[int, float]] = []
+    errors: list[float] = []
     for idx in sorted(last_window):
         w = last_window[idx]
         mid = w.midpoint_ms
@@ -59,23 +52,17 @@ def stop_accuracy(track, truth: TruthLike) -> StopAccuracy:
         if not (w.t0_ms <= ts[j] <= w.t1_ms):
             raise CoverageError(f"track does not cover stop {idx + 1} dwell window")
         planned = truth.pose_at(mid)
-        err = math.hypot(xy[j, 0] - planned.x, xy[j, 1] - planned.y)
-        errors.append((idx, err))
-    values = np.array([e for _, e in errors])
-    return StopAccuracy(
-        avg_mm=float(values.mean()),
-        std_mm=float(values.std()),
-        per_stop=tuple(errors),
-    )
+        errors.append(math.hypot(xy[j, 0] - planned.x, xy[j, 1] - planned.y))
+    values = np.array(errors)
+    return StopAccuracy(avg_mm=float(values.mean()), std_mm=float(values.std()))
 
 
-def trajectory_rmse(track, truth: TruthLike) -> float:
+def trajectory_rmse(track: Stream, truth: TruthLike) -> float:
     """RMS Euclidean error of every track sample against the true pose."""
-    ts, xy = _track_arrays(track)
-    if len(ts) == 0:
+    if len(track) == 0:
         raise CoverageError("empty track")
-    true_xy = truth.sample(ts)
-    err_sq = np.sum((xy - true_xy) ** 2, axis=1)
+    true_xy = truth.sample(track.t_ms)
+    err_sq = np.sum((track.xy - true_xy) ** 2, axis=1)
     return float(np.sqrt(err_sq.mean()))
 
 
@@ -92,19 +79,21 @@ class RunReport:
     corrections: int
 
     @staticmethod
-    def build(method: str, seed: int, track, truth: TruthLike) -> "RunReport":
+    def build(method: str, seed: int, track: Stream | FusedTrack, truth: TruthLike) -> "RunReport":
+        """Score a method's output stream, or a fused track and its restarts."""
+        restarts = 0
+        if isinstance(track, FusedTrack):
+            # every correction requests a restart, so the two counts agree
+            track, restarts = track.samples, len(track.restarts)
         acc = stop_accuracy(track, truth)
-        rmse = trajectory_rmse(track, truth)
-        restarts = len(track.restarts) if isinstance(track, FusedTrack) else 0
-        corrections = track.corrections if isinstance(track, FusedTrack) else 0
         return RunReport(
             method=method,
             seed=seed,
             avg_stop_mm=acc.avg_mm,
             std_stop_mm=acc.std_mm,
-            rmse_mm=rmse,
+            rmse_mm=trajectory_rmse(track, truth),
             restarts=restarts,
-            corrections=corrections,
+            corrections=restarts,
         )
 
 

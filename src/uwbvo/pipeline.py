@@ -140,15 +140,6 @@ class FusedTrack:
     w_history: list[tuple[int, float, float]]  # (t_ms, wx, wy) after changes
     discarded_detectors: int = 0
 
-    @property
-    def corrections(self) -> int:
-        return len(self.restarts)
-
-    @property
-    def modes(self) -> list[str]:
-        """The mode name of every sample, from :data:`MODE_NAMES`."""
-        return [MODE_NAMES[k] for k in self.kalman.tolist()]
-
 
 def run_pipeline(
     pair: StreamPair, plan: FlightPlan, params: PipelineParams, filtered_uwb: Stream

@@ -49,13 +49,10 @@ class StopWindow:
 
 @dataclass(frozen=True)
 class SegmentInfo:
-    index: int
-    to_stop: int
     t0_ms: float
     t1_ms: float
     start: Position2D
     end: Position2D
-    length_mm: float
 
 
 class _Phase(NamedTuple):
@@ -71,7 +68,6 @@ class _Phase(NamedTuple):
 class GroundTruth:
     """Exact pose timeline for one flight."""
 
-    plan: FlightPlan
     stop_windows: tuple[StopWindow, ...]
     segments: tuple[SegmentInfo, ...]
     duration_ms: float
@@ -154,20 +150,9 @@ def build_truth(plan: FlightPlan) -> GroundTruth:
         ):
             phases.append(_Phase(t, (a.x, a.y), direction, s0, v0, acc))
             t += dur_s * 1000.0
-        segments.append(
-            SegmentInfo(
-                index=visit,
-                to_stop=stop_order[visit + 1],
-                t0_ms=t_seg_start,
-                t1_ms=t,
-                start=a,
-                end=b,
-                length_mm=length,
-            )
-        )
+        segments.append(SegmentInfo(t0_ms=t_seg_start, t1_ms=t, start=a, end=b))
 
     return GroundTruth(
-        plan=plan,
         stop_windows=tuple(windows),
         segments=tuple(segments),
         duration_ms=t,
@@ -320,13 +305,13 @@ def _segment_scales(
     truth: GroundTruth, spec: ScaleFaultSpec, rng: np.random.Generator
 ) -> np.ndarray:
     scales = np.ones(len(truth.segments))
-    for seg in truth.segments:
+    for index in range(len(truth.segments)):
         # unconditional draws keep segment patterns independent of each other
         u = rng.uniform()
         s = rng.uniform(spec.scale_range[0], spec.scale_range[1])
-        faulted = seg.index in spec.forced_segments or u < spec.prob_per_segment
+        faulted = index in spec.forced_segments or u < spec.prob_per_segment
         if faulted:
-            scales[seg.index] = s
+            scales[index] = s
     return scales
 
 
@@ -383,7 +368,7 @@ class VoSensor:
             if self._in_segment:
                 scale, base = self._active_scale, self._ref_pos
             else:  # segment skipped entirely (very low sample rate)
-                scale = float(self._scales[seg.index])
+                scale = float(self._scales[self._seg_ptr])
                 base = np.array([seg.start.x, seg.start.y])
             self._ref_bias = self._ref_bias + (scale - 1.0) * (end - base)
             # a dwell follows: hold the accumulated bias, scale no longer acts
@@ -398,7 +383,7 @@ class VoSensor:
             if t < seg.t0_ms:
                 return seg.t0_ms
             self._ref_pos = np.array([seg.start.x, seg.start.y])
-            self._active_scale = float(self._scales[seg.index])
+            self._active_scale = float(self._scales[self._seg_ptr])
             self._in_segment = True
         return seg.t1_ms
 

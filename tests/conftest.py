@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,16 @@ def positions(stream):
 def path_length(stream) -> float:
     xy = positions(stream)
     return float(np.sum(np.hypot(*np.diff(xy, axis=0).T)))
+
+
+def stop_error(stream, truth, stop_index) -> float:
+    """The error ``stop_accuracy`` reads for one stop: the distance from the
+    sample nearest the midpoint of the stop's last dwell window to the true
+    pose there."""
+    window = [w for w in truth.stop_windows if w.stop_index == stop_index][-1]
+    j = int(np.argmin(np.abs(stream.t_ms - window.midpoint_ms)))
+    true = truth.pose_at(window.midpoint_ms)
+    return math.hypot(stream.xy[j, 0] - true.x, stream.xy[j, 1] - true.y)
 
 
 def filter_one(stream, params, restart_times_ms=()):

@@ -1,9 +1,10 @@
 """Scalar reference implementations the EKF tests compare against.
 
 ``loop_filter`` is the per-sample filter loop that ``run_filter`` replaces
-with lockstep segments. ``predict_state_scalar`` and
-``ctra_jacobian_scalar`` are the motion model in ``math`` calls, one state
-at a time, which both outputs of ``ctra_transition`` must match bit for bit.
+with lockstep segments, and ``step`` its predict-then-update.
+``predict_state_scalar`` and ``ctra_jacobian_scalar`` are the motion model
+in ``math`` calls, one state at a time, which both outputs of
+``ctra_transition`` must match bit for bit.
 ``pseudo_measurements`` and ``MeasurementBuilder`` re-derive
 ``_segment_measurements`` one window at a time. ``CtraState`` is a
 validated state snapshot.
@@ -80,6 +81,12 @@ def ctra_jacobian_scalar(state: np.ndarray, dt_s: float, eps_yaw: float = 1e-6) 
     return jac
 
 
+def step(filt: CtraFilter, u, dt_s) -> None:
+    """Predict ``filt`` over ``dt_s``, then update it with measurement ``u``."""
+    filt.predict(dt_s)
+    filt.update(np.asarray(u, dtype=np.float64))
+
+
 def loop_filter(
     samples: Sequence[Sample],
     params: CtraParams,
@@ -113,7 +120,7 @@ def loop_filter(
             if np.isnan(u_all[k, 2]):
                 filt.predict(dt_s)
             else:
-                filt.step(u_all[k], dt_s)
+                step(filt, u_all[k], dt_s)
         assert filt.state.shape == (STATE_DIM,)
         out.append(
             Sample(int(ts_ms[k]), Position2D(float(filt.state[0]), float(filt.state[1])),

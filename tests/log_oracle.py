@@ -1,8 +1,10 @@
 """Row-by-row reference for reading stream logs.
 
 ``read_log`` is the log reader from before streams became columnar, copied
-as it was, with one change: it returns the two lists of samples instead of
-a :class:`~uwbvo.core.StreamPair`, which now holds columnar streams.
+as it was, with two changes: it returns the two lists of samples instead of
+a :class:`~uwbvo.core.StreamPair`, which now holds columnar streams, and
+``_log_rows`` decodes the whole file before it reads a row, so a file that
+is not UTF-8 is named by its first bad byte wherever its first bad row is.
 ``uwbvo.core.read_log`` parses files laid out exactly as ``write_log``
 writes them in bulk and hands every other file to its own row parser. It
 must accept the same files as this reference with the same values, and
@@ -11,6 +13,7 @@ reject the rest with the same message.
 from __future__ import annotations
 
 import csv
+import io
 from typing import Iterator
 
 from uwbvo.core import LOG_HEADER, SENSORS, UWB, VO, LogFormatError, Position2D, Sample
@@ -18,24 +21,18 @@ from uwbvo.core import LOG_HEADER, SENSORS, UWB, VO, LogFormatError, Position2D,
 
 def _log_rows(path) -> Iterator[list[str]]:
     """CSV rows of a log; bytes that are not UTF-8 and CSV errors raise LogFormatError."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            yield from reader
-            return
-        except csv.Error as exc:  # e.g. an unterminated quote past the field size limit
-            raise LogFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            pass
-    # the decoder reads ahead of the reader in chunks: find the byte in the whole file
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
-    raise LogFormatError(f"{path}: not UTF-8")  # the file changed while it was read
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. an unterminated quote past the field size limit
+        raise LogFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def read_log(path) -> tuple[list[Sample], list[Sample]]:

@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_position_stream, filter_one, path_length, positions, replay_pipeline
+from conftest import (
+    constant_position_stream,
+    filter_one,
+    path_length,
+    positions,
+    replay_pipeline,
+    stop_error,
+)
 from test_clustering import brute_force_argmax, cloud_and_ray_stream, detect_stop, vectorized_counts
 from test_ekf import fd_jacobian, random_states
 
@@ -20,7 +27,7 @@ from uwbvo.config import DESK_CLUSTER
 from uwbvo.core import FlightPlan, Position2D, euclidean
 from uwbvo.ekf import CtraParams, ctra_transition
 from uwbvo.metrics import RunReport, stop_accuracy
-from uwbvo.pipeline import KALMAN_SELECTED, PipelineParams
+from uwbvo.pipeline import PipelineParams
 from uwbvo.simulate import (
     RaySpec,
     ScaleFaultSpec,
@@ -172,14 +179,14 @@ def test_criterion_4_correction_algebra():
     )
     for seed in range(3):
         pair, _, _ = simulate_pair(scenario, seed)
-        uncorrected = dict(stop_accuracy(pair.vo, truth).per_stop)[1]
+        uncorrected = stop_error(pair.vo, truth, 1)
         assert uncorrected >= 280.0
         track = replay_pipeline(pair, plan, params)
-        assert track.corrections == 1
+        assert len(track.restarts) == 1
         event = track.stop_events[0]
         estimate_error = euclidean(event.estimate.pos, plan.stops[1])
         assert estimate_error <= 10.0  # the criterion's premise, realized
-        corrected = dict(stop_accuracy(track, truth).per_stop)[1]
+        corrected = stop_error(track.samples, truth, 1)
         assert corrected <= 20.0
     print("criterion 4: PASS - 0.7-scale fault on a 1000 mm leg: corrected "
           "stop error <= 20 mm vs >= 280 mm uncorrected")
@@ -231,11 +238,11 @@ def test_criterion_7_best_case_parity(best_batch):
     sc_avgs, vo_avgs = [], []
     for run in best_batch["runs"]:
         track, pair = run["track"], run["pair"]
-        assert track.corrections == 0
+        assert track.restarts == []
         assert track.w_history == [(0, 0.0, 0.0)]
         # mask +/- k2/rate seconds around every distrust interval
         ts = np.array([s.t_ms for s in track.samples], dtype=float)
-        kalman = np.array([m == KALMAN_SELECTED for m in track.modes])
+        kalman = track.kalman
         masked = np.zeros(len(ts), dtype=bool)
         if kalman.any():
             edges = np.flatnonzero(np.diff(np.concatenate([[0], kalman.view(np.int8), [0]])))
@@ -245,7 +252,7 @@ def test_criterion_7_best_case_parity(best_batch):
         for sample, vo, hide in zip(track.samples, pair.vo, masked):
             if not hide:
                 assert sample.pos == vo.pos
-        sc_avgs.append(stop_accuracy(track, truth).avg_mm)
+        sc_avgs.append(stop_accuracy(track.samples, truth).avg_mm)
         vo_avgs.append(stop_accuracy(pair.vo, truth).avg_mm)
     gap = abs(float(np.mean(sc_avgs)) - float(np.mean(vo_avgs)))
     assert gap <= 2.0

@@ -17,7 +17,7 @@ from uwbvo.baselines import (
 from uwbvo.core import UWB, VO, FlightPlan, Position2D, Stream, StreamPair, nearest_indices
 from uwbvo.ekf import run_filter
 from uwbvo.metrics import stop_accuracy
-from uwbvo.pipeline import KALMAN_SELECTED, PipelineParams, stop_visits
+from uwbvo.pipeline import PipelineParams, stop_visits
 from uwbvo.simulate import (
     SCENARIO_PRESETS,
     RaySpec,
@@ -245,7 +245,7 @@ def test_self_corrective_fuses_pozyx_ctra_track(desk_params, monkeypatch):
     # the UWB the pipeline used to filter for itself
     assert pozyx == filtered_uwb(pair, scenario.plan, desk_params)
     # while the VO is distrusted, the output is pozyx-ctra's nearest sample
-    kalman = np.array(track.modes) == KALMAN_SELECTED
+    kalman = track.kalman
     assert kalman.any()
     near = nearest_indices(pair.uwb.t_ms, track.samples.t_ms[kalman])
     assert np.array_equal(track.samples.xy[kalman], pozyx.xy[near])

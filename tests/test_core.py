@@ -240,6 +240,21 @@ def test_log_non_utf8_names_line(tmp_path):
         read_log(path)
 
 
+def test_log_non_utf8_is_named_before_an_earlier_bad_row(tmp_path):
+    # a 3-column row on line 3 and a byte that is not UTF-8 further on: the
+    # whole file is decoded first, so the decoder's read-ahead, which the
+    # rows between the two faults outrun, cannot change which is reported
+    for between in (1, 5000):
+        rows = [b"t_ms,sensor,x_mm,y_mm", b"0,uwb,1.0,2.0", b"5,uwb,3.0"]
+        rows += [b"%d,vo,0.0,0.0" % t for t in range(between)]
+        rows.append(b"%d,vo,\xff.0,0.0" % between)
+        path = tmp_path / f"bad_{between}.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(LogFormatError, match=f"line {len(rows)}: not UTF-8"):
+            read_log(path)
+        assert_read_like_oracle(path)
+
+
 def test_log_unterminated_quote_is_a_format_error(tmp_path):
     # the quoted field runs to the end of the file, past csv's field size limit
     pair = quantized_pair(np.random.default_rng(4), 4000, 4000)
@@ -369,7 +384,7 @@ def test_canonical_log_takes_the_bulk_path(tmp_path, monkeypatch):
     write_log(quantized_pair(np.random.default_rng(6), 50, 80), path)
     expected = read_log(path)
 
-    def no_row_parser(_path):
+    def no_row_parser(_path, _data):
         raise AssertionError("row parser used on a canonical log")
 
     monkeypatch.setattr(core, "_read_rows", no_row_parser)

@@ -13,6 +13,7 @@ from ekf_oracle import (
     loop_filter,
     predict_state_scalar,
     pseudo_measurements,
+    step,
     wrap_angle_scalar,
 )
 from uwbvo import ekf
@@ -137,7 +138,7 @@ class TestFilterStep:
         filt.reset(0.0, 0.0)
         filt.state = np.array([0.0, 0.0, 1000.0, 0.0, 0.0, 0.0])
         predicted = ctra_transition(filt.state, 0.1)[0]
-        filt.step(np.array([500.0, 500.0, 0.0, 1.0, 0.0, 0.0]), 0.1)
+        step(filt, np.array([500.0, 500.0, 0.0, 1.0, 0.0, 0.0]), 0.1)
         assert np.allclose(filt.state, predicted, atol=1e-4)
 
     def test_zero_q_huge_r_trace_non_increasing(self):
@@ -148,7 +149,7 @@ class TestFilterStep:
         filt.P = np.diag([1000.0, 1000.0, 0.0, 1.0, 0.0, 0.0])
         traces = [np.trace(filt.P)]
         for _ in range(20):
-            filt.step(np.zeros(6), 0.05)
+            step(filt, np.zeros(6), 0.05)
             traces.append(np.trace(filt.P))
         assert all(b <= a + 1e-9 for a, b in zip(traces, traces[1:]))
 
@@ -168,7 +169,7 @@ class TestFilterStep:
                     rng.normal(0, 300),
                 ]
             )
-            filt.step(u, 0.037)
+            step(filt, u, 0.037)
             assert np.allclose(filt.P, filt.P.T, rtol=1e-9, atol=1e-12)
             assert np.linalg.eigvalsh(filt.P).min() >= -1e-9
 
@@ -180,7 +181,7 @@ class TestFilterStep:
         filt.reset(0.0, 0.0)
         for k in range(1, 51):
             x = 1000.0 * k * dt
-            filt.step(np.array([x, 0.0, 1000.0, 0.0, 0.0, 0.0]), dt)
+            step(filt, np.array([x, 0.0, 1000.0, 0.0, 0.0, 0.0]), dt)
         assert abs(filt.state[0] - 1000.0 * 50 * dt) < 1.0
         assert abs(filt.state[1]) < 1.0
 
@@ -501,9 +502,9 @@ class TestStacks:
         for _ in range(40):
             dts = rng.uniform(0.0, 0.05, n)
             u = self.mixed_states(rng, n)
-            stack.step(u, dts)
+            step(stack, u, dts)
             for i, f in enumerate(lone):
-                f.step(u[i], dts[i])
+                step(f, u[i], dts[i])
                 assert np.array_equal(stack.state[i], f.state)
                 assert np.array_equal(stack.P[i], f.P)
 

@@ -14,13 +14,14 @@ import pytest
 import pipeline_oracle as oracle
 from conftest import replay_pipeline
 from uwbvo.config import default_pipeline_params
-from uwbvo.pipeline import VO_SELECTED, run_pipeline_live
+from uwbvo.core import Stream
+from uwbvo.pipeline import run_pipeline_live
 from uwbvo.simulate import SCENARIO_PRESETS, VoSensor, build_truth, simulate_pair
 
 
 def assert_same_track(track, expected):
     assert track.samples == expected.samples
-    assert track.modes == expected.modes
+    assert np.array_equal(track.kalman, expected.kalman)
     assert track.stop_events == expected.stop_events
     # the same Python types too, not only equal values
     assert repr(track.stop_events) == repr(expected.stop_events)
@@ -66,6 +67,35 @@ def test_small_beta_forces_corrections_and_equals_oracle():
     params = replace(default_pipeline_params(), beta_mm=5.0)
     replay, live, sensor = both_modes(SCENARIO_PRESETS["best-case"](), 0, params)
     assert replay.restarts and live.restarts and sensor.reboots
+
+
+def test_live_decisions_before_a_cut_ignore_the_uwb_after_it():
+    # run_pipeline_live filters the whole UWB stream before its first
+    # decision, which equals an online run only while the filter and its
+    # differencing windows look backward: cut the UWB inside a flight leg,
+    # and every decision before the cut, with the track up to the last of
+    # them, must be what the full stream gives
+    scenario, seed = SCENARIO_PRESETS["worst-case"](), 0
+    params = default_pipeline_params()
+    uwb = simulate_pair(scenario, seed)[0].uwb
+    truth = build_truth(scenario.plan)
+    leg = truth.segments[8]
+    cut = 0.5 * (leg.t0_ms + leg.t1_ms)
+    n = int(np.searchsorted(uwb.t_ms, cut))
+    runs = []
+    for head in (uwb, Stream(uwb.t_ms[:n], uwb.xy[:n], uwb.source)):
+        sensor = VoSensor(truth, scenario.vo, seed)
+        runs.append((run_pipeline_live(head, sensor, scenario.plan, params), sensor))
+    (full, full_sensor), (part, part_sensor) = runs
+    before = [e for e in full.stop_events if e.t_ms < cut]
+    assert 3 <= len(before) < len(full.stop_events)
+    assert repr(part.stop_events) == repr(before)
+    assert part.restarts and part.restarts == [r for r in full.restarts if r[0] < cut]
+    assert part_sensor.reboots == full_sensor.reboots[: len(part.restarts)]
+    upto = full.samples.t_ms <= before[-1].t_ms
+    assert np.array_equal(part.samples.t_ms, full.samples.t_ms)
+    assert np.array_equal(part.samples.xy[upto], full.samples.xy[upto])
+    assert np.array_equal(part.kalman[upto], full.kalman[upto])
 
 
 def empty_window_decisions(track, uwb_t, vo_t, plan):
@@ -121,4 +151,4 @@ def test_vo_before_the_first_uwb_tick_equals_oracle():
     head = int(np.searchsorted(sensor.ts, first_tick))
     assert head > 200
     for track in (replay, live):
-        assert track.modes[:head] == [VO_SELECTED] * head
+        assert track.kalman[:head].tolist() == [False] * head

@@ -20,7 +20,7 @@ import pytest
 
 from uwbvo.cli import main
 from uwbvo.config import default_pipeline_params
-from uwbvo.pipeline import run_pipeline_live
+from uwbvo.pipeline import MODE_NAMES, run_pipeline_live
 from uwbvo.simulate import VoSensor, build_truth, simulate_pair, worst_case_scenario
 
 GOLDEN_SHA256 = {
@@ -98,7 +98,7 @@ def live_parts():
     track = run_pipeline_live(pair.uwb, sensor, scenario.plan, default_pipeline_params())
     return {
         "track": track.samples.t_ms.tobytes() + track.samples.xy.tobytes(),
-        "modes": "\n".join(track.modes).encode(),
+        "modes": "\n".join(MODE_NAMES[k] for k in track.kalman.tolist()).encode(),
         "restarts": repr(track.restarts).encode(),
         "w_history": repr(track.w_history).encode(),
         "stop_events": repr([_decision_values(e) for e in track.stop_events]).encode(),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_stream
+from conftest import make_stream, stop_error
 from uwbvo.core import Position2D
 from uwbvo.metrics import (
     CoverageError,
@@ -84,7 +84,9 @@ def test_stop_accuracy_perfect_track():
     acc = stop_accuracy(samples, truth)
     assert acc.avg_mm == pytest.approx(0.0, abs=1e-9)
     assert acc.std_mm == pytest.approx(0.0, abs=1e-9)
-    assert len(acc.per_stop) == 16
+    assert {w.stop_index for w in truth.stop_windows} == set(range(16))
+    for stop_index in range(16):
+        assert stop_error(samples, truth, stop_index) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_stop_accuracy_constant_offset():
@@ -104,10 +106,11 @@ def test_stop_accuracy_uses_last_visit_of_revisited_stop():
     final = truth.stop_windows[-1]
     sel = ts >= final.t0_ms
     xy[sel] += (25.0, 0.0)
-    acc = stop_accuracy(make_stream(ts.astype(int), xy), truth)
-    errors = dict(acc.per_stop)
-    assert errors[0] == pytest.approx(25.0)
-    assert errors[1] == pytest.approx(0.0, abs=1e-9)
+    track = make_stream(ts.astype(int), xy)
+    # 16 stops, and only stop 0's last visit is off
+    assert stop_accuracy(track, truth).avg_mm == pytest.approx(25.0 / 16)
+    assert stop_error(track, truth, 0) == pytest.approx(25.0)
+    assert stop_error(track, truth, 1) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_stop_accuracy_requires_window_coverage():

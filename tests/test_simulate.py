@@ -50,9 +50,10 @@ def two_stop_plan(length=1000.0, dwell=5000.0):
 
 class TestGroundTruth:
     def test_pose_equals_stop_inside_every_window(self):
-        truth = build_truth(default_scenario().plan)
+        plan = default_scenario().plan
+        truth = build_truth(plan)
         for w in truth.stop_windows:
-            stop = truth.plan.stops[w.stop_index]
+            stop = plan.stops[w.stop_index]
             for t in np.linspace(w.t0_ms, w.t1_ms, 7):
                 assert euclidean(truth.pose_at(t), stop) == 0.0
 
@@ -70,7 +71,7 @@ class TestGroundTruth:
         ts = np.linspace(0.0, truth.duration_ms, 400_001)
         xy = truth.sample(ts)
         crawled = np.sum(np.hypot(*np.diff(xy, axis=0).T))
-        expected = sum(seg.length_mm for seg in truth.segments)
+        expected = sum(euclidean(seg.start, seg.end) for seg in truth.segments)
         assert crawled == pytest.approx(expected, rel=1e-6)
 
     def test_speed_profile_continuous_and_capped(self):
@@ -88,9 +89,10 @@ class TestGroundTruth:
         assert peak == pytest.approx(math.sqrt(1000.0 * 100.0), rel=1e-3)
 
     def test_times_clamp_to_flight(self):
-        truth = build_truth(two_stop_plan())
-        assert truth.pose_at(-50.0) == truth.plan.stops[0]
-        assert truth.pose_at(truth.duration_ms + 99.0) == truth.plan.stops[1]
+        plan = two_stop_plan()
+        truth = build_truth(plan)
+        assert truth.pose_at(-50.0) == plan.stops[0]
+        assert truth.pose_at(truth.duration_ms + 99.0) == plan.stops[1]
 
 
 class TestSynthUwb:
@@ -113,7 +115,8 @@ class TestSynthUwb:
         assert np.allclose(residual.std(axis=0), 50.0, rtol=0.05)
 
     def test_rays_sit_late_in_dwell_and_point_one_way(self):
-        truth = build_truth(default_scenario().plan)
+        plan = default_scenario().plan
+        truth = build_truth(plan)
         model = UwbModel(sigma_mm=0.0, ray=RaySpec(prob_per_stop=1.0, length_mm=600, count=30))
         trace = synth_uwb(truth, model, seed=2)
         assert len(trace.rays) == len(truth.stop_windows)
@@ -123,7 +126,7 @@ class TestSynthUwb:
             window = truth.stop_windows[event.window_ordinal]
             frac = (event.t_onset_ms - window.t0_ms) / (window.t1_ms - window.t0_ms)
             assert 0.5 <= frac <= 0.85
-            stop = truth.plan.stops[event.stop_index]
+            stop = plan.stops[event.stop_index]
             sel = (ts >= event.t_onset_ms) & (ts <= window.t1_ms)
             offsets = xy[sel] - (stop.x, stop.y)
             dists = np.hypot(offsets[:, 0], offsets[:, 1])
@@ -207,7 +210,8 @@ class TestDeterminismAndSensor:
         assert live == list(batch)
 
     def test_reboot_reanchors_and_clears_active_fault(self):
-        truth = build_truth(two_stop_plan(length=1000.0))
+        plan = two_stop_plan(length=1000.0)
+        truth = build_truth(plan)
         model = VoModel(
             sigma_mm=0.0,
             underestimate=ScaleFaultSpec(0.0, (0.7, 0.7), forced_segments=(0,)),
@@ -228,7 +232,7 @@ class TestDeterminismAndSensor:
         assert first.pos.x == pytest.approx(expected_x, abs=0.06)
         assert first.pos.y == pytest.approx(anchor.y, abs=0.06)
         tail = [s for s in sensor]
-        final_true = truth.plan.stops[1]
+        final_true = plan.stops[1]
         final_expected_x = anchor.x + (final_true.x - true_at_reboot.x)
         assert tail[-1].pos.x == pytest.approx(final_expected_x, abs=0.06)
 
@@ -391,7 +395,7 @@ class TestScenarios:
             faults = synth_vo(truth, scenario.vo, seed).faults
             segs = {f.segment_index for f in faults}
             assert segs == set(range(4, 16))
-        arriving = {truth.segments[i].to_stop for i in range(4, 16)}
+        arriving = {scenario.plan.stops.index(truth.segments[i].end) for i in range(4, 16)}
         assert 5 in arriving  # the sixth stop is where trouble starts
 
     def test_best_case_has_no_faults(self):

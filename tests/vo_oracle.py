@@ -48,7 +48,7 @@ class LoopVoSensor:
             if self._in_segment:
                 scale, base = self._active_scale, self._ref_pos
             else:  # segment skipped entirely (very low sample rate)
-                scale = float(self._scales[seg.index])
+                scale = float(self._scales[self._seg_ptr])
                 base = np.array([seg.start.x, seg.start.y])
             self._ref_bias = self._ref_bias + (scale - 1.0) * (end - base)
             # a dwell follows: hold the accumulated bias, scale no longer acts
@@ -60,7 +60,7 @@ class LoopVoSensor:
             if not self._in_segment:
                 seg = segs[self._seg_ptr]
                 self._ref_pos = np.array([seg.start.x, seg.start.y])
-                self._active_scale = float(self._scales[seg.index])
+                self._active_scale = float(self._scales[self._seg_ptr])
                 self._in_segment = True
 
     def __iter__(self) -> Iterator[Sample]:

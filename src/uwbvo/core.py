@@ -438,9 +438,65 @@ def _read_rows(path, data: bytes) -> StreamPair:
 
 
 _HEADER_LINE = (",".join(LOG_HEADER) + "\r\n").encode()
-# one row exactly as write_log formats it; at most 15 timestamp digits, so
-# the timestamp survives a parse as float64
-_CANONICAL_ROW = re.compile(rb"-?\d{1,15},(?:uwb|vo),-?\d+\.\d,-?\d+\.\d\r\n")
+# a sensor field and the comma after it, as a little-endian uint32
+_UWB_WORD = int.from_bytes(b"uwb,", "little")
+_VO_WORD = int.from_bytes(b"vo,", "little")
+# digits a number may hold, its dot left out: below 10**15 < 2**53, every
+# sum of digits times powers of ten is an exact float64
+_MAX_DIGITS = 15
+# '0' in every byte of a uint64, and _KEEP[n] keeps its n last bytes (in
+# memory order: the highest ones of a little-endian uint64)
+_ZEROS = int.from_bytes(b"0" * 8, "little")
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], np.uint64)
+
+
+def _unaligned(data: bytes, dtype: str) -> np.ndarray:
+    """``a[i]`` is the ``dtype`` value of ``data``'s bytes from byte ``i`` on:
+    one overlapping, unaligned view of them, nothing copied."""
+    size = np.dtype(dtype).itemsize
+    return np.ndarray((len(data) - size + 1,), dtype, data, strides=(1,))
+
+
+def _decimals(data: bytes, start, end, tenths: bool):
+    """The numbers in the fields ``data[start:end]`` of a log, one per row,
+    as float64: ``-?\\d+`` or, with ``tenths``, ``-?\\d+\\.\\d``, holding
+    at most :data:`_MAX_DIGITS` digits. None if any field is not so.
+
+    Each field's bytes after its sign are gathered right-aligned as one or
+    two little-endian uint64 words, each byte XORed with ``'0'`` (a digit
+    becomes its value, and only a digit becomes a value below 10) and the
+    bytes left of the field zeroed. They read as a byte matrix whose dot,
+    if any, sits in the same column in every row. Its digits are combined
+    column by column, exactly; the sign is applied last, so ``-0.0``
+    survives.
+    """
+    negative = np.frombuffer(data, np.uint8)[start] == ord("-")
+    width = end - start - negative
+    low, high = (3, _MAX_DIGITS + 1) if tenths else (1, _MAX_DIGITS)
+    if width.min() < low or width.max() > high:
+        return None
+    w = int(width.max())
+    n_words = (w + 7) // 8
+    words = _unaligned(data, "<u8")
+    gathered = np.empty((len(width), n_words), "<u8")
+    for k in range(1, n_words + 1):
+        keep = _KEEP.take(np.clip(width - 8 * (k - 1), 0, 8))
+        gathered[:, -k] = (words[end - 8 * k] ^ _ZEROS) & keep
+    d = gathered.view(np.uint8)[:, 8 * n_words - w :]
+    if tenths:
+        if (d[:, -2] != ord(".") ^ ord("0")).any():
+            return None
+        d[:, -2] = 0
+    if d.max() > 9:
+        return None
+    value = np.zeros(len(d))
+    for k in range(w):
+        if not (tenths and k == w - 2):
+            value *= 10
+            value += d[:, k]
+    if tenths:
+        value /= 10
+    return np.negative(value, out=value, where=negative)
 
 
 def _read_canonical(data: bytes) -> StreamPair | None:
@@ -448,23 +504,49 @@ def _read_canonical(data: bytes) -> StreamPair | None:
 
     None for any other file, valid or not (blank lines, quotes, other number
     spellings, interleaved sensors, ...): what this accepts, the row parser
-    accepts with the same values.
+    accepts with the same values. Every row is checked and parsed in one
+    pass of numpy columns: the file ends with a line break, every row ends
+    with ``\\r\\n`` and holds exactly three commas, sensor fields are
+    ``uwb`` then ``vo``, and numbers are ``-?\\d+`` and ``-?\\d+\\.\\d`` of at
+    most 15 digits (longer ones go to the row parser).
     """
     if not data.startswith(_HEADER_LINE):
         return None
-    body = data[len(_HEADER_LINE) :]
-    rest, n_rows = _CANONICAL_ROW.subn(b"", body)
-    n_uwb = body.count(b",uwb,")
-    if rest or not 0 < n_uwb < n_rows or body.rfind(b",uwb,") > body.find(b",vo,"):
+    b = np.frombuffer(data, np.uint8)
+    line_ends = np.flatnonzero(b == ord("\n"))
+    commas = np.flatnonzero(b == ord(","))[len(LOG_HEADER) - 1 :]
+    n_rows = len(line_ends) - 1
+    if line_ends[-1] != len(b) - 1 or len(commas) != 3 * n_rows:
         return None
-    text = io.StringIO(body.decode("ascii"))
-    cols = np.loadtxt(text, delimiter=",", usecols=(0, 2, 3), comments=None, ndmin=2)
-    t_ms = cols[:, 0].astype(np.int64)
+    starts, ends = line_ends[:-1] + 1, line_ends[1:] - 1
+    if not (b[ends] == ord("\r")).all():
+        return None
+    # row i's commas, if every row holds three. It does once the fields
+    # check out: a timestamp of at least one byte puts the first of these
+    # after the row's start and a y field of at least three bytes puts the
+    # third before its \r, so row i holds these three, and with 3 * n_rows
+    # commas in all, no others
+    commas = commas.reshape(n_rows, 3)
+    # the sensor field and the comma after it; the rows after the first
+    # n_uwb are vo rows, so the n_uwb uwb rows come first
+    word = _unaligned(data, "<u4")[commas[:, 0] + 1]
+    n_uwb = int(np.count_nonzero(word == _UWB_WORD))
+    if not (0 < n_uwb < n_rows and (word[n_uwb:] & 0xFFFFFF == _VO_WORD).all()):
+        return None
+    t = _decimals(data, starts, commas[:, 0], tenths=False)
+    x = _decimals(data, commas[:, 1] + 1, commas[:, 2], tenths=True)
+    y = _decimals(data, commas[:, 2] + 1, ends, tenths=True)
+    if t is None or x is None or y is None:
+        return None
+    streams = []
+    for source, rows in ((UWB, slice(n_uwb)), (VO, slice(n_uwb, None))):
+        # arrays of their own, set read-only: the stream adopts them uncopied
+        t_ms = t[rows].astype(np.int64)
+        xy = np.stack((x[rows], y[rows]), axis=1)
+        t_ms.flags.writeable = xy.flags.writeable = False
+        streams.append((t_ms, xy, source))
     try:
-        return StreamPair(
-            Stream(t_ms[:n_uwb], cols[:n_uwb, 1:], UWB),
-            Stream(t_ms[n_uwb:], cols[n_uwb:, 1:], VO),
-        )
+        return StreamPair(*(Stream(*s) for s in streams))
     except ValueError:  # timestamps that repeat or run backwards
         return None
 

@@ -136,9 +136,13 @@ class FusedTrack:
     samples: Stream
     kalman: np.ndarray  # bool per sample: the KALMAN mode selected it
     stop_events: list[StopDecision]
-    restarts: list[tuple[int, int]]  # (t_ms, stop_index)
     w_history: list[tuple[int, float, float]]  # (t_ms, wx, wy) after changes
     discarded_detectors: int = 0
+
+    @property
+    def restarts(self) -> list[tuple[int, int]]:
+        """``(t_ms, stop_index)`` of every decision that restarted the sensor."""
+        return [(e.t_ms, e.stop_index) for e in self.stop_events if e.restart]
 
 
 def run_pipeline(
@@ -221,7 +225,7 @@ def _run(
     w_after = np.zeros((n_uwb + 1, 2))
     kalman_after = np.zeros(n_uwb + 1, dtype=bool)  # the same for "mode is KALMAN"
 
-    track = FusedTrack(Stream((), (), VO), np.zeros(0, bool), [], [], [(0, 0.0, 0.0)])
+    track = FusedTrack(Stream((), (), VO), np.zeros(0, bool), [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
     window_start = 0  # the corrected VO since the previous visit starts here
 
@@ -256,7 +260,6 @@ def _run(
                 w = Position2D(0.0, 0.0)
             w_after[k + 1 :] = w.x, w.y
             track.w_history.append((t_ms, w.x, w.y))
-            track.restarts.append((t_ms, stop_idx))
         track.stop_events.append(
             StopDecision(
                 stop_index=stop_idx,

@@ -98,7 +98,7 @@ def _run(
     out_t: list[int] = []
     out_xy: list[tuple[float, float]] = []
     modes: list[str] = []
-    track = FusedTrack(Stream((), (), VO), np.zeros(0, bool), [], [], [(0, 0.0, 0.0)])
+    track = FusedTrack(Stream((), (), VO), np.zeros(0, bool), [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
     mode = VO_SELECTED
     y_u_hold: Position2D | None = None
@@ -150,7 +150,6 @@ def _run(
                 reboot(est.pos)
                 w = Position2D(0.0, 0.0)
             track.w_history.append((t_ms, w.x, w.y))
-            track.restarts.append((t_ms, stop_idx))
         track.stop_events.append(
             StopDecision(
                 stop_index=stop_idx,

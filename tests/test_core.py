@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from uwbvo.core import (
     write_log,
 )
 from uwbvo.ekf import run_filter
+from uwbvo.simulate import SCENARIO_PRESETS, simulate_pair
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -340,8 +343,12 @@ def _crafted(lines=_LOG, end=b"\r\n", final=True):
     return end.join(lines) + (end if final else b"")
 
 
-def _with(row, field, token):
-    lines = list(_LOG)
+# _LOG with its last value cut to 15 digits, the most the bulk parser reads
+_BULK_LOG = _LOG[:5] + [b"10,vo,12345678901234.5,7.3"]
+
+
+def _with(row, field, token, lines=_LOG):
+    lines = list(lines)
     cells = lines[row].split(b",")
     cells[field] = token
     lines[row] = b",".join(cells)
@@ -371,6 +378,56 @@ CRAFTED_LOGS = {
     },
 }
 
+# each a file the bulk parser's column checks must hand to the row parser:
+# _BULK_LOG, which it reads, with one thing changed
+NEAR_MISSES = {
+    **{
+        f"{token!r} in x_mm": _with(2, 2, token, _BULK_LOG)
+        for token in (
+            b"1.25",
+            b"1.",
+            b".5",
+            b"--1.0",
+            b"1-2.0",
+            b"1.-5",
+            b"-",
+            b"1\x00.0",
+            b"123456789012345.5",  # a 15-digit integer part: 16 digits
+            b"1234567890123456.5",
+        )
+    },
+    **{
+        f"{token!r} in t_ms": _with(4, 0, token, _BULK_LOG)
+        for token in (b"1-2", b"-", b"--5", b"1.0", b"1234567890123456")
+    },
+    **{
+        f"{token!r} sensor": _with(1, 1, token, _BULK_LOG)
+        for token in (b"UWB", b"uwbx", b"uw", b"vo", b"vox", b"v")
+    },
+    **{
+        f"{end!r} ending a row": _crafted(_BULK_LOG[:3], final=False)
+        + end
+        + _crafted(_BULK_LOG[3:])
+        for end in (b"\r", b"\r\r\n", b"\n")
+    },
+    "2 commas, then 4": _crafted(
+        _BULK_LOG[:1] + [b"0,uwb,1.02.0", b"37,uwb,-3.5,-0.0,5"] + _BULK_LOG[3:]
+    ),
+    "5 fields": _crafted(_BULK_LOG[:2] + [b"37,uwb,-3.5,-0.0,5"] + _BULK_LOG[3:]),
+    "header only": _crafted(_BULK_LOG[:1]),
+    "uwb after vo": _crafted(_BULK_LOG + [b"50,uwb,0.0,0.0"]),
+    "empty uwb stream": _crafted(_BULK_LOG[:1] + _BULK_LOG[3:]),
+    "no final newline": _crafted(_BULK_LOG, final=False),
+    "lf line endings": _crafted(_BULK_LOG, end=b"\n"),
+}
+CRAFTED_LOGS.update({f"near miss: {name}": log for name, log in NEAR_MISSES.items()})
+
+
+def test_near_misses_go_to_the_row_parser():
+    assert core._read_canonical(_crafted(_BULK_LOG)) is not None
+    for name, log in NEAR_MISSES.items():
+        assert core._read_canonical(log) is None, name
+
 
 @pytest.mark.parametrize("name", sorted(CRAFTED_LOGS))
 def test_crafted_log_reads_like_row_parser(tmp_path, name):
@@ -389,6 +446,86 @@ def test_canonical_log_takes_the_bulk_path(tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "_read_rows", no_row_parser)
     assert read_log(path) == expected
+
+
+def _fits(text: bytes) -> bool:
+    """The bulk parser reads a number of at most 15 digits, its sign and dot left out."""
+    return len(text.lstrip(b"-").replace(b".", b"")) <= 15
+
+
+def _near_half(k: int, side: float, step: float) -> float:
+    """``k / 10 + side * 0.05``, or the float ``step`` away from it."""
+    x = k / 10 + side * 0.05
+    return float(np.nextafter(x, step * np.inf)) if step else x
+
+
+def log_timestamps(max_digits: int):
+    """%d values of 1 to ``max_digits`` digits."""
+    return st.integers(1, max_digits).flatmap(lambda n: st.integers(1 - 10**n, 10**n - 1))
+
+
+def log_values(max_exponent: int):
+    """%.1f values: signed zeros, values that round to zero, values at and
+    next to half-tenths, and magnitudes from 1e13 (14 digits and a tenth)
+    to ``10.0 ** (max_exponent + 1)``."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 0.04, -0.04, 0.05, -0.05]),
+        st.builds(
+            _near_half,
+            st.integers(-(10**7), 10**7),
+            st.sampled_from([-1.0, 1.0]),
+            st.sampled_from([-1.0, 0.0, 1.0]),
+        ),
+        st.integers(13, max_exponent)
+        .flatmap(lambda e: st.floats(10.0**e, 10.0 ** (e + 1), exclude_max=True))
+        .flatmap(lambda m: st.sampled_from([m, -m])),
+        st.floats(-1e6, 1e6),
+    )
+
+
+@pytest.fixture(scope="module")
+def round_trip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip") / "log.csv"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_written_log_reads_back_like_row_parser(round_trip_path, data):
+    # every value write_log can write, in half the logs only values of at
+    # most 15 digits: those the bulk parser reads
+    if data.draw(st.booleans(), label="long values"):
+        timestamps, values = log_timestamps(18), log_values(299)
+    else:
+        timestamps, values = log_timestamps(15), log_values(13)
+
+    def stream(source):
+        ts = data.draw(st.lists(timestamps, min_size=1, max_size=5, unique=True))
+        xy = data.draw(st.lists(st.tuples(values, values), min_size=len(ts), max_size=len(ts)))
+        return Stream(sorted(ts), xy, source)
+
+    pair = StreamPair(stream(UWB), stream(VO))
+    write_log(pair, round_trip_path)
+    assert_read_like_oracle(round_trip_path)
+    texts = [b"%d" % t for s in (pair.uwb, pair.vo) for t in s.t_ms.tolist()]
+    texts += [b"%.1f" % v for s in (pair.uwb, pair.vo) for v in s.xy.ravel().tolist()]
+    bulk = core._read_canonical(round_trip_path.read_bytes())
+    assert (bulk is not None) == all(map(_fits, texts))
+
+
+def test_reading_a_worst_case_log_peaks_below_the_text_parser(tmp_path):
+    # the regex check and np.loadtxt parse this replaced peaked at 15.3 MB
+    # on this 2.0 MB log, in _read_canonical alone: the file's bytes left out
+    pair, _, _ = simulate_pair(SCENARIO_PRESETS["worst-case"](), 0)
+    path = tmp_path / "streams.csv"
+    write_log(pair, path)
+    tracemalloc.start()
+    try:
+        read = read_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read == pair
+    assert peak <= 15.3e6
 
 
 def test_flight_plan_validation():

@@ -4,13 +4,19 @@ The filter runs over a single position stream. Its six-dimensional state is
 ``(x, y, v, psi, psi_dot, a)`` in millimetres, mm/s, radians, rad/s and
 mm/s^2. Measurements are full-state vectors synthesized from the position
 stream itself (see :func:`_segment_measurements`), so the measurement model
-is the identity and the gain reduces to ``K = P (P + R)^-1``.
+is the identity and the gain reduces to ``K = P (P + R)^-1``. Each
+measurement comes from a trailing window of samples through a cascade of
+gates: a least-squares speed gate over every window, a significance gate
+against the fit's residual scatter over the windows that pass it, and the
+heading and half-window rates only for the windows that pass both. Most
+windows read stationary, so most of the work stops at the first gate.
 
 State prediction follows the circular-arc motion update; when the yaw rate
 magnitude drops below ``eps_yaw`` the analytic straight-line limit is used,
 which keeps the prediction continuous across the branch switch.
 :func:`ctra_transition` evaluates the arc once per step and returns both the
-predicted state and its Jacobian.
+predicted state and its Jacobian; a step whose every row is straight skips
+the arc.
 
 The motion model and :class:`CtraFilter` take a single 6-vector state or a
 stack of them with leading axes, through one numpy code path (a single state
@@ -54,8 +60,11 @@ def wrap_angle(angle):
 
     Equal bit for bit to ``math.remainder(angle, TAU)`` moved off -pi:
     ``fmod`` is exact, and shifting its result by one turn is exact too
-    (Sterbenz), so both land on the same double.
+    (Sterbenz), so both land on the same double. Angles already inside
+    (-pi, pi) are returned as given: there both steps are identities.
     """
+    if (np.abs(angle) < math.pi).all():  # False for a NaN: the full path
+        return angle
     wrapped = np.fmod(angle, TAU)
     outside = (wrapped > math.pi) | (wrapped <= -math.pi)
     if outside.any():
@@ -94,40 +103,44 @@ def ctra_transition(
     x, y, v, psi, psi_dot, a = (state[..., i] for i in range(STATE_DIM))
     h = half_dt * psi_dot
     straight = np.abs(psi_dot) < eps_yaw
-    safe_psi_dot = np.where(straight, 1.0, psi_dot)
-    chord = np.where(straight, dt_s, 2.0 * np.sin(h) / safe_psi_dot)
     heading = psi + h
     cos_m, sin_m = np.cos(heading), np.sin(heading)
+    if straight.all():  # no arc: the chord is the step, and d(chord) zero
+        chord, dchord = dt_s, 0.0
+    else:
+        safe_psi_dot = np.where(straight, 1.0, psi_dot)
+        chord = np.where(straight, dt_s, 2.0 * np.sin(h) / safe_psi_dot)
+        # d(chord)/d(psi_dot); series form below |h| ~ 1e-4 where the closed
+        # form cancels catastrophically. float_power calls the C library pow
+        # for each element, as a scalar ``**`` does; np.power's SIMD loop can
+        # round the cube differently.
+        dchord = np.where(
+            straight,
+            0.0,
+            np.where(
+                np.abs(h) < 1e-4,
+                -dt_cubed * psi_dot / 12.0,
+                (dt_s * np.cos(h) - chord) / safe_psi_dot,
+            ),
+        )
     v_chord = v * chord
+    dx, dy = v_chord * cos_m, v_chord * sin_m
 
     pred = np.empty(np.shape(state))
-    pred[..., 0] = x + v_chord * cos_m
-    pred[..., 1] = y + v_chord * sin_m
+    pred[..., 0] = x + dx
+    pred[..., 1] = y + dy
     pred[..., 2] = v + dt_s * a
     pred[..., 3] = wrap_angle(psi + dt_s * psi_dot)
     pred[..., 4] = psi_dot
     pred[..., 5] = a
 
-    # d(chord)/d(psi_dot); series form below |h| ~ 1e-4 where the closed
-    # form cancels catastrophically. float_power calls the C library pow
-    # for each element, as a scalar ``**`` does; np.power's SIMD loop can
-    # round the cube differently.
-    dchord = np.where(
-        straight,
-        0.0,
-        np.where(
-            np.abs(h) < 1e-4,
-            -dt_cubed * psi_dot / 12.0,
-            (dt_s * np.cos(h) - chord) / safe_psi_dot,
-        ),
-    )
     half_dt_chord = half_dt * chord
     jac = eye.copy()
     jac[..., 0, 2] = chord * cos_m
-    jac[..., 0, 3] = -(v_chord * sin_m)
+    jac[..., 0, 3] = -dy
     jac[..., 0, 4] = v * (dchord * cos_m - half_dt_chord * sin_m)
     jac[..., 1, 2] = chord * sin_m
-    jac[..., 1, 3] = v_chord * cos_m
+    jac[..., 1, 3] = dx
     jac[..., 1, 4] = v * (dchord * sin_m + half_dt_chord * cos_m)
     jac[..., 2, 5] = dt_s
     jac[..., 3, 4] = dt_s
@@ -289,6 +302,13 @@ def _segment_measurements(
     not significant against the fit's residual scatter, reads as a
     stationary platform: zero speed and rates, the previous heading kept.
 
+    The gates run as a cascade, each over the windows the one before passed:
+    the full-window fit and its speed gate over every window, the residual
+    scatter over the windows fast enough, and the two half-window fits and
+    the headings over the windows that pass both. Their values are scattered
+    into rows that read stationary until then; every value is the one the
+    same arithmetic gives over all windows.
+
     The window sums come from prefix sums over the samples. A segment can
     be derived a block of rows at a time: ``carry`` is what the call for
     the rows before ``k0`` returned (None at ``k0 = 0``), holding the
@@ -312,7 +332,6 @@ def _segment_measurements(
     lo_next = int(lo[-1])
     # from here on, indices count from sample lo0
     k, lo = k[: k1 - first] - lo0, lo[: k1 - first] - lo0
-    mid = lo + (k - lo + 1) // 2
 
     rel = rel_ms[: k1 - lo0] / 1000.0
     x, y = xy[lo0:k1, 0], xy[lo0:k1, 1]
@@ -337,14 +356,14 @@ def _segment_measurements(
         moving = (denom > 0.0) & (speed >= floor)
         return np.where(moving, speed, 0.0), vx, vy, moving, denom, cnt
 
+    # gate 1, every window: the full-window fit's speed
     v_full, vx_f, vy_f, mov_f, denom_f, cnt_f = gated_speed(lo, k)
-    v_old, vx_o, vy_o, mov_o, _, _ = gated_speed(lo, mid)
-    v_new, vx_n, vy_n, mov_n, _, _ = gated_speed(mid, k)
-    psi_old = np.arctan2(vy_o, vx_o)
-    psi_new = np.arctan2(vy_n, vx_n)
-
-    # motion-significance gate on the full window: residual scatter of the
-    # straight-line fit vs fitted displacement
+    # gate 2, windows that pass gate 1: motion significant against the
+    # residual scatter of the straight-line fit
+    g = np.flatnonzero(mov_f)
+    k, lo, v_full, vx_f, vy_f, denom_f, cnt_f = (
+        c[g] for c in (k, lo, v_full, vx_f, vy_f, denom_f, cnt_f)
+    )
     sum_x = p_x[k + 1] - p_x[lo]
     sum_y = p_y[k + 1] - p_y[lo]
     rss = (
@@ -355,24 +374,28 @@ def _segment_measurements(
     )
     resid = np.sqrt(np.maximum(rss, 0.0) / cnt_f)
     span = rel[k] - rel[lo]
-    mov_f &= v_full * span >= _significance(cnt_f) * resid
-    v_full = np.where(mov_f, v_full, 0.0)
-
+    moving = v_full * span >= _significance(cnt_f) * resid
+    # windows that pass both gates: heading, and rates from the half windows
+    g, k, lo, v_full, vx_f, vy_f, span = (
+        c[moving] for c in (g, k, lo, v_full, vx_f, vy_f, span)
+    )
+    mid = lo + (k - lo + 1) // 2
+    v_old, vx_o, vy_o, mov_o, _, _ = gated_speed(lo, mid)
+    v_new, vx_n, vy_n, mov_n, _, _ = gated_speed(mid, k)
     half_dt = 0.5 * span
-    dpsi = psi_new - psi_old
+    dpsi = np.arctan2(vy_n, vx_n) - np.arctan2(vy_o, vx_o)
     dpsi -= TAU * np.round(dpsi / TAU)
-    psi_dot = np.where(mov_f & mov_o & mov_n, dpsi / half_dt, 0.0)
-    accel = np.where(mov_f, (v_new - v_old) / half_dt, 0.0)
-    psi = _forward_fill(np.where(mov_f, np.arctan2(vy_f, vx_f), np.nan), initial=psi0)
+    psi = np.full(len(mov_f), np.nan)
+    psi[g] = np.arctan2(vy_f, vx_f)
 
     rows = u[first - k0 :]
-    rows[:, 0] = xy[first:k1, 0]
-    rows[:, 1] = xy[first:k1, 1]
-    rows[:, 2] = v_full
-    rows[:, 3] = psi
-    rows[:, 4] = psi_dot
-    rows[:, 5] = accel
-    return u, (lo_next, prefix[lo_next - lo0].copy(), float(psi[-1]))
+    rows[:, :2] = xy[first:k1]
+    rows[:, 2:] = 0.0  # a stationary window: no speed, no rates
+    rows[g, 2] = v_full
+    rows[:, 3] = _forward_fill(psi, initial=psi0)
+    rows[g, 4] = np.where(mov_o & mov_n, dpsi / half_dt, 0.0)
+    rows[g, 5] = (v_new - v_old) / half_dt
+    return u, (lo_next, prefix[lo_next - lo0].copy(), float(rows[-1, 3]))
 
 
 def checked(result: Stream | FilterError) -> Stream:

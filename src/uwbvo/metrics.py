@@ -14,7 +14,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Position2D, Stream
+from .core import Position2D, Stream, nearest_indices
 from .pipeline import FusedTrack
 from .simulate import StopWindow
 
@@ -36,6 +36,13 @@ class StopAccuracy:
     std_mm: float
 
 
+def _nearest_samples(ts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per target, ``argmin(|ts - target|)`` over sorted ``ts``: the nearest
+    sample, the earlier of two equidistant ones, and the first of a run of
+    equal timestamps."""
+    return np.searchsorted(ts, ts[nearest_indices(ts, targets)])
+
+
 def stop_accuracy(track: Stream, truth: TruthLike) -> StopAccuracy:
     """Average and population-std of per-stop positioning error."""
     ts, xy = track.t_ms.astype(np.float64), track.xy
@@ -44,14 +51,13 @@ def stop_accuracy(track: Stream, truth: TruthLike) -> StopAccuracy:
     last_window: dict[int, StopWindow] = {}
     for w in truth.stop_windows:
         last_window[w.stop_index] = w
+    windows = [last_window[idx] for idx in sorted(last_window)]
+    nearest = _nearest_samples(ts, np.array([w.midpoint_ms for w in windows])).tolist()
     errors: list[float] = []
-    for idx in sorted(last_window):
-        w = last_window[idx]
-        mid = w.midpoint_ms
-        j = int(np.argmin(np.abs(ts - mid)))
+    for w, j in zip(windows, nearest):
         if not (w.t0_ms <= ts[j] <= w.t1_ms):
-            raise CoverageError(f"track does not cover stop {idx + 1} dwell window")
-        planned = truth.pose_at(mid)
+            raise CoverageError(f"track does not cover stop {w.stop_index + 1} dwell window")
+        planned = truth.pose_at(w.midpoint_ms)
         errors.append(math.hypot(xy[j, 0] - planned.x, xy[j, 1] - planned.y))
     values = np.array(errors)
     return StopAccuracy(avg_mm=float(values.mean()), std_mm=float(values.std()))

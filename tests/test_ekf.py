@@ -224,24 +224,44 @@ class TestPseudoMeasurements:
         assert u[2] == 0.0 and u[3] == 0.5
 
 
+_T37 = np.arange(0, 120 * 37, 37)
+_ALONG_MINUS_X = np.stack([-0.5 * _T37, np.full(len(_T37), -0.0)], axis=1)
+_MOVE_THEN_DWELL = np.minimum(_T37, 2000)[:, None] * np.array([[-0.3, 0.4]])
+# 30 mm/s: no window passes the speed gate
+_SLOW_DRIFT = 0.03 * _T37[:, None] * np.array([[0.6, -0.8]])
+# scatter of 300 mm: 0.3 s windows pass the speed gate, not the significance one
+_JITTER = np.random.default_rng(7).normal(0.0, 300.0, (len(_T37), 2))
+# a jump at 2.2 s: 3 s windows across it move, some with both halves still
+_STEP = np.where(_T37[:, None] < 2200, 0.0, np.array([[400.0, 300.0]]))
+
+
+def _bits(u):
+    """The rows' bits, every NaN as one NaN: the sign of a zero counts."""
+    return np.where(np.isnan(u), np.nan, u).view(np.int64)
+
+
 def test_builder_matches_vectorized_derivation():
     params = CtraParams()
+    segments = [(_T37, xy) for xy in (_SLOW_DRIFT, _JITTER, _STEP, _MOVE_THEN_DWELL)]
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n = 250
         ts = np.cumsum(rng.integers(4, 60, size=n)).astype(np.int64)
-        xy = np.cumsum(rng.normal(0, 30, size=(n, 2)), axis=0)
+        segments.append((ts, np.cumsum(rng.normal(0, 30, size=(n, 2)), axis=0)))
+    for ts, xy in segments:
         samples = make_stream(ts, xy)
         builder = MeasurementBuilder(params.diff_span_s, params.min_speed_mm_s)
         incremental = [builder.push(s) for s in samples]
         vectorized, _ = _segment_measurements(
             ts, xy.astype(float), params.diff_span_s, params.min_speed_mm_s
         )
-        for k in range(n):
+        for k in range(len(ts)):
             if incremental[k] is None:
                 assert np.isnan(vectorized[k]).all()
             else:
                 assert np.allclose(incremental[k], vectorized[k], rtol=1e-9, atol=1e-9)
+                if incremental[k][2] == 0.0:  # stationary: speed and rates +0.0
+                    assert _bits(vectorized[k, [2, 4, 5]]).tolist() == [0, 0, 0]
 
 
 def _whole_window_starts(t_ms, span_s):
@@ -252,16 +272,12 @@ def _whole_window_starts(t_ms, span_s):
     return np.clip(np.minimum(a - 1, k - 2), 0, None)
 
 
-def _bits(u):
-    """The rows' bits, every NaN as one NaN: the sign of a zero counts."""
-    return np.where(np.isnan(u), np.nan, u).view(np.int64)
-
-
 @st.composite
 def cut_segments(draw):
-    """A segment and cuts into blocks: a walk, a move into a dwell, or a path
-    along -x on y = -0.0. Two samples may share a time, as in a merged
-    stream, but never three, so every window spans time."""
+    """A segment and cuts into blocks: a walk, a move into a dwell, a path
+    along -x on y = -0.0, scatter about a point, or a jump. Two samples may
+    share a time, as in a merged stream, but never three, so every window
+    spans time."""
     n = draw(st.integers(1, 150))
     steps = np.array(draw(st.lists(st.integers(1, 90), min_size=n, max_size=n)))
     tie = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
@@ -269,15 +285,19 @@ def cut_segments(draw):
     t_ms = np.cumsum(np.where(tie, 0, steps)) + draw(st.integers(0, 10**6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     t_s = (t_ms - t_ms[0]) / 1000.0
-    shape = draw(st.sampled_from(["walk", "dwell", "minus_x"]))
+    shape = draw(st.sampled_from(["walk", "dwell", "minus_x", "scatter", "jump"]))
     if shape == "walk":
         xy = np.cumsum(rng.normal(0.0, 30.0, size=(n, 2)), axis=0)
     elif shape == "dwell":  # moving, then still: the heading is carried
         stop = draw(st.integers(0, n))
         xy = np.stack([500.0 * t_s, 300.0 * t_s], axis=1)
         xy[stop:] = xy[stop - 1] if stop else 0.0
-    else:  # heading pi or -pi, decided by the sign of the zero sums
+    elif shape == "minus_x":  # heading pi or -pi, decided by the sign of the zero sums
         xy = np.stack([-500.0 * t_s, np.full(n, -0.0)], axis=1)
+    elif shape == "scatter":  # moves fast, but not significantly
+        xy = rng.normal(0.0, 300.0, size=(n, 2))
+    else:  # still, then still elsewhere: half windows read still
+        xy = np.where(np.arange(n)[:, None] < draw(st.integers(0, n)), 0.0, [[400.0, 300.0]])
     span_s = draw(st.sampled_from([0.05, 0.3, 3.0]))
     sizes = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 64)), max_size=40))
     cuts = set(np.cumsum(sizes).tolist())
@@ -295,11 +315,6 @@ def _blocked_measurements(t_ms, xy, span_s, cuts):
     return np.concatenate(rows)
 
 
-_T37 = np.arange(0, 120 * 37, 37)
-_ALONG_MINUS_X = np.stack([-0.5 * _T37, np.full(len(_T37), -0.0)], axis=1)
-_MOVE_THEN_DWELL = np.minimum(_T37, 2000)[:, None] * np.array([[-0.3, 0.4]])
-
-
 @settings(max_examples=200, deadline=None)
 @given(cut_segments())
 # blocks of 1, 2 and 3 rows; the first ends before row 2
@@ -309,6 +324,13 @@ _MOVE_THEN_DWELL = np.minimum(_T37, 2000)[:, None] * np.array([[-0.3, 0.4]])
 @example((_T37, _ALONG_MINUS_X, 3.0, [0, 2, 40, 80, 81, 82, 120]))
 # the dwell from row ~62 on keeps the heading, the last block's from the carry
 @example((_T37, _MOVE_THEN_DWELL, 0.3, [0, 5, 50, 54, 55, 101, 120]))
+# 3 s windows cut inside the move, resuming the sums mid-window
+@example((_T37, _MOVE_THEN_DWELL, 3.0, [0, 17, 18, 33, 54, 120]))
+# no window passes the speed gate; no window passes the significance gate
+@example((_T37, _SLOW_DRIFT, 3.0, [0, 30, 31, 120]))
+@example((_T37, _JITTER, 0.3, [0, 10, 60, 61, 120]))
+# windows across the jump move, some with still halves; cuts among them
+@example((_T37, _STEP, 3.0, [0, 59, 60, 66, 90, 120]))
 def test_blocked_measurements_equal_whole_segment(case):
     t_ms, xy, span_s, cuts = case
     whole, _ = _segment_measurements(t_ms, xy, span_s, 100.0)
@@ -470,7 +492,8 @@ class TestStacks:
         return random_states(rng, n, (0.0, 1e-9, 1e-3, -2e-3, 0.5, -1.7))
 
     def test_motion_model_equals_scalar_oracle(self):
-        # single states and stacks, bit for bit against math-call arithmetic
+        # single states and stacks, bit for bit against math-call arithmetic:
+        # a mixed stack, and an all-straight one that skips the arc
         rng = np.random.default_rng(21)
         n = 400
         states = self.mixed_states(rng, n)
@@ -478,15 +501,20 @@ class TestStacks:
         dts[:5] = 0.0
         # a zero mid-arc heading leaves the series d(chord) term alone in J[0, 4]
         states[::2, 3] = -(0.5 * dts[::2] * states[::2, 4])
-        pred, jac = ctra_transition(states, dts)
-        assert pred.shape == (n, 6) and jac.shape == (n, 6, 6)
-        for i in range(n):
-            expected_pred = predict_state_scalar(states[i], dts[i])
-            expected_jac = ctra_jacobian_scalar(states[i], dts[i])
-            assert np.array_equal(pred[i], expected_pred)
-            assert np.array_equal(jac[i], expected_jac)
-            assert np.array_equal(ctra_transition(states[i], dts[i])[0], expected_pred)
-            assert np.array_equal(ctra_transition(states[i], dts[i])[1], expected_jac)
+        straight = random_states(rng, 40, (0.0, -0.0, 1e-9, -5e-7))
+        # zero steps in every quadrant: the signs of J[0, 4] and J[1, 4]'s zeros
+        straight[:8, 3] = np.tile([0.5, 2.5, -2.5, -0.5], 2)
+        for stack, steps in ((states, dts), (straight, dts[:40]), (straight, 0.05)):
+            pred, jac = ctra_transition(stack, steps)
+            assert pred.shape == stack.shape and jac.shape == stack.shape + (6,)
+            for i in range(len(stack)):
+                dt = np.broadcast_to(steps, len(stack))[i]
+                expected_pred = predict_state_scalar(stack[i], dt)
+                expected_jac = ctra_jacobian_scalar(stack[i], dt)
+                lone_pred, lone_jac = ctra_transition(stack[i], dt)
+                for got, expected in ((pred[i], expected_pred), (jac[i], expected_jac),
+                                      (lone_pred, expected_pred), (lone_jac, expected_jac)):
+                    assert _bits(got).tolist() == _bits(expected).tolist()
 
     def test_stacked_filter_equals_lone_filters(self):
         rng = np.random.default_rng(22)
@@ -541,10 +569,20 @@ def test_wrap_angle_equals_remainder():
     angles = np.concatenate(
         [special, rng.uniform(-50, 50, 5000), rng.uniform(-1e9, 1e9, 2000)]
     )
-    expected = np.array([wrap_angle_scalar(a) for a in angles.tolist()])
-    wrapped = wrap_angle(angles)
-    # bit for bit, sign of zero included
-    assert np.array_equal(wrapped.view(np.int64), expected.view(np.int64))
+    # arrays wholly inside (-pi, pi), returned as given
+    inside = np.nextafter([pi, -pi], 0.0)
+    inner = [np.array([0.0, -0.0]), inside, np.concatenate([inside, [-0.0, 5e-324]])]
+    inner.append(rng.uniform(-pi, pi, 1000))
+    for arr in [*inner, angles]:
+        expected = np.array([wrap_angle_scalar(a) for a in arr.tolist()])
+        wrapped = wrap_angle(arr)
+        # bit for bit, sign of zero included
+        assert np.array_equal(wrapped.view(np.int64), expected.view(np.int64))
+    # a NaN stays NaN, and the angles beside it wrap as alone
+    with_nan = wrap_angle(np.array([0.5, np.nan, 7.0, -0.0]))
+    assert np.isnan(with_nan[1])
+    assert with_nan[[0, 2, 3]].tolist() == [0.5, wrap_angle_scalar(7.0), -0.0]
+    assert math.copysign(1.0, with_nan[3]) == -1.0
     for a, e in zip(special, expected.tolist()):
         assert math.copysign(1.0, wrap_angle(a)) == math.copysign(1.0, e)
         assert wrap_angle(a) == e

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_stream, stop_error
@@ -11,6 +11,7 @@ from uwbvo.core import Position2D
 from uwbvo.metrics import (
     CoverageError,
     RunReport,
+    _nearest_samples,
     compare,
     render_table,
     stop_accuracy,
@@ -118,6 +119,30 @@ def test_stop_accuracy_requires_window_coverage():
     samples = make_stream([0, 100], [(1000.0, 0.0), (1000.0, 0.0)])
     with pytest.raises(CoverageError, match="stop"):
         stop_accuracy(samples, truth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-50, 50), st.lists(st.integers(0, 7), min_size=1, max_size=40))
+# runs of equal timestamps on both sides of equidistant targets
+@example(0, [0, 0, 2, 0, 0, 2, 0])
+def test_nearest_samples_equal_argmin(t0, steps):
+    # gaps of 0 are equal timestamps; targets every 0.5 ms from before the
+    # first sample to after the last hit every midpoint between two samples
+    ts = (t0 + np.cumsum(steps)).astype(np.float64)
+    targets = np.arange(ts[0] - 3.0, ts[-1] + 3.5, 0.5)
+    expected = [int(np.argmin(np.abs(ts - t))) for t in targets]
+    assert _nearest_samples(ts, targets).tolist() == expected
+
+
+def test_stop_accuracy_reads_first_of_equal_timestamps():
+    # every timestamp twice, as in a merged track, each sample elsewhere
+    truth = build_truth(default_scenario().plan)
+    ts = np.repeat(np.arange(0, int(truth.duration_ms), 100), 2)
+    xy = truth.sample(ts) + np.random.default_rng(5).normal(0.0, 20.0, (len(ts), 2))
+    track = make_stream(ts, xy)
+    errors = np.array([stop_error(track, truth, i) for i in range(16)])
+    acc = stop_accuracy(track, truth)
+    assert (acc.avg_mm, acc.std_mm) == (float(errors.mean()), float(errors.std()))
 
 
 def test_rmse_trivial_cases():

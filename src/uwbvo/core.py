@@ -115,8 +115,8 @@ class Stream:
             xy = xy.reshape(0, 2)
         if t_ms.ndim != 1 or xy.shape != (len(t_ms), 2):
             raise ValueError(f"{t_ms.shape} timestamps for positions of shape {xy.shape}")
-        bad = t_ms[~np.isfinite(xy).all(axis=1)]
-        if len(bad):
+        if not np.isfinite(xy).all():  # the per-row mask only to name the first bad row
+            bad = t_ms[~np.isfinite(xy).all(axis=1)]
             raise ValueError(f"non-finite position in {self.source} stream at t={bad[0]}")
         back = t_ms[1:][np.diff(t_ms) < 0]
         if len(back):

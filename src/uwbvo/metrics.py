@@ -68,7 +68,9 @@ def trajectory_rmse(track: Stream, truth: TruthLike) -> float:
     if len(track) == 0:
         raise CoverageError("empty track")
     true_xy = truth.sample(track.t_ms)
-    err_sq = np.sum((track.xy - true_xy) ** 2, axis=1)
+    d = track.xy - true_xy
+    # the one addition per row that np.sum(d ** 2, axis=1) makes, without its row reduction
+    err_sq = d[:, 0] ** 2 + d[:, 1] ** 2
     return float(np.sqrt(err_sq.mean()))
 
 

@@ -315,6 +315,17 @@ def _segment_scales(
     return scales
 
 
+def _first_at_or_after(ts: np.ndarray, t: float) -> int:
+    """The index of the first of the int64 timestamps ``ts`` at or past ``t``.
+
+    The key is ``ceil(t)``, an integer, which selects the same index as
+    ``t``: a float key would cast all of ``ts`` to float64 on every call.
+    """
+    if t == math.inf:
+        return len(ts)
+    return int(np.searchsorted(ts, math.ceil(t)))
+
+
 def synth_vo(truth: GroundTruth, model: VoModel, seed: int) -> VoTrace:
     """VO positions with per-segment scale faults and accumulating offset.
 
@@ -391,7 +402,7 @@ class VoSensor:
         """Generate whole blocks until ``count`` reaches ``stop`` (at most the stream's length)."""
         while self.count < stop:
             i = self.count
-            j = int(np.searchsorted(self.ts, self._advance_segments(float(self.ts[i]))))
+            j = _first_at_or_after(self.ts, self._advance_segments(float(self.ts[i])))
             # the truth is sampled per block: a sensor holds two stream-length arrays, not three
             true_xy = self.truth.sample(self.ts[i:j])
             bias = self._ref_bias + (self._active_scale - 1.0) * (true_xy - self._ref_pos)

@@ -76,6 +76,21 @@ def test_stream_validation():
         Stream([0, 5], [(0, 0)], VO)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("rows", [(0,), (2,), (4,), (1, 3), (0, 2, 3, 4)])
+@pytest.mark.parametrize("source", [UWB, VO])
+def test_stream_names_the_first_non_finite_row(bad, column, rows, source):
+    ts = [3, 8, 13, 21, 34]
+    xy = np.zeros((len(ts), 2))
+    xy[rows[0], column] = bad
+    for k, row in enumerate(rows[1:]):  # later bad rows mix kinds and columns
+        xy[row, (column + k + 1) % 2] = (float("nan"), float("-inf"))[k % 2]
+    with pytest.raises(ValueError) as err:
+        Stream(ts, xy, source)
+    assert str(err.value) == f"non-finite position in {source} stream at t={ts[rows[0]]}"
+
+
 def test_stream_arrays_are_read_only_copies():
     ts, xy = np.array([0, 5]), np.array([[0.0, 1.0], [2.0, 3.0]])
     stream = Stream(ts, xy, VO)

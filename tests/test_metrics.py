@@ -154,6 +154,28 @@ def test_rmse_trivial_cases():
     assert trajectory_rmse(offset, truth) == pytest.approx(10.0)
 
 
+_errors = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e6, 1e6),
+    st.floats(-1e150, 1e150),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_errors, _errors), min_size=1, max_size=60),
+    st.sampled_from([0.0, -0.0, 1234.5, -1e150]),
+)
+def test_rmse_equals_the_row_sum_form_bit_for_bit(rows, centre):
+    truth = constant_truth(x=centre, y=-centre)
+    ts = np.arange(len(rows)) * 10
+    track = make_stream(ts, np.array(rows, dtype=np.float64).reshape(-1, 2))
+    err_sq = np.sum((track.xy - truth.sample(track.t_ms)) ** 2, axis=1)
+    expected = float(np.sqrt(err_sq.mean()))
+    assert np.float64(trajectory_rmse(track, truth)).tobytes() == np.float64(expected).tobytes()
+
+
 def test_rmse_sinusoid_converges_to_amplitude_over_sqrt2():
     truth = constant_truth(n=2, step_ms=1_000_000, with_stop=False)
     n = 100_000

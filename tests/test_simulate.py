@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import positions
 from vo_oracle import LoopVoSensor
@@ -14,6 +17,7 @@ from uwbvo.simulate import (
     UwbModel,
     VoModel,
     VoSensor,
+    _first_at_or_after,
     build_truth,
     best_case_scenario,
     default_scenario,
@@ -366,6 +370,68 @@ class TestSensorOracle:
         truth = build_truth(scenario.plan)
         batch = synth_vo(truth, scenario.vo, seed).samples
         assert list(batch) == list(LoopVoSensor(truth, scenario.vo, seed))
+
+
+_WORST_TRUTH = build_truth(worst_case_scenario().plan)
+_GRIDS = {rate: sample_times(rate, _WORST_TRUTH.duration_ms) for rate in (200.0, 0.5)}
+
+
+def event_times(ts: np.ndarray):
+    """Event times around a timestamp grid: integers (the samples' own
+    among them), the floats one ulp either side of them, the truth's
+    segment times, any time up to twice the grid's span, and ``inf``."""
+    last = int(ts[-1])
+    ints = st.one_of(st.integers(-3, last + 3000), st.sampled_from(ts.tolist()))
+    events = [t for seg in _WORST_TRUTH.segments for t in (seg.t0_ms, seg.t1_ms)]
+    return st.one_of(
+        ints.map(float),
+        st.tuples(ints, st.sampled_from([-math.inf, math.inf])).map(
+            lambda p: math.nextafter(float(p[0]), p[1])
+        ),
+        st.sampled_from(events),
+        st.floats(-10.0, 2.0 * last, allow_nan=False),
+        st.just(math.inf),
+    )
+
+
+_EVENT_TIMES = {rate: event_times(ts) for rate, ts in _GRIDS.items()}
+
+
+class TestBlockEnd:
+    """``fill`` ends a block at the first sample at or past the next event."""
+
+    @pytest.mark.parametrize("rate_hz", [200.0, 0.5])
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_integer_key_finds_the_float_key_index(self, rate_hz, data):
+        ts = _GRIDS[rate_hz]
+        t = data.draw(_EVENT_TIMES[rate_hz])
+        assert _first_at_or_after(ts, t) == int(np.searchsorted(ts, t))
+
+    @pytest.mark.parametrize("rate_hz", [200.0, 0.5])
+    def test_block_end_at_the_grid_edges(self, rate_hz):
+        ts = _GRIDS[rate_hz]
+        n, last = len(ts), float(ts[-1])
+        assert _first_at_or_after(ts, math.inf) == n
+        assert _first_at_or_after(ts, math.nextafter(last, math.inf)) == n
+        assert _first_at_or_after(ts, last) == n - 1
+        assert _first_at_or_after(ts, math.nextafter(last, -math.inf)) == n - 1
+        assert _first_at_or_after(ts, -0.0) == 0
+        assert _first_at_or_after(ts, math.nextafter(0.0, math.inf)) == 1
+
+    def test_whole_stream_fill_allocates_less_than_its_timestamps(self):
+        # a float key cast all of ts to float64 per block: the fill then
+        # peaked at 718 KB against ts's 588 KB, and at 400 KB without it
+        scenario = worst_case_scenario()
+        sensor = VoSensor(_WORST_TRUTH, scenario.vo, seed=0)
+        tracemalloc.start()
+        try:
+            sensor.fill(len(sensor.ts))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sensor.count == len(sensor.ts)
+        assert peak < sensor.ts.nbytes
 
 
 class TestScenarios:

@@ -112,25 +112,28 @@ class StopClusterer:
         points = np.concatenate([self._points, xy[first_new]])
         # near[i, d]: value d was seen before sample i and lies within alpha
         # of it, by squared distances; d is the sample's own value only on a
-        # re-arrival
+        # re-arrival. The squares and their sum are taken in place, in dx and
+        # dy: the block makes no other (m x n) float matrix
         dx = np.subtract.outer(xy[:, 0], points[:, 0])
         dy = np.subtract.outer(xy[:, 1], points[:, 1])
-        near = dx * dx + dy * dy <= self.params.alpha_mm * self.params.alpha_mm
+        dx *= dx
+        dy *= dy
+        dx += dy
+        near = dx <= self.params.alpha_mm * self.params.alpha_mm
         near[:, n_old:] &= first_new < np.arange(m)[:, None]
         # the increments are near, except that the sample's own value gains
         # the row's count of True: one per pair with another value, plus one
         # on a re-arrival
-        own_extra = np.count_nonzero(near, axis=1) - near[np.arange(m), slot]
+        own_extra = np.add.reduce(near, axis=1, dtype=np.int64) - near[np.arange(m), slot]
         old = np.zeros(n, dtype=np.int64)
         old[:n_old] = self._counts
 
         def counts_after(i: int) -> np.ndarray:
             """Every count after sample ``i`` of the block."""
-            return (
-                old
-                + np.count_nonzero(near[: i + 1], axis=0)
-                + np.bincount(slot[: i + 1], own_extra[: i + 1], minlength=n).astype(np.int64)
-            )
+            counts = np.add.reduce(near[: i + 1], axis=0, dtype=np.int64)
+            counts += old
+            counts += np.bincount(slot[: i + 1], own_extra[: i + 1], minlength=n).astype(np.int64)
+            return counts
 
         last = m - 1
         counts = counts_after(last)

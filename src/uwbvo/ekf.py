@@ -63,7 +63,10 @@ def wrap_angle(angle):
     (Sterbenz), so both land on the same double. Angles already inside
     (-pi, pi) are returned as given: there both steps are identities.
     """
-    if (np.abs(angle) < math.pi).all():  # False for a NaN: the full path
+    # a ufunc reduction, not ``ndarray.all``: this runs three times per
+    # filter step. A NaN or an infinity fails the test and takes the full
+    # path; ``initial`` lets an empty array pass
+    if np.maximum.reduce(np.abs(angle), axis=None, initial=0.0) < math.pi:
         return angle
     wrapped = np.fmod(angle, TAU)
     outside = (wrapped > math.pi) | (wrapped <= -math.pi)
@@ -91,21 +94,26 @@ def ctra_transition(
     ``chord = 2 sin(h) / psi_dot``, which degrades gracefully into the
     straight-line limit ``chord = dt``.
 
-    ``grid_terms`` is ``(0.5 * dt_s, np.float_power(dt_s, 3), eye)``, with
-    ``eye`` identities shaped like the Jacobian; a caller stepping a fixed
-    time grid computes them once for the whole grid instead of per step.
+    ``grid_terms`` is ``(0.5 * dt_s, np.float_power(dt_s, 3), jac)``, with
+    ``jac`` a writable buffer shaped like the Jacobian that holds the
+    identity outside the eight entries the step depends on. The step
+    overwrites those eight entries and returns ``jac`` itself, so the
+    Jacobian is valid until the buffer's next step. A caller stepping a
+    fixed time grid computes these once for the whole grid instead of per
+    step.
     """
     if grid_terms is None:
         half_dt, dt_cubed = 0.5 * dt_s, np.float_power(dt_s, 3)
-        eye = np.broadcast_to(_EYE, np.shape(state) + (STATE_DIM,))
+        jac = np.broadcast_to(_EYE, np.shape(state) + (STATE_DIM,)).copy()
     else:
-        half_dt, dt_cubed, eye = grid_terms
-    x, y, v, psi, psi_dot, a = (state[..., i] for i in range(STATE_DIM))
+        half_dt, dt_cubed, jac = grid_terms
+    v, psi, psi_dot, a = state[..., 2], state[..., 3], state[..., 4], state[..., 5]
     h = half_dt * psi_dot
     straight = np.abs(psi_dot) < eps_yaw
     heading = psi + h
     cos_m, sin_m = np.cos(heading), np.sin(heading)
-    if straight.all():  # no arc: the chord is the step, and d(chord) zero
+    if np.logical_and.reduce(straight, axis=None):
+        # no arc: the chord is the step, and d(chord) zero
         chord, dchord = dt_s, 0.0
     else:
         safe_psi_dot = np.where(straight, 1.0, psi_dot)
@@ -126,16 +134,13 @@ def ctra_transition(
     v_chord = v * chord
     dx, dy = v_chord * cos_m, v_chord * sin_m
 
-    pred = np.empty(np.shape(state))
-    pred[..., 0] = x + dx
-    pred[..., 1] = y + dy
-    pred[..., 2] = v + dt_s * a
+    pred = state.copy()  # yaw rate and acceleration carry over
+    pred[..., 0] += dx
+    pred[..., 1] += dy
+    pred[..., 2] += dt_s * a
     pred[..., 3] = wrap_angle(psi + dt_s * psi_dot)
-    pred[..., 4] = psi_dot
-    pred[..., 5] = a
 
     half_dt_chord = half_dt * chord
-    jac = eye.copy()
     jac[..., 0, 2] = chord * cos_m
     jac[..., 0, 3] = -dy
     jac[..., 0, 4] = v * (dchord * cos_m - half_dt_chord * sin_m)
@@ -246,8 +251,10 @@ class CtraFilter:
         innovation[..., 3] = wrap_angle(innovation[..., 3])
         self.state = self.state + (gain @ innovation[..., None])[..., 0]
         self.state[..., 3] = wrap_angle(self.state[..., 3])
-        self.P = (_EYE - gain) @ self.P
-        self.P = 0.5 * (self.P + self.P.swapaxes(-1, -2))
+        P = (_EYE - gain) @ self.P
+        P = P + P.swapaxes(-1, -2)
+        P *= 0.5
+        self.P = P
 
     def diverged(self) -> np.ndarray:
         """Per row: a non-finite state or a covariance diagonal that is not >= 0."""
@@ -480,7 +487,9 @@ def _lockstep(
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
     off = np.concatenate(([0], np.cumsum(active)))
     rows = list(enumerate(zip(row_stream.tolist(), first.tolist(), lengths.tolist())))
-    eye = np.broadcast_to(_EYE, (len(lengths), STATE_DIM, STATE_DIM)).copy()
+    # the Jacobian buffer of every step: rows only leave its prefix, and the
+    # entries outside the ones each step writes stay the identity's
+    jac = np.broadcast_to(_EYE, (len(lengths), STATE_DIM, STATE_DIM)).copy()
 
     def failed(bad: np.ndarray, k: int, text: str = "") -> list[FilterError | None]:
         """Fail each stream with a ``bad`` row at step ``k``, named by its
@@ -523,7 +532,7 @@ def _lockstep(
             if b - a < len(filt.state):
                 filt.state, filt.P = filt.state[: b - a], filt.P[: b - a]
             if k:
-                filt.predict(dt[a:b], (half_dt[a:b], dt_cubed[a:b], eye[: b - a]))
+                filt.predict(dt[a:b], (half_dt[a:b], dt_cubed[a:b], jac[: b - a]))
             # every row is at its segment's sample k, and a segment has no
             # measurement before its third sample
             if k >= 2:
@@ -531,7 +540,11 @@ def _lockstep(
                     filt.update(u[a:b])
                 except FilterError:
                     return failed(filt.degenerate(), k, DEGENERATE)
-            if not (np.isfinite(filt.state).all() and (filt.P.diagonal(0, -2, -1) >= 0.0).all()):
+            # ufunc reductions, not ``ndarray.all``: a NaN fails both tests
+            if not (
+                np.logical_and.reduce(np.isfinite(filt.state), axis=None)
+                and np.minimum.reduce(filt.P.diagonal(0, -2, -1), axis=None) >= 0.0
+            ):
                 return failed(filt.diverged(), k)
             u[a:b, :2] = filt.state[:, :2]
         for out, at in placed:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cluster_oracle
 from cluster_oracle import region_gate
-from uwbvo import clustering
+from uwbvo import clustering, config, pipeline, simulate
 from uwbvo.clustering import ClusterParams, StopClusterer, StopEstimate
 from uwbvo.core import Position2D, euclidean
 
@@ -380,3 +380,39 @@ def test_long_dwell_counted_in_bounded_memory():
     assert peak < 8 * 2**20
     stream = [Position2D(x, y) for x, y in rows.tolist()]
     assert clusterer.finish() == oracle_detect(stream, params)
+
+
+def test_live_visit_counted_without_squared_temporaries(monkeypatch):
+    # the visit of a worst-case live run (seeds 0-3) whose detector consumes
+    # the most samples. Its blocks reach (64 x 383) float64 distance
+    # matrices of 196 KB; squaring and summing them in place keeps the push
+    # near 635 KB, where separate squares and their sum peaked at 1,011 KB
+    scenario = simulate.worst_case_scenario()
+    params = config.default_pipeline_params()
+    truth = simulate.build_truth(scenario.plan)
+    pushed = []
+    push = StopClusterer.push
+
+    def recording_push(self, xy):
+        est = push(self, xy)
+        pushed.append((self._consumed, np.array(xy)))
+        return est
+
+    monkeypatch.setattr(StopClusterer, "push", recording_push)
+    for seed in range(4):
+        uwb = simulate.simulate_pair(scenario, seed)[0].uwb
+        sensor = simulate.VoSensor(truth, scenario.vo, seed)
+        pipeline.run_pipeline_live(uwb, sensor, scenario.plan, params)
+    monkeypatch.undo()
+    consumed, rows = max(pushed, key=lambda visit: visit[0])
+    assert (len(rows), consumed) == (437, 339)
+    clusterer = StopClusterer(params.cluster)
+    tracemalloc.start()
+    try:
+        est = clusterer.push(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est is not None and est.samples_consumed == consumed
+    assert len(clusterer._counts) == 383
+    assert peak < 800 * 2**10

@@ -438,6 +438,23 @@ class TestRunFilter:
         with pytest.raises(FilterError, match=r"diverged at sample 2 \(t_ms 74\)"):
             filter_one(raw, params)
 
+    @pytest.mark.parametrize("p0_x", [math.nan, -5e-324])
+    def test_health_test_fails_a_nan_or_negative_diagonal(self, p0_x):
+        # the per-step health test runs at sample 0 too, before any
+        # arithmetic: a NaN and the negative double nearest zero both fail it
+        raw = constant_position_stream(40.0, 50, seed=1)
+        params = CtraParams()
+        object.__setattr__(params, "p0_diag", (p0_x,) + params.p0_diag[1:])
+        expected = f"filter diverged at sample 0 (t_ms {raw.t_ms[0]})"
+        [result] = run_filter([raw], params)
+        assert isinstance(result, FilterError) and str(result) == expected
+
+    def test_health_test_passes_a_negative_zero_diagonal(self):
+        # -0.0 >= 0: the stream filters as the per-sample loop does
+        raw = constant_position_stream(40.0, 50, seed=1)
+        params = CtraParams(p0_diag=(-0.0,) + CtraParams().p0_diag[1:])
+        assert list(filter_one(raw, params)) == loop_filter(raw, params)
+
 
 class TestStackedStreams:
     """A failing stream fails alone, with the text a lone run of it gives."""
@@ -549,6 +566,34 @@ class TestStacks:
         filt.P[1] = 0.0
         assert filt.degenerate().tolist() == [False, True, False]
 
+    def test_jacobian_buffer_reused_as_the_lockstep_reuses_it(self):
+        # one buffer stepped through stacks whose row prefix shrinks, arc and
+        # all-straight steps mixed: each step returns the buffer's prefix,
+        # equal bit for bit to a fresh Jacobian, and the 28 entries no step
+        # writes keep the identity's bits
+        rng = np.random.default_rng(24)
+        buf = np.broadcast_to(np.eye(6), (12, 6, 6)).copy()
+        written = np.zeros((6, 6), dtype=bool)
+        written[[0, 0, 0, 1, 1, 1, 2, 3], [2, 3, 4, 2, 3, 4, 5, 4]] = True
+        straight_rates = (0.0, -0.0, 1e-9, -5e-7)
+        for rows, straight in [(12, False), (12, True), (9, False), (9, True),
+                               (9, False), (4, True), (4, False), (1, False), (1, True)]:
+            if straight:
+                states = random_states(rng, rows, straight_rates)
+            else:
+                states = self.mixed_states(rng, rows)
+                states[0, 4] = 0.5  # at least one arc row
+            dts = rng.uniform(0.0, 0.1, rows)
+            grid_terms = (0.5 * dts, np.float_power(dts, 3), buf[:rows])
+            pred, jac = ctra_transition(states, dts, grid_terms=grid_terms)
+            fresh_pred, fresh_jac = ctra_transition(states, dts)
+            assert np.shares_memory(jac, buf) and jac.shape == (rows, 6, 6)
+            assert _bits(pred).tolist() == _bits(fresh_pred).tolist()
+            assert _bits(jac).tolist() == _bits(fresh_jac).tolist()
+            assert _bits(buf[:, ~written]).tolist() == _bits(
+                np.broadcast_to(np.eye(6)[~written], (12, 28))
+            ).tolist()
+
     def test_diverged_flags_rows(self):
         filt = CtraFilter(CtraParams())
         filt.reset(np.zeros(4), np.zeros(4))
@@ -586,6 +631,18 @@ def test_wrap_angle_equals_remainder():
     for a, e in zip(special, expected.tolist()):
         assert math.copysign(1.0, wrap_angle(a)) == math.copysign(1.0, e)
         assert wrap_angle(a) == e
+
+
+@pytest.mark.parametrize("inf", [math.inf, -math.inf])
+def test_wrap_angle_infinities_take_the_full_path(inf):
+    # an infinity is not inside (-pi, pi): fmod turns it into NaN, warning,
+    # and the angles beside it wrap as alone
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(wrap_angle(inf))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        wrapped = wrap_angle(np.array([0.5, inf, -0.0]))
+    assert np.isnan(wrapped[1])
+    assert _bits(wrapped[[0, 2]]).tolist() == _bits(np.array([0.5, -0.0])).tolist()
 
 
 def test_ctra_state_round_trip_and_validation():

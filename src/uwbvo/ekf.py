@@ -3,7 +3,7 @@
 The filter runs over a single position stream. Its six-dimensional state is
 ``(x, y, v, psi, psi_dot, a)`` in millimetres, mm/s, radians, rad/s and
 mm/s^2. Measurements are full-state vectors synthesized from the position
-stream itself (see :func:`_segment_measurements`), so the measurement model
+stream itself (see :func:`_measurement_blocks`), so the measurement model
 is the identity and the gain reduces to ``K = P (P + R)^-1``. Each
 measurement comes from a trailing window of samples through a cascade of
 gates: a least-squares speed gate over every window, a significance gate
@@ -30,8 +30,12 @@ lockstep filters them all, one stacked step per local sample index. Stacked
 ``matmul`` and ``linalg.solve`` apply the same per-matrix kernels as the
 2-D calls, so a row of the stack follows the same arithmetic as a lone
 filter, and each stream's result is bit for bit what a run of that stream
-alone gives. The lockstep packs and steps one block of steps at a time, so
-its memory is bounded by a block, not by the samples it filters.
+alone gives. The lockstep packs and steps one block of steps at a time,
+blocks cut to a budget of row-steps (rows times steps), so its memory is
+bounded by a block, not by the samples it filters. A block's measurements
+come from one columnar pass over its (steps x rows) rectangle, every row
+at once, each row's prefix sums resuming where its previous block left
+them.
 """
 from __future__ import annotations
 
@@ -170,7 +174,11 @@ class CtraParams:
     speed/heading/yaw-rate/acceleration measurements; wider spans average
     away more position noise at the cost of response lag. ``min_speed_mm_s``
     gates differenced speeds: below it the platform is treated as stationary,
-    which keeps dwell-time noise out of the speed channel.
+    which keeps dwell-time noise out of the speed channel. ``eps_yaw`` is
+    the yaw rate below which a step moves along a straight line. The span
+    and ``eps_yaw`` must be finite and positive, the speed floor finite and
+    nonnegative: a NaN or negative span would shrink every window to three
+    samples, and a NaN floor would read every window as stationary.
     """
 
     q_diag: tuple[float, ...] = _Q_DEFAULT
@@ -186,6 +194,11 @@ class CtraParams:
                 raise ValueError(f"{name}_diag must have {STATE_DIM} entries")
             if not all(math.isfinite(d) and d >= 0 for d in diag):
                 raise ValueError(f"{name}_diag entries must be finite and nonnegative")
+        for name in ("diff_span_s", "eps_yaw"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        if not (math.isfinite(self.min_speed_mm_s) and self.min_speed_mm_s >= 0):
+            raise ValueError("min_speed_mm_s must be finite and nonnegative")
 
 
 # Window motion must exceed a multiple of the straight-line fit's own
@@ -274,135 +287,257 @@ class CtraFilter:
         return out.reshape(self.state.shape[:-1])
 
 
-def _forward_fill(values: np.ndarray, initial: float) -> np.ndarray:
-    """Replace NaNs with the latest preceding value (``initial`` before any)."""
-    filled = np.concatenate([[initial], values])
-    defined = ~np.isnan(filled)
-    idx = np.maximum.accumulate(np.where(defined, np.arange(len(filled)), 0))
-    return filled[idx][1:]
+# row-steps (rows times steps) the lockstep packs and filters at a time: a
+# block holds as many steps as keep its rows by steps within the budget (at
+# least one step). It bounds the block arrays and the synthesis temporaries
+# to a few MB, and a live run's UWB lockstep (17 rows by under 600 steps on
+# the worst-case preset) still fits in one block.
+_ROW_STEPS_PER_BLOCK = 1 << 14
 
 
-# steps of the lockstep packed and filtered at a time: blocks bound the
-# lockstep's memory, and 1024 steps still hold a live run's UWB lockstep
-# (under 600 steps on the worst-case preset) in one block
-_STEPS_PER_BLOCK = 1024
+def _block_cuts(active: np.ndarray) -> list[int]:
+    """Block bounds over the steps: ``active[k]`` rows run at step ``k``."""
+    cuts = [0]
+    while cuts[-1] < len(active):
+        k0 = cuts[-1]
+        cuts.append(min(len(active), k0 + max(1, _ROW_STEPS_PER_BLOCK // int(active[k0]))))
+    return cuts
 
 
-def _segment_measurements(
+def _measurement_blocks(
     t_ms: np.ndarray,
     xy: np.ndarray,
+    lengths: np.ndarray,
+    cuts: Sequence[int],
     span_s: float,
     min_speed_mm_s: float,
-    k0: int = 0,
-    k1: int | None = None,
-    carry: tuple | None = None,
-) -> tuple[np.ndarray, tuple]:
-    """Full-state measurements over one restart segment: rows ``k0:k1``, and a carry.
+):
+    """Full-state measurements of lockstep rows, one block of steps at a time.
 
-    Row ``k`` holds the measurement derived from the trailing window ending
-    at sample ``k`` (NaN for the first two rows, where no window exists yet);
-    window bounds compare in exact integer milliseconds. The newest sample
-    provides the position. Speed and heading come from the least-squares
-    velocity over the window; yaw rate and acceleration come from second
-    differences across the window's two halves, headings differenced on the
-    circle. A window whose net motion is slower than ``min_speed_mm_s``, or
-    not significant against the fit's residual scatter, reads as a
-    stationary platform: zero speed and rates, the previous heading kept.
+    Row ``r`` is a restart segment: ``lengths[r]`` consecutive samples of
+    ``t_ms`` and ``xy``, right after those of row ``r - 1``; rows come
+    longest first. Each block ``cuts[b]:cuts[b + 1]`` yields ``(u, dt,
+    samples)`` in the lockstep's step-major order, where the entries of
+    step ``k`` are the rows still running at ``k``, in row order: ``u``
+    holds each entry's measurement, ``dt`` the step from the row's previous
+    sample in seconds (0.0 at its sample 0), and ``samples`` the index of
+    each entry's sample. A block's positions are read only when the
+    generator resumes for it, so a caller may overwrite the samples of a
+    block it has been given.
 
-    The gates run as a cascade, each over the windows the one before passed:
-    the full-window fit and its speed gate over every window, the residual
-    scatter over the windows fast enough, and the two half-window fits and
-    the headings over the windows that pass both. Their values are scattered
-    into rows that read stationary until then; every value is the one the
-    same arithmetic gives over all windows.
+    Sample ``k`` of a segment gets the measurement derived from the
+    trailing window ending there (NaN for samples 0 and 1, where no window
+    exists yet); window bounds compare in exact integer milliseconds. The
+    newest sample provides the position. Speed and heading come from the
+    least-squares velocity over the window; yaw rate and acceleration come
+    from second differences across the window's two halves, headings
+    differenced on the circle. A window whose net motion is slower than
+    ``min_speed_mm_s``, or not significant against the fit's residual
+    scatter, reads as a stationary platform: zero speed and rates, the
+    previous heading kept.
 
-    The window sums come from prefix sums over the samples. A segment can
-    be derived a block of rows at a time: ``carry`` is what the call for
-    the rows before ``k0`` returned (None at ``k0 = 0``), holding the
-    window start of row ``k0``, the eight prefix sums at that sample and
-    the last heading. Resuming the prefix sums from the carried ones
-    performs the same sequential additions as one cumulative sum over the
-    whole segment, so the rows are bit for bit those of one call.
+    Each block is one columnar pass over a (steps x rows) rectangle:
+
+    - the window sums come from eight prefix sums per row, accumulated
+      along the step axis from the sums each row reached at the block's
+      first sample, so every row performs the same sequential additions
+      as one cumulative sum over its whole segment. The prefix sums of
+      earlier blocks that a later window can still start at are kept, as
+      slabs of steps trimmed to the rows that may read them;
+    - window starts come from one ``searchsorted`` over integer keys, each
+      sample's milliseconds from its segment's first plus an offset per
+      row that lifts every row above the one before it;
+    - the gates run as a cascade over every row's windows at once: the
+      full-window fit and its speed gate over every window, the residual
+      scatter over the windows fast enough, and the two half-window fits
+      and the headings over the windows that pass both. Their values are
+      scattered into entries that read stationary until then;
+    - headings are carried forward along the step axis from each row's
+      last one.
     """
-    n = len(t_ms)
-    k1 = n if k1 is None else k1
-    lo0, sums0, psi0 = (0, None, 0.0) if carry is None else carry
-    u = np.full((k1 - k0, STATE_DIM), np.nan)
-    first = max(k0, 2)
-    if first >= k1:  # no row with a window: the carry holds still
-        return u, (lo0, sums0, psi0)
-    # rows first:k1, and row k1 itself for the next block's window start
-    k = np.arange(first, min(k1 + 1, n))
-    rel_ms = t_ms[lo0 : k1 + 1] - t_ms[0]
-    a = lo0 + np.searchsorted(rel_ms, rel_ms[k - lo0] - span_s * 1000.0, side="right")
-    lo = np.clip(np.minimum(a - 1, k - 2), 0, None)
-    lo_next = int(lo[-1])
-    # from here on, indices count from sample lo0
-    k, lo = k[: k1 - first] - lo0, lo[: k1 - first] - lo0
-
-    rel = rel_ms[: k1 - lo0] / 1000.0
-    x, y = xy[lo0:k1, 0], xy[lo0:k1, 1]
-    terms = np.stack((rel, rel * rel, x, y, rel * x, rel * y, x * x, y * y), axis=1)
-    if lo0 == 0:  # cumsum's first entry is its first term, -0.0 included
-        prefix = np.concatenate((np.zeros((1, 8)), np.cumsum(terms, axis=0)))
-    else:
-        prefix = np.cumsum(np.concatenate((sums0[None], terms)), axis=0)
-    p_t, p_tt, p_x, p_y, p_tx, p_ty, p_xx, p_yy = prefix.T
-
+    n_rows = len(lengths)
+    starts = np.cumsum(lengths) - lengths
+    last = starts + lengths - 1
     floor = max(min_speed_mm_s, 1e-9)
+    span_ms = span_s * 1000.0
+    t0 = t_ms[starts]
+    room = t_ms[last] - t0 + 2
+    key_off = np.cumsum(room) - room
+    keys = np.repeat(t0 - key_off, lengths)
+    np.subtract(t_ms, keys, out=keys)
+    del t_ms
 
-    def gated_speed(i: np.ndarray, j: np.ndarray):
-        cnt = (j - i + 1).astype(np.float64)
-        s_t = p_t[j + 1] - p_t[i]
-        s_tt = p_tt[j + 1] - p_tt[i]
-        denom = s_tt - s_t * s_t / cnt
-        safe = np.where(denom > 0.0, denom, 1.0)
-        vx = (p_tx[j + 1] - p_tx[i] - s_t * (p_x[j + 1] - p_x[i]) / cnt) / safe
-        vy = (p_ty[j + 1] - p_ty[i] - s_t * (p_y[j + 1] - p_y[i]) / cnt) / safe
+    def gated_speed(s: np.ndarray, cnt: np.ndarray):
+        """The least-squares velocity of windows with sums ``s`` over ``cnt``
+        samples, its speed, and whether the window moves."""
+        denom = s[1] - s[0] * s[0] / cnt
+        spans_time = denom > 0.0
+        safe = np.where(spans_time, denom, 1.0)
+        vx = (s[4] - s[0] * s[2] / cnt) / safe
+        vy = (s[5] - s[0] * s[3] / cnt) / safe
         speed = np.hypot(vx, vy)
-        moving = (denom > 0.0) & (speed >= floor)
-        return np.where(moving, speed, 0.0), vx, vy, moving, denom, cnt
+        return speed, vx, vy, spans_time & (speed >= floor), denom
 
-    # gate 1, every window: the full-window fit's speed
-    v_full, vx_f, vy_f, mov_f, denom_f, cnt_f = gated_speed(lo, k)
-    # gate 2, windows that pass gate 1: motion significant against the
-    # residual scatter of the straight-line fit
-    g = np.flatnonzero(mov_f)
-    k, lo, v_full, vx_f, vy_f, denom_f, cnt_f = (
-        c[g] for c in (k, lo, v_full, vx_f, vy_f, denom_f, cnt_f)
-    )
-    sum_x = p_x[k + 1] - p_x[lo]
-    sum_y = p_y[k + 1] - p_y[lo]
-    rss = (
-        (p_xx[k + 1] - p_xx[lo] - sum_x * sum_x / cnt_f)
-        - vx_f * vx_f * denom_f
-        + (p_yy[k + 1] - p_yy[lo] - sum_y * sum_y / cnt_f)
-        - vy_f * vy_f * denom_f
-    )
-    resid = np.sqrt(np.maximum(rss, 0.0) / cnt_f)
-    span = rel[k] - rel[lo]
-    moving = v_full * span >= _significance(cnt_f) * resid
-    # windows that pass both gates: heading, and rates from the half windows
-    g, k, lo, v_full, vx_f, vy_f, span = (
-        c[moving] for c in (g, k, lo, v_full, vx_f, vy_f, span)
-    )
-    mid = lo + (k - lo + 1) // 2
-    v_old, vx_o, vy_o, mov_o, _, _ = gated_speed(lo, mid)
-    v_new, vx_n, vy_n, mov_n, _, _ = gated_speed(mid, k)
-    half_dt = 0.5 * span
-    dpsi = np.arctan2(vy_n, vx_n) - np.arctan2(vy_o, vx_o)
-    dpsi -= TAU * np.round(dpsi / TAU)
-    psi = np.full(len(mov_f), np.nan)
-    psi[g] = np.arctan2(vy_f, vx_f)
+    def pack(k0: int, k1: int, x: np.ndarray, at: np.ndarray, psi0: np.ndarray):
+        """Block ``k0:k1``: what it yields, each row's heading at step
+        ``k1``, and each row's window start at step ``k1 - 1`` (None when
+        the block has no window). ``x`` holds the prefix sums where ``at``
+        places them, the block's own rectangle with its first step filled
+        in."""
+        n_steps, rows = k1 - k0, len(psi0)
+        # samples k0 - 1 to k1 - 1 of each row, clamped into the row: the
+        # entries past a row's end repeat its last sample and are not read
+        steps = np.arange(k0 - 1, k1)
+        g = np.minimum(np.maximum(steps, 0)[:, None] + starts[:rows], last[:rows])
+        rel_ms = keys[g] - key_off[:rows]
+        t_s = (rel_ms + t0[:rows]) / 1000.0
+        dt = t_s[1:] - t_s[:-1]  # 0.0 at a row's sample 0
+        rel_ms = rel_ms[1:]
+        rel = rel_ms / 1000.0
+        pos = xy[g[1:]]
+        px, py = pos[..., 0], pos[..., 1]
 
-    rows = u[first - k0 :]
-    rows[:, :2] = xy[first:k1]
-    rows[:, 2:] = 0.0  # a stationary window: no speed, no rates
-    rows[g, 2] = v_full
-    rows[:, 3] = _forward_fill(psi, initial=psi0)
-    rows[g, 4] = np.where(mov_o & mov_n, dpsi / half_dt, 0.0)
-    rows[g, 5] = (v_new - v_old) / half_dt
-    return u, (lo_next, prefix[lo_next - lo0].copy(), float(rows[-1, 3]))
+        # prefix sums p[k0] to p[k1] of every row, along the step axis
+        prefix = x[:, at[k0] : at[k1] + rows].reshape(8, n_steps + 1, rows)
+        terms = prefix[:, 1:]
+        terms[0] = rel
+        np.multiply(rel, rel, out=terms[1])
+        terms[2] = px
+        terms[3] = py
+        np.multiply(rel, px, out=terms[4])
+        np.multiply(rel, py, out=terms[5])
+        np.multiply(px, px, out=terms[6])
+        np.multiply(py, py, out=terms[7])
+        np.add.accumulate(prefix, axis=1, out=prefix)
+        if k0 == 0:  # p[0] of a segment is +0.0, p[1] its first term
+            prefix[:, 0] = 0.0
+
+        # windows: the rectangle's steps from sample 2 on
+        w0 = max(k0, 2) - k0
+        k = np.arange(k0 + w0, k1)[:, None]
+        # window starts, searched row after row so that the keys come sorted
+        q = np.maximum(np.floor(rel_ms[w0:] - span_ms), -1.0).astype(np.int64)
+        q += key_off[:rows]
+        a = np.searchsorted(keys, q.T.reshape(-1), side="right").reshape(rows, -1).T
+        lo = np.clip(np.minimum(a - starts[:rows] - 1, k - 2), 0, None)
+
+        # gate 1, every window: the full-window fit's speed
+        p_hi = prefix[:, w0 + 1 :]
+        win = np.take(x, at[lo] + np.arange(rows), axis=1)
+        np.subtract(p_hi, win, out=win)  # the window sums
+        cnt = (k - lo + 1).astype(np.float64)
+        speed, vx, vy, moving, denom = gated_speed(win, cnt)
+        moving &= k < lengths[:rows]
+        # gate 2, windows that pass gate 1: motion significant against the
+        # residual scatter of the straight-line fit
+        g1 = np.flatnonzero(moving)
+        k, r = k0 + w0 + g1 // rows, g1 % rows
+        lo_g, speed, vx, vy, denom, cnt = (
+            c.reshape(-1)[g1] for c in (lo, speed, vx, vy, denom, cnt)
+        )
+        win = win.reshape(8, -1)[:, g1]
+        sum_x, sum_y = win[2], win[3]
+        rss = (
+            (win[6] - sum_x * sum_x / cnt)
+            - vx * vx * denom
+            + (win[7] - sum_y * sum_y / cnt)
+            - vy * vy * denom
+        )
+        resid = np.sqrt(np.maximum(rss, 0.0) / cnt)
+        rel_lo = (keys[starts[r] + lo_g] - key_off[r]) / 1000.0
+        span = rel_ms[w0:].reshape(-1)[g1] / 1000.0 - rel_lo
+        moving = speed * span >= _significance(cnt) * resid
+        # windows that pass both gates: heading, and rates from the half windows
+        g2, k, lo_g, r, speed, vx, vy, span = (
+            c[moving] for c in (g1, k, lo_g, r, speed, vx, vy, span)
+        )
+        mid = lo_g + (k - lo_g + 1) // 2
+        p_lo = np.take(x, at[lo_g] + r, axis=1)
+        v_old, vx_o, vy_o, mov_o, _ = gated_speed(
+            np.take(x, at[mid + 1] + r, axis=1) - p_lo, (mid - lo_g + 1).astype(np.float64)
+        )
+        v_new, vx_n, vy_n, mov_n, _ = gated_speed(
+            p_hi.reshape(8, -1)[:, g2] - np.take(x, at[mid] + r, axis=1),
+            (k - mid + 1).astype(np.float64),
+        )
+        half_dt = 0.5 * span
+        dpsi = np.arctan2(vy_n, vx_n) - np.arctan2(vy_o, vx_o)
+        dpsi -= TAU * np.round(dpsi / TAU)
+
+        # headings, carried forward along the steps from each row's last
+        psi = np.full((n_steps + 1, rows), np.nan)
+        psi[0] = psi0
+        psi[1 + w0 :].reshape(-1)[g2] = np.arctan2(vy, vx)
+        newest = np.where(np.isnan(psi), 0, np.arange(0, psi.size, rows)[:, None])
+        np.maximum.accumulate(newest, axis=0, out=newest)
+        newest += np.arange(rows)
+        psi = psi.reshape(-1)[newest]
+
+        entry = np.flatnonzero(steps[1:, None] < lengths[:rows])  # step-major
+        n0 = int(np.count_nonzero(entry < w0 * rows))
+        cell = entry[n0:] - w0 * rows  # the entries' windows
+        # the measurements column by column; the lockstep reads their rows
+        u = np.zeros((STATE_DIM, len(entry)))  # a stationary window: no speed, no rates
+        u[:, :n0] = np.nan
+        u_w = u[:, n0:]
+        np.take(px, entry[n0:], out=u_w[0])
+        np.take(py, entry[n0:], out=u_w[1])
+        np.take(psi[1 + w0 :], cell, out=u_w[3])
+        passed = np.searchsorted(cell, g2)
+        u_w[2, passed] = speed
+        u_w[4, passed] = np.where(mov_o & mov_n, dpsi / half_dt, 0.0)
+        u_w[5, passed] = (np.where(mov_n, v_new, 0.0) - np.where(mov_o, v_old, 0.0)) / half_dt
+        block = u.T, dt.reshape(-1)[entry], g[1:].reshape(-1)[entry]
+        return block, psi[n_steps], lo[-1] if len(lo) else None
+
+    # carried per row: the prefix sums at a block's first sample (-0.0,
+    # the additive identity, before any), the last heading, and the first
+    # sample a window of a later block can start at
+    sums = np.full((8, n_rows), -0.0)
+    psi_carry = np.zeros(n_rows)
+    need_from = np.zeros(n_rows, dtype=np.int64)
+    # x holds the kept prefix sums of earlier blocks, as slabs (first step,
+    # end step, rows, offset) of step-major sums, then the block's own:
+    # row r's prefix sum at sample i is x[:, at[i] + r]
+    at = np.zeros(cuts[-1] + 1, dtype=np.int64)
+    x, slabs = np.empty((8, 0)), []
+    for k0, k1 in zip(cuts, cuts[1:]):
+        rows = int(np.count_nonzero(lengths > k0))
+        # keep the slabs a window of this block or a later one can start
+        # in: their steps from the earliest such start, for the rows up to
+        # the last one that may read them, moved to the front of x in order
+        # (a slab only moves down, past the ones before it)
+        kept, n_kept = [], 0
+        for s0, s1, width, base in slabs:
+            readers = np.flatnonzero(need_from[:rows] < s1)
+            if len(readers):
+                w = int(readers[-1]) + 1
+                i0 = max(s0, int(need_from[readers].min()))
+                x[:, n_kept : n_kept + (s1 - i0) * w].reshape(8, s1 - i0, w)[...] = x[
+                    :, base : base + (s1 - s0) * width
+                ].reshape(8, s1 - s0, width)[:, i0 - s0 :, :w]
+                at[i0:s1] = n_kept + np.arange(s1 - i0) * w
+                kept.append((i0, s1, w, n_kept))
+                n_kept += (s1 - i0) * w
+        slabs = kept
+        size = n_kept + (k1 - k0 + 1) * rows
+        if size > x.shape[1]:  # grown, with room to spare, as the kept slabs grow
+            x, kept_x = np.empty((8, size + size // 4)), x
+            x[:, :n_kept] = kept_x[:, :n_kept]
+            del kept_x
+        at[k0 : k1 + 1] = n_kept + np.arange(k1 - k0 + 1) * rows
+        slabs.append((k0, k1, rows, n_kept))
+        x[:, n_kept : n_kept + rows] = sums[:, :rows]
+
+        block, psi_end, lo_end = pack(k0, k1, x, at, psi_carry[:rows])
+        yield block
+        del block
+        # what the rows that run on past the block carry to the next
+        going = int(np.count_nonzero(lengths > k1))
+        sums[:, :going] = x[:, at[k1] : at[k1] + going]
+        psi_carry[:going] = psi_end[:going]
+        if lo_end is not None:
+            need_from[:going] = lo_end[:going]
 
 
 def checked(result: Stream | FilterError) -> Stream:
@@ -462,9 +597,13 @@ def _lockstep(
     the slice ``off[k]:off[k + 1]`` of flat arrays that hold one entry per
     input sample, then writes its estimates over the measurements it read.
 
-    The steps are packed and filtered :data:`_STEPS_PER_BLOCK` at a time,
-    each row's measurements resuming from the carry of its previous block,
-    so the packed arrays hold one block of steps, not the whole run.
+    The steps are packed and filtered a block at a time, blocks cut to
+    :data:`_ROW_STEPS_PER_BLOCK` row-steps each. One columnar pass
+    (:func:`_measurement_blocks`) packs a block's measurements and steps
+    for every row at once, each row resuming from what its previous block
+    carried, so the packed arrays hold one block of steps, not the whole
+    run. The estimates of a block go back into its samples with one
+    scatter.
 
     Returns a stream per input stream; if some streams fail at a step, they
     get their :class:`FilterError` and the rest ``None``.
@@ -486,7 +625,6 @@ def _lockstep(
     first, lengths = np.concatenate(seg_first)[order], lengths[order]
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
     off = np.concatenate(([0], np.cumsum(active)))
-    rows = list(enumerate(zip(row_stream.tolist(), first.tolist(), lengths.tolist())))
     # the Jacobian buffer of every step: rows only leave its prefix, and the
     # entries outside the ones each step writes stay the identity's
     jac = np.broadcast_to(_EYE, (len(lengths), STATE_DIM, STATE_DIM)).copy()
@@ -505,27 +643,20 @@ def _lockstep(
         return out
 
     filt = CtraFilter(params)
-    seeds = np.array([streams[s].xy[s0] for _, (s, s0, _) in rows])
-    filt.reset(seeds[:, 0], seeds[:, 1])
-    out_xy = [np.empty((len(stream), 2)) for stream in streams]
-    carry: list[tuple | None] = [None] * len(rows)
+    # the samples of every row, row after row: the positions are read block
+    # by block, and each block's estimates overwrite its samples
+    spans = list(zip(row_stream.tolist(), first.tolist(), lengths.tolist()))
+    xy = np.concatenate([streams[s].xy[a : a + n] for s, a, n in spans])
+    starts = np.cumsum(lengths) - lengths
+    filt.reset(xy[starts, 0], xy[starts, 1])
+    cuts = _block_cuts(active)
+    blocks = _measurement_blocks(
+        np.concatenate([streams[s].t_ms[a : a + n] for s, a, n in spans]),
+        xy, lengths, cuts, params.diff_span_s, params.min_speed_mm_s,
+    )
     bounds = off.tolist()
-    for k0 in range(0, len(active), _STEPS_PER_BLOCK):
-        k1 = min(k0 + _STEPS_PER_BLOCK, len(active))
+    for (u, dt, samples), k0, k1 in zip(blocks, cuts, cuts[1:]):
         base = bounds[k0]
-        u = np.empty((bounds[k1] - base, STATE_DIM))
-        dt = np.zeros(len(u))
-        placed = []
-        for r, (s, s0, length) in rows[: active[k0]]:
-            end = min(k1, length)
-            at = off[k0:end] + (r - base)  # entry off[k] + r holds sample k of row r
-            t_ms, xy = streams[s].t_ms[s0 : s0 + length], streams[s].xy[s0 : s0 + length]
-            u[at], carry[r] = _segment_measurements(
-                t_ms, xy, params.diff_span_s, params.min_speed_mm_s, k0, end, carry[r]
-            )
-            # sample k's step spans t[k - 1] to t[k]; sample 0 has none
-            dt[at[1:] if k0 == 0 else at] = np.diff(t_ms[max(k0 - 1, 0) : end] / 1000.0)
-            placed.append((out_xy[s][s0 + k0 : s0 + end], at))
         half_dt, dt_cubed = 0.5 * dt, np.float_power(dt, 3)
         for k in range(k0, k1):
             a, b = bounds[k] - base, bounds[k + 1] - base
@@ -547,8 +678,16 @@ def _lockstep(
             ):
                 return failed(filt.diverged(), k)
             u[a:b, :2] = filt.state[:, :2]
-        for out, at in placed:
-            out[:] = u[at, :2]
-    for xy in out_xy:  # read-only: each output stream adopts its array, uncopied
-        xy.flags.writeable = False
-    return [Stream(st.t_ms, xy, st.source) for st, xy in zip(streams, out_xy)]
+        xy[samples] = u[:, :2]
+        del u, dt, half_dt, dt_cubed  # not held while the next block is packed
+    # each stream's estimates, its segments in order; read-only, so that
+    # its output stream adopts the array uncopied
+    pieces: list[list[np.ndarray]] = [[] for _ in streams]
+    for r in np.lexsort((first, row_stream)).tolist():
+        pieces[spans[r][0]].append(xy[starts[r] : starts[r] + spans[r][2]])
+    out = []
+    for stream, piece in zip(streams, pieces):
+        est = np.concatenate(piece)
+        est.flags.writeable = False
+        out.append(Stream(stream.t_ms, est, stream.source))
+    return out

@@ -5,8 +5,10 @@ with lockstep segments, and ``step`` its predict-then-update.
 ``predict_state_scalar`` and ``ctra_jacobian_scalar`` are the motion model
 in ``math`` calls, one state at a time, which both outputs of
 ``ctra_transition`` must match bit for bit.
-``pseudo_measurements`` and ``MeasurementBuilder`` re-derive
-``_segment_measurements`` one window at a time. ``CtraState`` is a
+``_segment_measurements`` is the per-segment measurement synthesizer that
+the lockstep's columnar pass replaced, and ``loop_filter`` reads its
+measurements from it; ``pseudo_measurements`` and ``MeasurementBuilder``
+re-derive the same measurements one window at a time. ``CtraState`` is a
 validated state snapshot.
 """
 from __future__ import annotations
@@ -18,14 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from uwbvo.core import Position2D, Sample
-from uwbvo.ekf import (
-    STATE_DIM,
-    TAU,
-    CtraFilter,
-    CtraParams,
-    _segment_measurements,
-    _significance,
-)
+from uwbvo.ekf import STATE_DIM, TAU, CtraFilter, CtraParams, _significance
 
 
 def wrap_angle_scalar(angle: float) -> float:
@@ -79,6 +74,131 @@ def ctra_jacobian_scalar(state: np.ndarray, dt_s: float, eps_yaw: float = 1e-6) 
     jac[2, 5] = dt_s
     jac[3, 4] = dt_s
     return jac
+
+
+def _forward_fill(values: np.ndarray, initial: float) -> np.ndarray:
+    """Replace NaNs with the latest preceding value (``initial`` before any)."""
+    filled = np.concatenate([[initial], values])
+    defined = ~np.isnan(filled)
+    idx = np.maximum.accumulate(np.where(defined, np.arange(len(filled)), 0))
+    return filled[idx][1:]
+
+
+def _segment_measurements(
+    t_ms: np.ndarray,
+    xy: np.ndarray,
+    span_s: float,
+    min_speed_mm_s: float,
+    k0: int = 0,
+    k1: int | None = None,
+    carry: tuple | None = None,
+) -> tuple[np.ndarray, tuple]:
+    """Full-state measurements over one restart segment: rows ``k0:k1``, and a carry.
+
+    Row ``k`` holds the measurement derived from the trailing window ending
+    at sample ``k`` (NaN for the first two rows, where no window exists yet);
+    window bounds compare in exact integer milliseconds. The newest sample
+    provides the position. Speed and heading come from the least-squares
+    velocity over the window; yaw rate and acceleration come from second
+    differences across the window's two halves, headings differenced on the
+    circle. A window whose net motion is slower than ``min_speed_mm_s``, or
+    not significant against the fit's residual scatter, reads as a
+    stationary platform: zero speed and rates, the previous heading kept.
+
+    The gates run as a cascade, each over the windows the one before passed:
+    the full-window fit and its speed gate over every window, the residual
+    scatter over the windows fast enough, and the two half-window fits and
+    the headings over the windows that pass both. Their values are scattered
+    into rows that read stationary until then; every value is the one the
+    same arithmetic gives over all windows.
+
+    The window sums come from prefix sums over the samples. A segment can
+    be derived a block of rows at a time: ``carry`` is what the call for
+    the rows before ``k0`` returned (None at ``k0 = 0``), holding the
+    window start of row ``k0``, the eight prefix sums at that sample and
+    the last heading. Resuming the prefix sums from the carried ones
+    performs the same sequential additions as one cumulative sum over the
+    whole segment, so the rows are bit for bit those of one call.
+    """
+    n = len(t_ms)
+    k1 = n if k1 is None else k1
+    lo0, sums0, psi0 = (0, None, 0.0) if carry is None else carry
+    u = np.full((k1 - k0, STATE_DIM), np.nan)
+    first = max(k0, 2)
+    if first >= k1:  # no row with a window: the carry holds still
+        return u, (lo0, sums0, psi0)
+    # rows first:k1, and row k1 itself for the next block's window start
+    k = np.arange(first, min(k1 + 1, n))
+    rel_ms = t_ms[lo0 : k1 + 1] - t_ms[0]
+    a = lo0 + np.searchsorted(rel_ms, rel_ms[k - lo0] - span_s * 1000.0, side="right")
+    lo = np.clip(np.minimum(a - 1, k - 2), 0, None)
+    lo_next = int(lo[-1])
+    # from here on, indices count from sample lo0
+    k, lo = k[: k1 - first] - lo0, lo[: k1 - first] - lo0
+
+    rel = rel_ms[: k1 - lo0] / 1000.0
+    x, y = xy[lo0:k1, 0], xy[lo0:k1, 1]
+    terms = np.stack((rel, rel * rel, x, y, rel * x, rel * y, x * x, y * y), axis=1)
+    if lo0 == 0:  # cumsum's first entry is its first term, -0.0 included
+        prefix = np.concatenate((np.zeros((1, 8)), np.cumsum(terms, axis=0)))
+    else:
+        prefix = np.cumsum(np.concatenate((sums0[None], terms)), axis=0)
+    p_t, p_tt, p_x, p_y, p_tx, p_ty, p_xx, p_yy = prefix.T
+
+    floor = max(min_speed_mm_s, 1e-9)
+
+    def gated_speed(i: np.ndarray, j: np.ndarray):
+        cnt = (j - i + 1).astype(np.float64)
+        s_t = p_t[j + 1] - p_t[i]
+        s_tt = p_tt[j + 1] - p_tt[i]
+        denom = s_tt - s_t * s_t / cnt
+        safe = np.where(denom > 0.0, denom, 1.0)
+        vx = (p_tx[j + 1] - p_tx[i] - s_t * (p_x[j + 1] - p_x[i]) / cnt) / safe
+        vy = (p_ty[j + 1] - p_ty[i] - s_t * (p_y[j + 1] - p_y[i]) / cnt) / safe
+        speed = np.hypot(vx, vy)
+        moving = (denom > 0.0) & (speed >= floor)
+        return np.where(moving, speed, 0.0), vx, vy, moving, denom, cnt
+
+    # gate 1, every window: the full-window fit's speed
+    v_full, vx_f, vy_f, mov_f, denom_f, cnt_f = gated_speed(lo, k)
+    # gate 2, windows that pass gate 1: motion significant against the
+    # residual scatter of the straight-line fit
+    g = np.flatnonzero(mov_f)
+    k, lo, v_full, vx_f, vy_f, denom_f, cnt_f = (
+        c[g] for c in (k, lo, v_full, vx_f, vy_f, denom_f, cnt_f)
+    )
+    sum_x = p_x[k + 1] - p_x[lo]
+    sum_y = p_y[k + 1] - p_y[lo]
+    rss = (
+        (p_xx[k + 1] - p_xx[lo] - sum_x * sum_x / cnt_f)
+        - vx_f * vx_f * denom_f
+        + (p_yy[k + 1] - p_yy[lo] - sum_y * sum_y / cnt_f)
+        - vy_f * vy_f * denom_f
+    )
+    resid = np.sqrt(np.maximum(rss, 0.0) / cnt_f)
+    span = rel[k] - rel[lo]
+    moving = v_full * span >= _significance(cnt_f) * resid
+    # windows that pass both gates: heading, and rates from the half windows
+    g, k, lo, v_full, vx_f, vy_f, span = (
+        c[moving] for c in (g, k, lo, v_full, vx_f, vy_f, span)
+    )
+    mid = lo + (k - lo + 1) // 2
+    v_old, vx_o, vy_o, mov_o, _, _ = gated_speed(lo, mid)
+    v_new, vx_n, vy_n, mov_n, _, _ = gated_speed(mid, k)
+    half_dt = 0.5 * span
+    dpsi = np.arctan2(vy_n, vx_n) - np.arctan2(vy_o, vx_o)
+    dpsi -= TAU * np.round(dpsi / TAU)
+    psi = np.full(len(mov_f), np.nan)
+    psi[g] = np.arctan2(vy_f, vx_f)
+
+    rows = u[first - k0 :]
+    rows[:, :2] = xy[first:k1]
+    rows[:, 2:] = 0.0  # a stationary window: no speed, no rates
+    rows[g, 2] = v_full
+    rows[:, 3] = _forward_fill(psi, initial=psi0)
+    rows[g, 4] = np.where(mov_o & mov_n, dpsi / half_dt, 0.0)
+    rows[g, 5] = (v_new - v_old) / half_dt
+    return u, (lo_next, prefix[lo_next - lo0].copy(), float(rows[-1, 3]))
 
 
 def step(filt: CtraFilter, u, dt_s) -> None:

@@ -203,6 +203,26 @@ def test_lockstep_memory_is_bounded_by_a_block(desk_params):
     assert peak - returned < 16 * 2**20
 
 
+def test_paper_batch_lockstep_peaks_no_higher_than_with_step_blocks(desk_params):
+    # the nine CTRA inputs of worst-case seeds 0-2, as one `run` batch
+    # filters them: with blocks of 1024 steps, run_filter peaked at 17.0 MB,
+    # 5.0 MB of it the positions it returns
+    scenario = SCENARIO_PRESETS["worst-case"]()
+    restarts = [w.t0_ms for w in stop_visits(scenario.plan)]
+    streams = []
+    for seed in range(3):
+        pair, _, _ = simulate_pair(scenario, seed)
+        streams += [pair.uwb, averaged_stream(pair), merge_streams(pair)]
+    tracemalloc.start()
+    try:
+        out = run_filter(streams, desk_params.ekf, restarts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert round(sum(stream.xy.nbytes for stream in out) / 1e6, 1) == 5.0
+    assert peak <= 17.0e6
+
+
 def test_filter_inputs_builds_only_what_the_methods_read(desk_params):
     scenario = tiny_scenario(sigma_uwb=20.0, sigma_vo=1.0)
     pair, _, _ = simulate_pair(scenario, 1)

@@ -90,6 +90,30 @@ def test_simulate_run_compare_flow(tmp_path, capsys):
     assert (out / "compare.csv").exists()
 
 
+def test_compare_prints_the_aligned_table(tmp_path, capsys):
+    # two seeds of one method, one of another, as `run` writes reports.csv
+    (tmp_path / "reports.csv").write_text(
+        "method,seed,avg_stop_mm,std_stop_mm,rmse_mm,restarts,corrections\r\n"
+        "self-corrective,0,10.000,2.000,90.000,3,3\r\n"
+        "self-corrective,1,14.000,4.000,94.000,5,5\r\n"
+        "raw-vo,0,300.500,80.250,410.125,0,0\r\n",
+        encoding="utf-8",
+    )
+    assert main(["compare", str(tmp_path)]) == 0
+    # the CIs: 1.96 * s / sqrt(2), s = 2 * sqrt(2) for both columns; 0 for one seed
+    assert capsys.readouterr().out.split("\n") == [
+        "method           seeds  avg_stop_mm  avg_stop_ci_mm  std_stop_mm  rmse_mm  rmse_ci_mm"
+        "  restarts_mean  corrections_mean",
+        "---------------  -----  -----------  --------------  -----------  -------  ----------"
+        "  -------------  ----------------",
+        "raw-vo           1      300.500      0.000           80.250       410.125  0.000"
+        "       0.00           0.00",
+        "self-corrective  2      12.000       3.920           3.000        92.000   3.920"
+        "       4.00           4.00",
+        "",
+    ]
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     scenario = small_scenario_file(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -134,6 +134,10 @@ def test_params_validation():
         ClusterParams(k1=0, k2=5)
     with pytest.raises(ValueError):
         ClusterParams(alpha_mm=20.0, gamma_mm=10.0)
+    # the activation radius must exceed the intracluster distance
+    with pytest.raises(ValueError, match="gamma_mm must be finite and exceed alpha_mm"):
+        ClusterParams(alpha_mm=20.0, gamma_mm=20.0)
+    assert ClusterParams(alpha_mm=20.0, gamma_mm=math.nextafter(20.0, 21.0)).gamma_mm > 20.0
 
 
 def test_region_gate_boundary():

@@ -149,6 +149,34 @@ def test_non_finite_scenario_value_rejected(tmp_path, capsys, section, key, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("diff_span_s", "nan"),
+        ("diff_span_s", "-3"),
+        ("eps_yaw", "nan"),
+        ("min_speed_mm_s", "nan"),
+    ],
+)
+def test_derivation_knob_out_of_range_is_a_config_error_naming_the_file(
+    tmp_path, capsys, key, value
+):
+    path = tmp_path / "scenario.ini"
+    save_config(default_scenario(), default_pipeline_params(), path)
+    cp = configparser.ConfigParser()
+    cp.read(path, encoding="utf-8")
+    cp["ekf"][key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    with pytest.raises(ConfigError, match=f"{key} must be finite") as exc:
+        load_config(path)
+    assert str(path) in str(exc.value)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _damage_non_utf8(data: bytes) -> bytes:
     return data[:40] + b"\xff" + data[41:]
 

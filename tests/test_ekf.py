@@ -9,6 +9,7 @@ from conftest import constant_position_stream, filter_one, make_stream, path_len
 from ekf_oracle import (
     CtraState,
     MeasurementBuilder,
+    _segment_measurements,
     ctra_jacobian_scalar,
     loop_filter,
     predict_state_scalar,
@@ -21,7 +22,7 @@ from uwbvo.ekf import (
     CtraFilter,
     CtraParams,
     FilterError,
-    _segment_measurements,
+    _measurement_blocks,
     ctra_transition,
     run_filter,
     wrap_angle,
@@ -235,9 +236,54 @@ _JITTER = np.random.default_rng(7).normal(0.0, 300.0, (len(_T37), 2))
 _STEP = np.where(_T37[:, None] < 2200, 0.0, np.array([[400.0, 300.0]]))
 
 
+# the gates' edges in exact arithmetic: 28 samples 1 s apart, where every
+# term, sum and quotient of a window is exact. A walk at 100 mm/s moves at
+# exactly the speed floor in every window
+_T1000 = np.arange(28) * 1000
+_AT_THE_FLOOR = np.stack([0.1 * _T1000, np.zeros(28)], axis=1)
+# the walk plus +-900 mm in a (+, -, -, +) pattern, which sums to zero and
+# is orthogonal to time: over all 28 samples the fit's slope is 100 mm/s and
+# its residual scatter 900 mm, so 27 s of motion, 2700 mm, is exactly the
+# significance bound 3 x 900 mm
+_AT_SIGNIFICANCE = np.stack(
+    [0.1 * _T1000 + np.tile([900.0, -900.0, -900.0, 900.0], 7), np.zeros(28)], axis=1
+)
+
+
 def _bits(u):
     """The rows' bits, every NaN as one NaN: the sign of a zero counts."""
     return np.where(np.isnan(u), np.nan, u).view(np.int64)
+
+
+def columnar_measurements(segments, span_s, min_speed_mm_s, cuts):
+    """The lockstep's columnar measurements of ``segments`` ((t_ms, xy)
+    pairs), as lockstep rows longest first, in blocks cut at ``cuts``: one
+    array of rows per segment, in the segments' order.
+
+    Checks what each block yields besides ``u``: the entries of step ``k``
+    are the rows longer than ``k``, in row order, and each entry's ``dt``
+    is ``t[k] / 1000 - t[k - 1] / 1000`` (0.0 at ``k = 0``), bit for bit.
+    """
+    lengths = np.array([len(t) for t, _ in segments])
+    order = np.argsort(-lengths, kind="stable")
+    rows = lengths[order]
+    starts = np.cumsum(rows) - rows
+    t_ms = np.concatenate([np.asarray(segments[i][0], np.int64) for i in order])
+    xy = np.concatenate([np.asarray(segments[i][1], float).reshape(-1, 2) for i in order])
+    assert cuts[0] == 0 and cuts[-1] == rows[0]
+    t_s = t_ms / 1000.0
+    u_all = np.empty((len(t_ms), 6))
+    blocks = _measurement_blocks(t_ms, xy.copy(), rows, cuts, span_s, min_speed_mm_s)
+    for (u, dt, samples), k0, k1 in zip(blocks, cuts, cuts[1:]):
+        expected = np.concatenate([starts[rows > k] + k for k in range(k0, k1)])
+        assert samples.tolist() == expected.tolist()
+        prev = np.where(samples - starts.repeat(rows)[samples] > 0, samples - 1, samples)
+        assert _bits(dt).tolist() == _bits(t_s[samples] - t_s[prev]).tolist()
+        u_all[samples] = u
+    out = [None] * len(segments)
+    for i, s0, n in zip(order, starts, rows):
+        out[i] = u_all[s0 : s0 + n]
+    return out
 
 
 def test_builder_matches_vectorized_derivation():
@@ -252,8 +298,8 @@ def test_builder_matches_vectorized_derivation():
         samples = make_stream(ts, xy)
         builder = MeasurementBuilder(params.diff_span_s, params.min_speed_mm_s)
         incremental = [builder.push(s) for s in samples]
-        vectorized, _ = _segment_measurements(
-            ts, xy.astype(float), params.diff_span_s, params.min_speed_mm_s
+        [vectorized] = columnar_measurements(
+            [(ts, xy)], params.diff_span_s, params.min_speed_mm_s, [0, len(ts)]
         )
         for k in range(len(ts)):
             if incremental[k] is None:
@@ -273,12 +319,11 @@ def _whole_window_starts(t_ms, span_s):
 
 
 @st.composite
-def cut_segments(draw):
-    """A segment and cuts into blocks: a walk, a move into a dwell, a path
-    along -x on y = -0.0, scatter about a point, or a jump. Two samples may
-    share a time, as in a merged stream, but never three, so every window
-    spans time."""
-    n = draw(st.integers(1, 150))
+def segments(draw, max_n=150):
+    """A segment: a walk, a move into a dwell, a path along -x on y = -0.0,
+    scatter about a point, or a jump. Two samples may share a time, as in a
+    merged stream, but never three, so every window spans time."""
+    n = draw(st.integers(1, max_n))
     steps = np.array(draw(st.lists(st.integers(1, 90), min_size=n, max_size=n)))
     tie = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     tie[1:] &= ~tie[:-1]
@@ -298,6 +343,14 @@ def cut_segments(draw):
         xy = rng.normal(0.0, 300.0, size=(n, 2))
     else:  # still, then still elsewhere: half windows read still
         xy = np.where(np.arange(n)[:, None] < draw(st.integers(0, n)), 0.0, [[400.0, 300.0]])
+    return t_ms, xy
+
+
+@st.composite
+def cut_segments(draw):
+    """A segment and cuts into blocks."""
+    t_ms, xy = draw(segments())
+    n = len(t_ms)
     span_s = draw(st.sampled_from([0.05, 0.3, 3.0]))
     sizes = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 64)), max_size=40))
     cuts = set(np.cumsum(sizes).tolist())
@@ -305,14 +358,6 @@ def cut_segments(draw):
     if len(starts):
         cuts |= set(draw(st.lists(st.sampled_from(starts.tolist()), max_size=4)))
     return t_ms, xy, span_s, sorted({0, n} | {c for c in cuts if 0 < c < n})
-
-
-def _blocked_measurements(t_ms, xy, span_s, cuts):
-    rows, carry = [], None
-    for k0, k1 in zip(cuts, cuts[1:]):
-        block, carry = _segment_measurements(t_ms, xy, span_s, 100.0, k0, k1, carry)
-        rows.append(block)
-    return np.concatenate(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,7 +379,50 @@ def _blocked_measurements(t_ms, xy, span_s, cuts):
 def test_blocked_measurements_equal_whole_segment(case):
     t_ms, xy, span_s, cuts = case
     whole, _ = _segment_measurements(t_ms, xy, span_s, 100.0)
-    assert _bits(_blocked_measurements(t_ms, xy, span_s, cuts)).tolist() == _bits(whole).tolist()
+    [blocked] = columnar_measurements([(t_ms, xy)], span_s, 100.0, cuts)
+    assert _bits(blocked).tolist() == _bits(whole).tolist()
+
+
+@st.composite
+def lockstep_blocks(draw):
+    """Segments of one lockstep, a span, a speed floor, and cuts into blocks:
+    blocks of 1 to 3 steps among longer ones, some cut where a row ends,
+    most with rows ending inside them."""
+    segs = draw(st.lists(segments(max_n=90), min_size=1, max_size=6))
+    n = max(len(t_ms) for t_ms, _ in segs)
+    span_s = draw(st.sampled_from([0.05, 0.3, 3.0]))
+    min_speed = draw(st.sampled_from([0.0, 100.0, 300.0]))
+    sizes = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 40)), max_size=40))
+    cuts = set(np.cumsum(sizes).tolist())
+    cuts |= set(draw(st.lists(st.sampled_from([len(t_ms) for t_ms, _ in segs]), max_size=3)))
+    return segs, span_s, min_speed, sorted({0, n} | {c for c in cuts if 0 < c < n})
+
+
+@settings(max_examples=300, deadline=None)
+@given(lockstep_blocks())
+# rows of 120, 120, 60, 3, 2 and 1 samples; blocks of 1, 2 and 3 steps
+# carry every kind of window, the rows of 3, 2 and 1 end inside blocks,
+# and the row of 60 at a cut
+@example((
+    [(_T37, _ALONG_MINUS_X), (_T37, _STEP), (_T37[:60], _MOVE_THEN_DWELL[:60]),
+     (_T37[:3], _JITTER[:3]), (_T37[:2], _SLOW_DRIFT[:2]), (_T37[:1], _STEP[:1])],
+    3.0, 100.0, [0, 1, 3, 4, 6, 9, 10, 12, 40, 60, 62, 63, 120],
+))
+# 0.3 s windows: the jitter passes the speed gate and fails significance,
+# the slow drift fails the speed gate, the move turns into a dwell
+@example((
+    [(_T37, _JITTER), (_T37, _SLOW_DRIFT), (_T37[:100], _MOVE_THEN_DWELL[:100])],
+    0.3, 100.0, [0, 2, 5, 7, 50, 54, 55, 99, 101, 120],
+))
+# windows at exactly the speed floor, and one at exactly the significance
+# bound, which both read as moving
+@example(([(_T1000, _AT_THE_FLOOR), (_T1000, _AT_SIGNIFICANCE)], 30.0, 100.0, [0, 5, 28]))
+def test_columnar_blocks_equal_oracle_rows(case):
+    segs, span_s, min_speed, cuts = case
+    blocked = columnar_measurements(segs, span_s, min_speed, cuts)
+    for (t_ms, xy), rows in zip(segs, blocked):
+        whole, _ = _segment_measurements(t_ms, xy, span_s, min_speed)
+        assert _bits(rows).tolist() == _bits(whole).tolist()
 
 
 class TestRunFilter:
@@ -412,9 +500,13 @@ class TestRunFilter:
         params = CtraParams()
         assert list(filter_one(stream, params, restarts)) == loop_filter(stream, params, restarts)
 
-    @pytest.mark.parametrize("steps", [1, 7, 64])
-    def test_blocked_lockstep_equals_per_sample_loop(self, steps, monkeypatch):
-        monkeypatch.setattr(ekf, "_STEPS_PER_BLOCK", steps)
+    # row-step budgets: a block per step; blocks of one step while four or
+    # more rows run and of 2, 3 and 7 steps after, rows 113 and 65 ending
+    # inside them; blocks of 9 steps and more, every row but the longest
+    # ending inside one; the whole lockstep in one block
+    @pytest.mark.parametrize("budget", [1, 7, 64, 2000])
+    def test_blocked_lockstep_equals_per_sample_loop(self, budget, monkeypatch):
+        monkeypatch.setattr(ekf, "_ROW_STEPS_PER_BLOCK", budget)
         # a curving merged-shape stream with ties, and a shorter one at 27 Hz
         rng = np.random.default_rng(8)
         ts = np.sort(np.concatenate([np.arange(0, 5000, 37), np.arange(0, 5000, 10)[::3]]))
@@ -425,6 +517,22 @@ class TestRunFilter:
             constant_position_stream(40.0, 120, seed=6),
         ]
         params, restarts = CtraParams(), [1850.5, 2011.0, 2036.0]
+        lengths = []
+        for stream in streams:
+            cut = np.searchsorted(stream.t_ms, restarts)
+            starts = np.unique(np.concatenate(([0], cut[cut < len(stream)])))
+            lengths += np.diff(starts, append=len(stream)).tolist()
+        rows = np.array(sorted(lengths, reverse=True))
+        assert rows.tolist() == [179, 113, 65, 50, 10, 5, 1]
+        cuts = ekf._block_cuts((rows[:, None] > np.arange(rows[0])).sum(axis=0))
+        blocks = list(zip(cuts, cuts[1:]))
+        inside = sorted({int(n) for n in rows for k0, k1 in blocks if k0 < n < k1})
+        assert {
+            1: (len(blocks), inside) == (179, []),
+            7: blocks[:4] == [(0, 1), (1, 2), (2, 3), (3, 4)] and inside == [65, 113],
+            64: blocks[0] == (0, 9) and inside == [1, 5, 10, 50, 65, 113],
+            2000: blocks == [(0, 179)],
+        }[budget]
         out = run_filter(streams, params, restarts)
         for stream, result in zip(streams, out):
             assert list(result) == loop_filter(stream, params, restarts)
@@ -657,3 +765,28 @@ def test_params_validation():
         CtraParams(q_diag=(1.0,) * 5)
     with pytest.raises(ValueError):
         CtraParams(r_diag=(1.0,) * 5 + (-1.0,))
+
+
+@pytest.mark.parametrize(
+    "field, value, text",
+    [
+        ("diff_span_s", math.nan, "diff_span_s must be finite and positive"),
+        ("diff_span_s", -3.0, "diff_span_s must be finite and positive"),
+        ("diff_span_s", 0.0, "diff_span_s must be finite and positive"),
+        ("diff_span_s", math.inf, "diff_span_s must be finite and positive"),
+        ("eps_yaw", math.nan, "eps_yaw must be finite and positive"),
+        ("eps_yaw", 0.0, "eps_yaw must be finite and positive"),
+        ("eps_yaw", -1e-6, "eps_yaw must be finite and positive"),
+        ("min_speed_mm_s", math.nan, "min_speed_mm_s must be finite and nonnegative"),
+        ("min_speed_mm_s", -1.0, "min_speed_mm_s must be finite and nonnegative"),
+        ("min_speed_mm_s", math.inf, "min_speed_mm_s must be finite and nonnegative"),
+    ],
+)
+def test_derivation_knobs_rejected_unless_finite_and_in_range(field, value, text):
+    with pytest.raises(ValueError, match=text):
+        CtraParams(**{field: value})
+
+
+def test_derivation_knobs_at_their_edges_are_accepted():
+    CtraParams(min_speed_mm_s=0.0)  # no speed floor: every measurable window moves
+    CtraParams(diff_span_s=5e-324, eps_yaw=5e-324)

@@ -121,6 +121,20 @@ def test_stop_accuracy_requires_window_coverage():
         stop_accuracy(samples, truth)
 
 
+@pytest.mark.parametrize("edge", ["t0", "t1"])
+def test_a_sample_on_a_dwell_window_edge_covers_it(edge):
+    # the dwell window [0, 10000] ms is closed: its nearest sample may lie
+    # on either end of it, but not one millisecond past
+    truth = constant_truth()
+    [window] = truth.stop_windows
+    t = int(getattr(window, f"{edge}_ms"))
+    acc = stop_accuracy(make_stream([t], [(3.0, 4.0)]), truth)
+    assert (acc.avg_mm, acc.std_mm) == (5.0, 0.0)
+    outside = t - 1 if edge == "t0" else t + 1
+    with pytest.raises(CoverageError, match="stop 1 dwell window"):
+        stop_accuracy(make_stream([outside], [(3.0, 4.0)]), truth)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-50, 50), st.lists(st.integers(0, 7), min_size=1, max_size=40))
 # runs of equal timestamps on both sides of equidistant targets
@@ -255,6 +269,15 @@ def test_compare_single_report():
     assert summary.avg_stop_mm == 1.0 and summary.avg_stop_ci_mm == 0.0
 
 
+def test_compare_ci_of_two_seeds():
+    # 95 % normal-approximation interval: 1.96 s / sqrt(n), s the sample
+    # standard deviation; two seeds have one, a lone seed none (0.0)
+    [summary] = compare([_report("a", 0, avg=1.0, rmse=2.0), _report("a", 1, avg=3.0, rmse=6.0)])
+    assert summary.seeds == 2
+    assert summary.avg_stop_ci_mm == pytest.approx(1.96)
+    assert summary.rmse_ci_mm == pytest.approx(3.92)
+
+
 def test_compare_identical_reports_identical_rows():
     rows = compare([_report("a", 0), _report("b", 0)])
     a, b = rows
@@ -269,6 +292,20 @@ def test_compare_ci_and_table_rendering():
     assert summary.avg_stop_ci_mm == pytest.approx(expected_ci)
     text = render_table(rows)
     assert "avg_stop_mm" in text and text.count("\n") >= 2
+
+
+def test_render_table_rules_the_header_only():
+    rows = compare([_report("raw-vo", 0), _report("self-corrective", 0, avg=12.5, rmse=101.25)])
+    assert render_table(rows).split("\n") == [
+        "method           seeds  avg_stop_mm  avg_stop_ci_mm  std_stop_mm  rmse_mm  rmse_ci_mm"
+        "  restarts_mean  corrections_mean",
+        "---------------  -----  -----------  --------------  -----------  -------  ----------"
+        "  -------------  ----------------",
+        "raw-vo           1      1.000        0.000           0.100        2.000    0.000"
+        "       3.00           2.00",
+        "self-corrective  1      12.500       0.000           0.100        101.250  0.000"
+        "       3.00           2.00",
+    ]
 
 
 def test_compare_rejects_empty():

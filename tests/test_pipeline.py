@@ -114,6 +114,46 @@ def test_update_correction_rule():
     assert restart and w3 == Position2D(60.0, 40.0)  # corrections accumulate
 
 
+def test_a_correction_of_exactly_beta_is_folded_into_w():
+    # README: a stop estimate that disagrees with the closest corrected-VO
+    # vertex by at least beta is added to w, and a restart is requested
+    # a 30-40-50 triangle: the distance is exactly 50.0
+    s_prime, y_oi, w = Position2D(130.0, 40.0), Position2D(100.0, 0.0), Position2D(5.0, -2.0)
+    assert update_correction(s_prime, y_oi, w, 50.0) == (Position2D(35.0, 38.0), True)
+    assert update_correction(s_prime, y_oi, w, math.nextafter(50.0, 51.0)) == (w, False)
+
+
+def test_beta_must_be_positive():
+    with pytest.raises(ValueError, match="beta_mm must be finite and positive"):
+        PipelineParams(beta_mm=0.0)
+    assert PipelineParams(beta_mm=5e-324).beta_mm == 5e-324
+
+
+def test_finish_decides_at_a_support_of_exactly_k1():
+    # README: k1 neighbours flag a suspected cluster. With k2 out of reach
+    # no detector terminates, so each visit is decided from finish() when
+    # its support reaches k1
+    scenario, seed = SCENARIO_PRESETS["worst-case"](), 0
+    base = default_pipeline_params()
+    pair, _, _ = simulate_pair(scenario, seed)
+
+    def events(k1):
+        params = replace(base, cluster=replace(base.cluster, k1=k1, k2=100_000))
+        return replay_pipeline(pair, scenario.plan, params).stop_events
+
+    every = events(1)
+    assert not any(e.estimate.complete for e in every)
+    k1 = min(e.estimate.support for e in every)
+    # every support reaches k1, the least of them exactly, so every visit
+    # is decided as before
+    assert events(k1) == every
+    # one more, and the visit of the least support is not decided
+    try:
+        assert events(k1 + 1) != every
+    except StopDetectionFailure as exc:
+        assert exc.support == k1
+
+
 def scenario_two_stop(
     seg_scale=None, sigma_uwb=10.0, sigma_vo=0.0, length=1000.0
 ) -> ScenarioConfig:

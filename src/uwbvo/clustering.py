@@ -3,7 +3,7 @@
 Filtered UWB samples form a dense cloud while the platform dwells at a
 stopping point; anchor dropouts add low-density outlier rays. The detector
 counts, per seen position, how many other seen positions fall within the
-intracluster distance ``alpha``. A position whose count crosses ``k1`` marks
+intracluster distance ``alpha``. A position whose count reaches ``k1`` marks
 a suspected cluster; once any count reaches ``k2`` the instance terminates
 and the highest-count position is the stop estimate. The ``k1``/``k2`` split
 forms a hysteresis band that keeps sparse outliers from terminating the
@@ -33,8 +33,8 @@ class ClusterParams:
     """Stream-clustering thresholds.
 
     alpha_mm: maximum intracluster distance (closed ball).
-    k1: neighbor count above which a cluster is suspected.
-    k2: neighbor count that terminates the instance.
+    k1: neighbor count at or above which a cluster is suspected.
+    k2: neighbor count at or above which the instance terminates.
     gamma_mm: activation radius around the expected stopping point.
     """
 
@@ -149,7 +149,7 @@ class StopClusterer:
             last = int(np.flatnonzero(steps.max(axis=1) >= self.params.k2)[0])
             counts = counts_after(last)
         # a value first seen after the terminating sample counts 0 there,
-        # below k1, so it never wins
+        # below the terminating value's count of at least k2, so it never wins
         self._points = points
         self._counts = counts
         self._consumed += last + 1
@@ -159,13 +159,9 @@ class StopClusterer:
 
     def _estimate(self, complete: bool) -> StopEstimate:
         counts = self._counts
-        eligible = np.flatnonzero(counts >= self.params.k1)
-        if eligible.size:
-            # argmax among suspected-cluster members; ties go to the
-            # earliest-seen position (flatnonzero is insertion-ordered)
-            winner = int(eligible[np.argmax(counts[eligible])])
-        else:
-            winner = int(np.argmax(counts))
+        # the highest count, at or above k1 whenever any count is; ties go
+        # to the earliest-seen position (the values are insertion-ordered)
+        winner = int(np.argmax(counts))
         pos = Position2D(float(self._points[winner, 0]), float(self._points[winner, 1]))
         return StopEstimate(
             pos=pos,

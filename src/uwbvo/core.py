@@ -38,6 +38,12 @@ class LogFormatError(ValueError):
     """Malformed or inconsistent stream log content."""
 
 
+class CoverageError(ValueError):
+    """A stream lacks the samples a result needs: a track misses a dwell
+    window a metric reads or is empty, or a filtered UWB stream reaches no
+    stop visit."""
+
+
 @dataclass(frozen=True)
 class Position2D:
     """Planar position in millimetres."""
@@ -223,10 +229,10 @@ def nearest_indices(ts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     Ties resolve to the earlier timestamp.
     """
     i = np.searchsorted(ts, targets)
+    # before the first timestamp or past the last, lo == hi
     lo = np.maximum(i - 1, 0)
     hi = np.minimum(i, len(ts) - 1)
-    earlier = (i == len(ts)) | ((i > 0) & (targets - ts[lo] <= ts[hi] - targets))
-    return np.where(earlier, lo, hi)
+    return np.where(targets - ts[lo] <= ts[hi] - targets, lo, hi)
 
 
 # rows formatted at a time: a block's byte matrix and digit columns are all

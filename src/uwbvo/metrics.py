@@ -14,13 +14,9 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .core import Position2D, Stream, nearest_indices
+from .core import CoverageError, Position2D, Stream, nearest_indices
 from .pipeline import FusedTrack
 from .simulate import StopWindow
-
-
-class CoverageError(ValueError):
-    """The track lacks the samples a metric reads: a dwell window, or any at all."""
 
 
 class TruthLike(Protocol):

@@ -42,7 +42,16 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import ClusterParams, StopClusterer, StopEstimate
-from .core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean, nearest_indices
+from .core import (
+    VO,
+    CoverageError,
+    FlightPlan,
+    Position2D,
+    Stream,
+    StreamPair,
+    euclidean,
+    nearest_indices,
+)
 from .ekf import CtraParams, checked, run_filter
 from .simulate import StopWindow, VoSensor, build_truth
 
@@ -50,6 +59,10 @@ VO_SELECTED = "vo"
 KALMAN_SELECTED = "kalman"
 # indexed by "KALMAN mode?": the mode names a track's flags stand for
 MODE_NAMES = (VO_SELECTED, KALMAN_SELECTED)
+# the oldest UWB evidence a VO sample may take: a sample whose governing
+# tick is older trusts the corrected VO, whatever that tick's mode. About
+# four periods of the presets' 27 Hz unit, whose gaps are 37-38 ms
+MAX_UWB_AGE_MS = 150
 
 
 class StopDetectionFailure(RuntimeError):
@@ -198,11 +211,14 @@ def _run(
 
     Each VO sample is emitted after every UWB tick at or before its time
     (UWB first on a tie), with the mode and ``w`` in force after the last of
-    those ticks. At tick ``k`` the first ``j = searchsorted(vo_t, t_k)`` VO
-    samples have been emitted, sample ``j`` is the next one, and a live
-    sensor reboots from sample ``j + 1`` on. A live ``sensor`` fills
-    ``vo_xy``, its own array, as far as each visit's close needs; a reboot
-    rewrites it from there.
+    those ticks, its governing tick; a sample whose governing tick is more
+    than :data:`MAX_UWB_AGE_MS` older trusts the corrected VO. A filtered
+    UWB stream with no tick in any stop visit raises
+    :class:`~uwbvo.core.CoverageError`. At tick ``k`` the first
+    ``j = searchsorted(vo_t, t_k)`` VO samples have been emitted, sample
+    ``j`` is the next one, and a live sensor reboots from sample ``j + 1``
+    on. A live ``sensor`` fills ``vo_xy``, its own array, as far as each
+    visit's close needs; a reboot rewrites it from there.
     """
     gamma = params.cluster.gamma_mm
     beta = params.beta_mm
@@ -221,6 +237,8 @@ def _run(
     # each visit's first tick, and the tick it closes at
     starts = np.searchsorted(uwb_t, [v.t0_ms for v in visits]).tolist()
     closes = np.searchsorted(uwb_t, [v.t1_ms for v in visits], side="right").tolist()
+    if starts == closes:
+        raise CoverageError("the filtered UWB reaches no stop visit")
     # w in force after tick k is row k + 1; row 0 holds before the first tick
     w_after = np.zeros((n_uwb + 1, 2))
     kalman_after = np.zeros(n_uwb + 1, dtype=bool)  # the same for "mode is KALMAN"
@@ -272,9 +290,8 @@ def _run(
             )
         )
 
-    cursor = 0  # the first tick not yet processed
+    cursor = 0  # the first tick not yet processed, at most the next visit's start
     for visit, start, close in zip(visits, starts, closes):
-        start, close = max(start, cursor), max(close, cursor)
         if sensor is not None:
             sensor.fill(min(int(emitted[close]) + 1, n_vo))
         mode = kalman(cursor, close)
@@ -319,8 +336,10 @@ def _run(
     gov = np.cumsum(np.bincount(emitted[:n_uwb], minlength=n_vo)[:n_vo])
     out_xy = vo_xy + w_after.take(gov, axis=0)
     in_kalman = kalman_after[gov]
+    # a KALMAN sample has a governing tick (row 0 is VO); past the age bound
+    # that tick is stale, and the sample trusts the corrected VO
+    in_kalman[in_kalman] = vo_t[in_kalman] - uwb_t[gov[in_kalman] - 1] <= MAX_UWB_AGE_MS
     out_xy[in_kalman] = filtered.xy[nearest_indices(uwb_t, vo_t[in_kalman])]
     track.samples = Stream(vo_t, out_xy, VO)
-    in_kalman.flags.writeable = False
     track.kalman = in_kalman
     return track

@@ -119,7 +119,8 @@ def _segment_phases(length: float, cruise: float, accel: float) -> list[tuple[fl
 
 
 def build_truth(plan: FlightPlan) -> GroundTruth:
-    """Lay the plan out on a timeline of dwell and flight phases."""
+    """Lay the plan out on a timeline of dwell and flight phases; a leg too
+    fast to advance the time is refused, so stop windows never touch."""
     phases: list[_Phase] = []
     windows: list[StopWindow] = []
     segments: list[SegmentInfo] = []
@@ -150,6 +151,8 @@ def build_truth(plan: FlightPlan) -> GroundTruth:
         ):
             phases.append(_Phase(t, (a.x, a.y), direction, s0, v0, acc))
             t += dur_s * 1000.0
+        if t == t_seg_start:
+            raise ValueError(f"the leg from stop {stop_idx + 1} takes no time at t = {t} ms")
         segments.append(SegmentInfo(t0_ms=t_seg_start, t1_ms=t, start=a, end=b))
 
     return GroundTruth(

@@ -1,9 +1,11 @@
 """Per-sample reference for the self-corrective fusion loop the pipeline tests compare against.
 
 ``_run`` is the fusion loop from before it was driven by UWB ticks, copied
-as it was: it merges the two streams sample by sample, processes each UWB
-tick as it comes (UWB first on a tie) and emits each VO sample with the
-mode and correction vector then in force. In live mode it pulls every VO
+as it was but for one rule added since: a VO sample more than
+``MAX_UWB_AGE_MS`` after the last UWB tick trusts the corrected VO. It
+merges the two streams sample by sample, processes each UWB tick as it
+comes (UWB first on a tie) and emits each VO sample with the mode and
+correction vector then in force. In live mode it pulls every VO
 sample through ``VoSensor.__next__``, and its detectors are the per-sample
 clusterers of ``cluster_oracle``. ``uwbvo.pipeline`` loops over the stop
 visits, with the UWB ticks, the VO samples and each visit's detector input
@@ -24,6 +26,7 @@ from uwbvo.core import VO, FlightPlan, Position2D, Stream, StreamPair, euclidean
 from uwbvo.ekf import checked, run_filter
 from uwbvo.pipeline import (
     KALMAN_SELECTED,
+    MAX_UWB_AGE_MS,
     VO_SELECTED,
     FusedTrack,
     PipelineParams,
@@ -97,11 +100,12 @@ def _run(
     # the output columns; track.samples is built from them at the end
     out_t: list[int] = []
     out_xy: list[tuple[float, float]] = []
-    modes: list[str] = []
+    modes: list[bool] = []  # KALMAN mode?
     track = FusedTrack(Stream((), (), VO), np.zeros(0, bool), [], [(0, 0.0, 0.0)])
     w = Position2D(0.0, 0.0)
     mode = VO_SELECTED
     y_u_hold: Position2D | None = None
+    t_hold = 0  # the time of the tick y_u_hold is from
     window: list[tuple[float, float]] = []  # corrected VO since the previous visit
 
     def aligned_filtered(t: int) -> int:
@@ -178,12 +182,12 @@ def _run(
         window.clear()
 
     def process_tick(k: int) -> None:
-        nonlocal mode, y_u_hold, visit_ptr, detector
+        nonlocal mode, y_u_hold, t_hold, visit_ptr, detector
         t = uwb_ts[k]
         while visit_ptr < len(visits) and t > visits[visit_ptr].t1_ms:
             close_visit(visits[visit_ptr].stop_index)
             visit_ptr += 1
-        y_u_hold = Position2D(fx[k], fy[k])
+        y_u_hold, t_hold = Position2D(fx[k], fy[k]), t
         vo_pos = nearest_vo(t)
         y_o = corrected_vo(vo_pos, w)
         in_visit = (
@@ -221,12 +225,14 @@ def _run(
         t, x, y = next_vo
         out = (x + w.x, y + w.y)
         window.append(out)
-        if mode == KALMAN_SELECTED and y_u_hold is not None:
+        # a KALMAN mode trusts the filtered UWB while its last tick is fresh
+        kalman = mode == KALMAN_SELECTED and t - t_hold <= MAX_UWB_AGE_MS
+        if kalman:
             i = aligned_filtered(t)
             out = (fx[i], fy[i])
         out_t.append(t)
         out_xy.append(out)
-        modes.append(mode)
+        modes.append(kalman)
         prev_vo = next_vo
         next_vo = next(vo_iter, None)
 
@@ -234,5 +240,5 @@ def _run(
         close_visit(visits[visit_ptr].stop_index)
         visit_ptr += 1
     track.samples = Stream(out_t, out_xy, VO)
-    track.kalman = np.array([m == KALMAN_SELECTED for m in modes], dtype=bool)
+    track.kalman = np.array(modes, dtype=bool)
     return track

@@ -328,6 +328,34 @@ def test_coverage_gap_fails_its_cell_and_batch_continues(tmp_path, capsys):
     ]
 
 
+def test_uwb_reaching_no_stop_visit_fails_its_cell(tmp_path, capsys):
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
+                 "--out", str(out)]) == 0
+    # a valid log whose UWB stream ends after its first 3 rows, in the
+    # initial dwell
+    log = out / "streams_0000.csv"
+    lines = log.read_text().splitlines(keepends=True)
+    n_uwb = sum(1 for line in lines if ",uwb," in line)
+    log.write_text("".join(lines[:4] + lines[1 + n_uwb :]))
+    assert read_log(log).uwb.t_ms.tolist() == [0, 37, 74]
+    code = main(["run", "--logs", str(out), "--method", "self-corrective",
+                 "--method", "raw-vo", "--seeds", "2"])
+    assert code == 2
+    assert "FAILED self-corrective seed 0" in capsys.readouterr().err
+    with open(out / "failures.csv", newline="") as fh:
+        failures = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"], r["error"]) for r in failures] == [
+        ("self-corrective", "0", "the filtered UWB reaches no stop visit"),
+    ]
+    with open(out / "reports.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], r["seed"]) for r in rows] == [
+        ("raw-vo", "0"), ("raw-vo", "1"), ("self-corrective", "1"),
+    ]
+
+
 def test_non_utf8_log_fails_its_seed_and_batch_continues(tmp_path, capsys):
     scenario = small_scenario_file(tmp_path)
     out = tmp_path / "runs"
@@ -471,6 +499,15 @@ def test_calibrate_bad_target_or_tolerance_is_usage_error(tmp_path, capsys, flag
     captured = capsys.readouterr()
     assert flag in captured.err and "round" not in captured.out
     assert not written.exists()
+
+
+def test_calibrate_stops_within_a_tolerance_of_zero(monkeypatch, capsys):
+    # the tolerance is inclusive, and zero is a valid one: a round that hits
+    # the target exactly is the last
+    monkeypatch.setattr(cli, "raw_stop_accuracy", lambda scenario, sigma, seeds: 131.9)
+    assert main(["calibrate", "--scenario", "best-case", "--target-mm", "131.9",
+                 "--tol-mm", "0", "--rounds", "3"]) == 0
+    assert capsys.readouterr().out.count("round ") == 1
 
 
 def test_calibrate_converges(tmp_path, capsys):

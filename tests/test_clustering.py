@@ -138,6 +138,15 @@ def test_params_validation():
     with pytest.raises(ValueError, match="gamma_mm must be finite and exceed alpha_mm"):
         ClusterParams(alpha_mm=20.0, gamma_mm=20.0)
     assert ClusterParams(alpha_mm=20.0, gamma_mm=math.nextafter(20.0, 21.0)).gamma_mm > 20.0
+    # alpha need only be positive
+    assert ClusterParams(alpha_mm=1.0).alpha_mm == 1.0
+
+
+def test_params_defaults_are_the_readmes():
+    # "Cluster thresholds default to alpha = 10 mm, k1 = 100, k2 = 500,
+    # activation radius gamma = 100 mm"
+    params = ClusterParams()
+    assert (params.alpha_mm, params.k1, params.k2, params.gamma_mm) == (10.0, 100, 500, 100.0)
 
 
 def test_region_gate_boundary():

@@ -232,6 +232,19 @@ def test_log_missing_column_names_line(tmp_path):
         read_log(path)
 
 
+@pytest.mark.parametrize("t", [-(2**63), 2**63 - 1])
+def test_log_timestamps_at_the_int64_bounds_are_read(tmp_path, t):
+    # logs hold int64 milliseconds: both ends of the range read back, one
+    # past either end is out of range
+    path = tmp_path / "edge.csv"
+    path.write_text(f"t_ms,sensor,x_mm,y_mm\n{t},uwb,1.0,2.0\n0,vo,0.0,0.0\n")
+    assert read_log(path).uwb.t_ms.tolist() == [t]
+    beyond = t - 1 if t < 0 else t + 1
+    path.write_text(f"t_ms,sensor,x_mm,y_mm\n{beyond},uwb,1.0,2.0\n0,vo,0.0,0.0\n")
+    with pytest.raises(LogFormatError, match=f"line 2: timestamp {beyond} out of range"):
+        read_log(path)
+
+
 def test_log_non_monotone_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -552,6 +565,10 @@ def test_flight_plan_validation():
     # closed plan: the closing leg must be flyable too
     with pytest.raises(ValueError, match="distinct"):
         FlightPlan(stops=(a, b, a), closed=True)
+    # dwell, cruise speed and acceleration must be positive: zero is not
+    for field in ("dwell_ms", "cruise_mm_s", "accel_mm_s2"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            FlightPlan(stops=(a, b), closed=False, **{field: 0.0})
     plan = FlightPlan(stops=(a, b), closed=False)
     assert plan.min_stop_separation() == 500.0
     plan.check_region_radius(100.0)

@@ -629,7 +629,10 @@ class TestStacks:
         straight = random_states(rng, 40, (0.0, -0.0, 1e-9, -5e-7))
         # zero steps in every quadrant: the signs of J[0, 4] and J[1, 4]'s zeros
         straight[:8, 3] = np.tile([0.5, 2.5, -2.5, -0.5], 2)
-        for stack, steps in ((states, dts), (straight, dts[:40]), (straight, 0.05)):
+        # the branch edges: |psi_dot| exactly eps_yaw is an arc, and over a
+        # 0.5 s step |h| = 0.25 * 4e-4, exactly 1e-4, takes the closed form
+        edges = random_states(rng, 40, (1e-6, -1e-6, 4e-4, -4e-4))
+        for stack, steps in ((states, dts), (straight, dts[:40]), (straight, 0.05), (edges, 0.5)):
             pred, jac = ctra_transition(stack, steps)
             assert pred.shape == stack.shape and jac.shape == stack.shape + (6,)
             for i in range(len(stack)):
@@ -709,6 +712,7 @@ class TestStacks:
         filt.state[1, 2] = np.nan
         filt.P[2, 4, 4] = -1e-3
         filt.state[3, 0] = np.inf
+        filt.P[0, 5, 5] = 0.0  # a zero variance is not a negative one
         assert filt.diverged().tolist() == [False, True, True, True]
 
 

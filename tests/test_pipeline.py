@@ -1,8 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import pipeline_oracle as oracle
 from conftest import filtered_uwb, replay_pipeline, stop_error
@@ -31,6 +33,7 @@ from uwbvo.simulate import (
     VoModel,
     VoSensor,
     build_truth,
+    sample_times,
     simulate_pair,
     synth_uwb,
 )
@@ -121,6 +124,25 @@ def test_a_correction_of_exactly_beta_is_folded_into_w():
     s_prime, y_oi, w = Position2D(130.0, 40.0), Position2D(100.0, 0.0), Position2D(5.0, -2.0)
     assert update_correction(s_prime, y_oi, w, 50.0) == (Position2D(35.0, 38.0), True)
     assert update_correction(s_prime, y_oi, w, math.nextafter(50.0, 51.0)) == (w, False)
+
+
+def test_beta_defaults_to_the_readmes():
+    # "mutual-error threshold beta = 30 mm"
+    assert PipelineParams().beta_mm == 30.0
+
+
+def test_parameters_and_decisions_are_immutable_values():
+    # one parameter set serves every method and worker of a run, and a
+    # decision is a record: all are frozen, hashable values
+    scenario = scenario_two_stop(seg_scale=0.7)
+    pair, _, _ = simulate_pair(scenario, 1)
+    track = replay_pipeline(pair, scenario.plan, small_params())
+    est = track.stop_events[0].estimate
+    for value, name in ((ClusterParams(), "k1"), (PipelineParams(), "beta_mm"),
+                        (est, "support"), (track.stop_events[0], "restart")):
+        hash(value)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 def test_beta_must_be_positive():
@@ -343,3 +365,41 @@ def test_output_covers_every_vo_timestamp_in_kalman_mode_too():
     track = replay_pipeline(pair, scenario.plan, small_params())
     assert [s.t_ms for s in track.samples] == [s.t_ms for s in pair.vo]
     assert track.kalman.any()
+
+
+def assert_visit_ticks_in_order(plan: FlightPlan, uwb_t: np.ndarray) -> None:
+    """The fusion loop's visit bounds over ``uwb_t``: each visit's first tick
+    comes at or after the tick the previous visit closes at, and it closes
+    at or after its first tick, so ``_run`` needs no clamp to its cursor."""
+    visits = stop_visits(plan)
+    assert all(a.t1_ms < b.t0_ms for a, b in zip(visits, visits[1:]))
+    starts = np.searchsorted(uwb_t, [v.t0_ms for v in visits])
+    closes = np.searchsorted(uwb_t, [v.t1_ms for v in visits], side="right")
+    assert (starts[1:] >= closes[:-1]).all() and (closes >= starts).all()
+
+
+@pytest.mark.parametrize("preset", sorted(SCENARIO_PRESETS))
+def test_visit_ticks_in_order_on_presets(preset):
+    scenario = SCENARIO_PRESETS[preset]()
+    uwb = simulate_pair(scenario, 0)[0].uwb
+    assert_visit_ticks_in_order(scenario.plan, uwb.t_ms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=2, max_size=6),
+    st.floats(1.0, 60_000.0),
+    st.floats(10.0, 5_000.0),
+    st.floats(10.0, 10_000.0),
+    st.booleans(),
+    st.floats(0.5, 200.0),
+)
+def test_visit_ticks_in_order_on_drawn_plans(cells, dwell_ms, cruise, accel, closed, rate_hz):
+    # stops on a 100 mm grid; a plan must pass the default gamma's check
+    stops = tuple(Position2D(100.0 * x, 100.0 * y) for x, y in cells)
+    assume(len(set(stops)) == len(stops))
+    plan = FlightPlan(stops, dwell_ms, cruise, accel, closed)
+    gamma = ClusterParams().gamma_mm
+    assume(plan.min_stop_separation() > 2 * gamma)
+    plan.check_region_radius(gamma)
+    assert_visit_ticks_in_order(plan, sample_times(rate_hz, build_truth(plan).duration_ms))

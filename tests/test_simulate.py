@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import positions
 from vo_oracle import LoopVoSensor
 from uwbvo.core import FlightPlan, Position2D, euclidean
+from uwbvo import simulate
 from uwbvo.simulate import (
     SCENARIO_PRESETS,
     GroundTruth,
@@ -85,6 +86,18 @@ class TestGroundTruth:
         assert speeds.max() <= 500.0 + 1e-9
         assert np.all(np.abs(np.diff(speeds)) < 5.0)  # no jumps at phase edges
 
+    def test_a_leg_that_takes_no_time_is_refused(self):
+        # at 1e18 mm/s a 1000 mm leg lasts 1e-12 ms, lost when added to 20 s:
+        # stop windows would touch, and a tick on the shared edge would
+        # belong to two visits
+        plan = FlightPlan((Position2D(0.0, 0.0), Position2D(1000.0, 0.0)), 20000.0,
+                          cruise_mm_s=1e18, accel_mm_s2=1e40, closed=False)
+        with pytest.raises(ValueError, match="leg from stop 1 takes no time at t = 20000.0 ms"):
+            build_truth(plan)
+        # at 1e15 mm/s the leg still advances the time
+        windows = build_truth(replace(plan, cruise_mm_s=1e15)).stop_windows
+        assert windows[0].t1_ms < windows[1].t0_ms
+
     def test_short_segment_triangular_profile(self):
         # 100 mm at accel 1000 never reaches cruise: peak = sqrt(a L)
         truth = build_truth(two_stop_plan(length=100.0))
@@ -139,6 +152,54 @@ class TestSynthUwb:
             spread = np.ptp(np.unwrap(np.sort(angles)))
             assert spread < 0.01  # collinear: a ray, not a blob
             assert dists.max() == pytest.approx(600.0, rel=1e-3)
+
+
+    def test_a_ray_with_no_sample_left_in_its_dwell_is_not_recorded(self):
+        # one UWB sample every 10 s: some rays start after the last sample
+        # of their dwell, so they displace nothing and are no event; every
+        # recorded ray starts at a sample inside its dwell
+        truth = build_truth(two_stop_plan(length=2000.0, dwell=20_000.0))
+        ray = RaySpec(prob_per_stop=1.0, length_mm=600, count=30)
+        missed = 0
+        for seed in range(8):
+            trace = synth_uwb(truth, UwbModel(rate_hz=0.1, sigma_mm=0.0, ray=ray), seed)
+            for event in trace.rays:
+                window = truth.stop_windows[event.window_ordinal]
+                assert window.t0_ms <= event.t_onset_ms < window.t1_ms
+            missed += len(truth.stop_windows) - len(trace.rays)
+        assert missed > 0
+
+    def test_a_draw_of_zero_never_fires_at_probability_zero(self, monkeypatch):
+        # a probability of 0 is never: not even a uniform draw of exactly
+        # 0.0 fires a ray or a scale fault
+        class ZeroDraws:
+            def uniform(self, low=0.0, high=1.0):
+                return low
+
+        real = simulate._child_rngs
+        monkeypatch.setattr(
+            simulate, "_child_rngs", lambda seed: (real(seed)[0], ZeroDraws(), None, None)
+        )
+        truth = build_truth(two_stop_plan())
+        model = UwbModel(sigma_mm=0.0, ray=RaySpec(prob_per_stop=0.0))
+        assert synth_uwb(truth, model, seed=0).rays == []
+        spec = ScaleFaultSpec(prob_per_segment=0.0, scale_range=(0.7, 0.9))
+        assert simulate._segment_scales(truth, spec, ZeroDraws()).tolist() == [1.0]
+
+    @pytest.mark.parametrize("model", [UwbModel, VoModel])
+    def test_a_zero_rate_is_refused(self, model):
+        with pytest.raises(ValueError, match="need a finite rate > 0"):
+            model(rate_hz=0.0)
+
+    def test_fault_specs_at_their_edges_are_accepted(self):
+        # probabilities are within [0, 1], a ray count nonnegative, and
+        # scales within (0, 1]
+        assert RaySpec(prob_per_stop=1.0, count=0).count == 0
+        assert RaySpec(length_mm=0.0).length_mm == 0.0
+        assert ScaleFaultSpec(prob_per_segment=1.0).prob_per_segment == 1.0
+        assert ScaleFaultSpec(scale_range=(0.7, 1.0)).scale_range == (0.7, 1.0)
+        with pytest.raises(ValueError, match="0 < lo <= hi <= 1"):
+            ScaleFaultSpec(scale_range=(0.0, 0.5))
 
 
 class TestSynthVo:

@@ -307,16 +307,17 @@ def _run_seeds(
     of the filtered methods of every seed are filtered first, in one
     lockstep; then the seeds run one by one. Each method's files are
     written as soon as it finishes; only its report, or its failure text,
-    is returned. A malformed log fails every method of its seed; a method
-    that fails (stop detection, filter divergence, or a track that misses a
-    dwell window) leaves the other methods and seeds running.
+    is returned. A malformed or unreadable log fails every method of its
+    seed; a method that fails (stop detection, filter divergence, or a
+    track that misses a dwell window) leaves the other methods and seeds
+    running.
     """
     pairs: dict[int, StreamPair] = {}
     failures: list[tuple[str, int, str]] = []
     for seed in seeds:
         try:
             pairs[seed] = read_log(_stream_path(logs_dir, seed))
-        except LogFormatError as exc:
+        except (LogFormatError, OSError) as exc:
             failures += [(kind.value, seed, str(exc)) for kind in methods]
     truth = build_truth(plan)
     tracks_dir = logs_dir / "tracks"
@@ -357,8 +358,10 @@ def cmd_run(args) -> int:
     size = min(_SEEDS_PER_LOCKSTEP, math.ceil(len(seeds) / args.jobs))
     batches = [seeds[i : i + size] for i in range(0, len(seeds), size)]
     task = partial(_run_seeds, logs_dir, scenario.plan, params, methods)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a pool starts all its workers at the first submit: no more than batches
+    workers = min(args.jobs, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_batch = list(pool.map(task, batches))
     else:
         per_batch = map(task, batches)

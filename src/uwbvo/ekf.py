@@ -56,9 +56,6 @@ class FilterError(RuntimeError):
     """Numerical failure inside the filter."""
 
 
-DEGENERATE = "degenerate innovation covariance"
-
-
 def wrap_angle(angle):
     """Wrap an angle, or each angle of an array, to (-pi, pi].
 
@@ -258,7 +255,7 @@ class CtraFilter:
                 innovation_cov.swapaxes(-1, -2), self.P.swapaxes(-1, -2)
             )
         except np.linalg.LinAlgError:
-            raise FilterError(DEGENERATE) from None
+            raise FilterError("degenerate innovation covariance") from None
         gain = gain_t.swapaxes(-1, -2)
         innovation = u - self.state
         innovation[..., 3] = wrap_angle(innovation[..., 3])
@@ -273,18 +270,6 @@ class CtraFilter:
         """Per row: a non-finite state or a covariance diagonal that is not >= 0."""
         diag = self.P.diagonal(0, -2, -1)
         return ~(np.isfinite(self.state) & (diag >= 0.0)).all(axis=-1)
-
-    def degenerate(self) -> np.ndarray:
-        """Per row: an innovation covariance that :meth:`update` cannot solve."""
-        cov_t = (self.P + self._r).swapaxes(-1, -2).reshape(-1, STATE_DIM, STATE_DIM)
-        p_t = self.P.swapaxes(-1, -2).reshape(-1, STATE_DIM, STATE_DIM)
-        out = np.zeros(len(cov_t), dtype=bool)
-        for r in range(len(cov_t)):
-            try:
-                np.linalg.solve(cov_t[r], p_t[r])
-            except np.linalg.LinAlgError:
-                out[r] = True
-        return out.reshape(self.state.shape[:-1])
 
 
 # row-steps (rows times steps) the lockstep packs and filters at a time: a
@@ -563,31 +548,38 @@ def run_filter(
     differencing window refills. The output keeps the input's timestamps
     and source.
 
-    A stream whose filter fails gets a :class:`FilterError` as its result,
-    with the text a lone run of it gives: ``filter diverged at sample i
-    (t_ms ...)`` for a non-finite state or a negative covariance diagonal,
-    ``i`` indexing that stream, or ``degenerate innovation covariance``.
-    The other streams are then filtered again without it, so their results
-    are the same as if it had never been there. An empty stream is its own
+    A stream whose filter fails gets a :class:`FilterError` as its result:
+    ``filter diverged at sample i (t_ms ...)`` for a non-finite state or a
+    negative covariance diagonal, ``i`` indexing that stream, or
+    ``degenerate innovation covariance``. An empty stream is its own
     result; :func:`checked` turns a result back into a stream or raises.
 
-    One lockstep holds the restart segments of every stream (see
-    :func:`_lockstep`), so short streams ride along with a long one.
+    One lockstep holds the restart segments of every non-empty stream (see
+    :func:`_lockstep`), so short streams ride along with a long one. If it
+    fails, each of those streams is filtered again alone, and keeps what
+    its lone run gives, a stream or an error: every result is a lone run's.
     """
     results: list[Stream | FilterError] = list(streams)
-    pending = [i for i, stream in enumerate(streams) if len(stream)]
-    while pending:
-        outcome = _lockstep([streams[i] for i in pending], params, restart_times_ms)
-        for i, result in zip(pending, outcome):
-            if result is not None:
-                results[i] = result
-        pending = [i for i, result in zip(pending, outcome) if result is None]
+    busy = [i for i, stream in enumerate(streams) if len(stream)]
+    if not busy:
+        return results
+    try:
+        outcome = _lockstep([streams[i] for i in busy], params, restart_times_ms)
+    except FilterError:
+        outcome = []
+        for i in busy:
+            try:
+                outcome += _lockstep([streams[i]], params, restart_times_ms)
+            except FilterError as err:
+                outcome.append(err)
+    for i, result in zip(busy, outcome):
+        results[i] = result
     return results
 
 
 def _lockstep(
     streams: Sequence[Stream], params: CtraParams, restart_times_ms: Sequence[float]
-) -> list[Stream | FilterError | None]:
+) -> list[Stream]:
     """Filter the restart segments of non-empty streams as rows of one stack.
 
     Segments share nothing, so one :class:`CtraFilter` holds a stack with one
@@ -605,8 +597,12 @@ def _lockstep(
     run. The estimates of a block go back into its samples with one
     scatter.
 
-    Returns a stream per input stream; if some streams fail at a step, they
-    get their :class:`FilterError` and the rest ``None``.
+    Returns a stream per input stream, or raises the first
+    :class:`FilterError` of the stack: ``update``'s degenerate innovation
+    covariance, or a failed health test, named by the earliest bad sample
+    among the rows :meth:`CtraFilter.diverged` flags. Its text is a lone
+    run's only when one stream is given; :func:`run_filter` reruns a
+    failed stack stream by stream.
     """
     seg_stream, seg_first, seg_len = [], [], []
     for s, stream in enumerate(streams):
@@ -628,19 +624,6 @@ def _lockstep(
     # the Jacobian buffer of every step: rows only leave its prefix, and the
     # entries outside the ones each step writes stay the identity's
     jac = np.broadcast_to(_EYE, (len(lengths), STATE_DIM, STATE_DIM)).copy()
-
-    def failed(bad: np.ndarray, k: int, text: str = "") -> list[FilterError | None]:
-        """Fail each stream with a ``bad`` row at step ``k``, named by its
-        earliest bad sample; the other streams are left to filter again."""
-        if not bad.any():  # no row fails alone: the stack failed as a whole
-            bad = np.ones_like(bad)
-        bad_stream, bad_first = row_stream[: len(bad)][bad], first[: len(bad)][bad]
-        out: list[FilterError | None] = [None] * len(streams)
-        for s in set(bad_stream.tolist()):
-            i = int(bad_first[bad_stream == s].min()) + k
-            t_ms = streams[s].t_ms[i]
-            out[s] = FilterError(text or f"filter diverged at sample {i} (t_ms {t_ms})")
-        return out
 
     filt = CtraFilter(params)
     # the samples of every row, row after row: the positions are read block
@@ -667,16 +650,16 @@ def _lockstep(
             # every row is at its segment's sample k, and a segment has no
             # measurement before its third sample
             if k >= 2:
-                try:
-                    filt.update(u[a:b])
-                except FilterError:
-                    return failed(filt.degenerate(), k, DEGENERATE)
+                filt.update(u[a:b])
             # ufunc reductions, not ``ndarray.all``: a NaN fails both tests
             if not (
                 np.logical_and.reduce(np.isfinite(filt.state), axis=None)
                 and np.minimum.reduce(filt.P.diagonal(0, -2, -1), axis=None) >= 0.0
             ):
-                return failed(filt.diverged(), k)
+                bad = np.flatnonzero(filt.diverged())
+                r = int(bad[np.argmin(first[bad])])
+                s, i = spans[r][0], int(first[r]) + k
+                raise FilterError(f"filter diverged at sample {i} (t_ms {streams[s].t_ms[i]})")
             u[a:b, :2] = filt.state[:, :2]
         xy[samples] = u[:, :2]
         del u, dt, half_dt, dt_cubed  # not held while the next block is packed

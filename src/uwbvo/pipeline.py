@@ -59,9 +59,10 @@ VO_SELECTED = "vo"
 KALMAN_SELECTED = "kalman"
 # indexed by "KALMAN mode?": the mode names a track's flags stand for
 MODE_NAMES = (VO_SELECTED, KALMAN_SELECTED)
-# the oldest UWB evidence a VO sample may take: a sample whose governing
-# tick is older trusts the corrected VO, whatever that tick's mode. About
-# four periods of the presets' 27 Hz unit, whose gaps are 37-38 ms
+# the shortest age bound of the UWB evidence a VO sample may take (see
+# uwb_age_bound_ms): a sample whose governing tick is older than the bound
+# trusts the corrected VO, whatever that tick's mode. About four periods of
+# the presets' 27 Hz unit, whose gaps are 37-38 ms
 MAX_UWB_AGE_MS = 150
 
 
@@ -100,6 +101,15 @@ def stop_visits(plan: FlightPlan) -> Sequence[StopWindow]:
 def corrected_vo(x_o: Position2D, w: Position2D) -> Position2D:
     """Apply the cumulative correction vector to a raw VO output."""
     return x_o + w
+
+
+def uwb_age_bound_ms(uwb_t: np.ndarray) -> float:
+    """The age bound of a filtered UWB stream with tick times ``uwb_t``:
+    four of its median tick gaps, at least :data:`MAX_UWB_AGE_MS` (that
+    constant alone under two ticks)."""
+    if len(uwb_t) < 2:
+        return MAX_UWB_AGE_MS
+    return max(MAX_UWB_AGE_MS, 4 * float(np.median(np.diff(uwb_t))))
 
 
 def _norms(d: np.ndarray, bound: float) -> np.ndarray:
@@ -212,7 +222,7 @@ def _run(
     Each VO sample is emitted after every UWB tick at or before its time
     (UWB first on a tie), with the mode and ``w`` in force after the last of
     those ticks, its governing tick; a sample whose governing tick is more
-    than :data:`MAX_UWB_AGE_MS` older trusts the corrected VO. A filtered
+    than :func:`uwb_age_bound_ms` older trusts the corrected VO. A filtered
     UWB stream with no tick in any stop visit raises
     :class:`~uwbvo.core.CoverageError`. At tick ``k`` the first
     ``j = searchsorted(vo_t, t_k)`` VO samples have been emitted, sample
@@ -338,7 +348,8 @@ def _run(
     in_kalman = kalman_after[gov]
     # a KALMAN sample has a governing tick (row 0 is VO); past the age bound
     # that tick is stale, and the sample trusts the corrected VO
-    in_kalman[in_kalman] = vo_t[in_kalman] - uwb_t[gov[in_kalman] - 1] <= MAX_UWB_AGE_MS
+    age = vo_t[in_kalman] - uwb_t[gov[in_kalman] - 1]
+    in_kalman[in_kalman] = age <= uwb_age_bound_ms(uwb_t)
     out_xy[in_kalman] = filtered.xy[nearest_indices(uwb_t, vo_t[in_kalman])]
     track.samples = Stream(vo_t, out_xy, VO)
     track.kalman = in_kalman

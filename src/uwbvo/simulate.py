@@ -239,6 +239,12 @@ class ScenarioConfig:
     uwb: UwbModel = field(default_factory=UwbModel)
     vo: VoModel = field(default_factory=VoModel)
 
+    def __post_init__(self) -> None:
+        legs = len(self.plan.legs())
+        outside = [i for i in self.vo.underestimate.forced_segments if not 0 <= i < legs]
+        if outside:
+            raise ValueError(f"forced fault segments {outside} outside the plan's {legs} legs")
+
 
 class RayEvent(NamedTuple):
     window_ordinal: int

@@ -1,8 +1,9 @@
 """Per-sample reference for the self-corrective fusion loop the pipeline tests compare against.
 
 ``_run`` is the fusion loop from before it was driven by UWB ticks, copied
-as it was but for one rule added since: a VO sample more than
-``MAX_UWB_AGE_MS`` after the last UWB tick trusts the corrected VO. It
+as it was but for one rule added since: a VO sample more than the age
+bound after the last UWB tick trusts the corrected VO, the bound being
+``MAX_UWB_AGE_MS`` or four median tick gaps, whichever is longer. It
 merges the two streams sample by sample, processes each UWB tick as it
 comes (UWB first on a tie) and emits each VO sample with the mode and
 correction vector then in force. In live mode it pulls every VO
@@ -16,6 +17,7 @@ of coordinate differences.
 """
 from __future__ import annotations
 
+import statistics
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -96,6 +98,8 @@ def _run(
     filtered = checked(run_filter([uwb], params.ekf, restart_times_ms=restart_times)[0])
     uwb_ts, uwb_ts_arr = uwb.t_ms.tolist(), uwb.t_ms
     fx, fy = filtered.xy.T.tolist()
+    gaps = [b - a for a, b in zip(uwb_ts, uwb_ts[1:])]
+    max_age = max(MAX_UWB_AGE_MS, 4 * statistics.median(gaps)) if gaps else MAX_UWB_AGE_MS
 
     # the output columns; track.samples is built from them at the end
     out_t: list[int] = []
@@ -226,7 +230,7 @@ def _run(
         out = (x + w.x, y + w.y)
         window.append(out)
         # a KALMAN mode trusts the filtered UWB while its last tick is fresh
-        kalman = mode == KALMAN_SELECTED and t - t_hold <= MAX_UWB_AGE_MS
+        kalman = mode == KALMAN_SELECTED and t - t_hold <= max_age
         if kalman:
             i = aligned_filtered(t)
             out = (fx[i], fy[i])

@@ -140,6 +140,37 @@ def test_jobs_parallel_matches_serial(tmp_path):
         assert dir_bytes(out_a) == dir_bytes(out_b)
 
 
+@pytest.mark.parametrize(
+    "seeds, jobs, workers",
+    [(["--seed", "0"], "3", None), (["--seeds", "2"], "3", 2), (["--seeds", "3"], "2", 2),
+     (["--seeds", "5"], "4", 3)],
+)
+def test_jobs_start_no_more_workers_than_batches(tmp_path, monkeypatch, seeds, jobs, workers):
+    # one batch runs in-process; otherwise a worker per batch at most. The
+    # fake pool maps in-process and starts no worker
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(small_scenario_file(tmp_path)),
+                 *seeds, "--out", str(out)]) == 0
+    assert main(["run", "--logs", str(out), "--method", "raw-uwb", *seeds, "--jobs", jobs]) == 0
+    assert started == ([] if workers is None else [workers])
+
+
 def _rows(path: Path) -> list[dict[str, str]]:
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -274,6 +305,28 @@ def test_malformed_log_fails_its_seed_and_batch_continues(tmp_path, capsys):
     with open(out / "reports.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["method"], r["seed"]) for r in rows] == [("raw-uwb", "1"), ("raw-vo", "1")]
+
+
+def test_unreadable_log_fails_its_seed_and_batch_continues(tmp_path, capsys):
+    # a directory in the log's place: reading it raises IsADirectoryError
+    # (a chmod would not stop a root reader)
+    scenario = small_scenario_file(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(scenario), "--seeds", "2",
+                 "--out", str(out)]) == 0
+    assert main(["run", "--logs", str(out), "--method", "raw-uwb", "--seeds", "2"]) == 0
+    log = out / "streams_0001.csv"
+    log.unlink()
+    log.mkdir()
+    code = main(["run", "--logs", str(out), "--method", "raw-uwb",
+                 "--method", "raw-vo", "--seeds", "2"])
+    assert code == 2
+    assert "FAILED raw-uwb seed 1" in capsys.readouterr().err
+    failures = _rows(out / "failures.csv")
+    assert [(r["method"], r["seed"]) for r in failures] == [("raw-uwb", "1"), ("raw-vo", "1")]
+    assert all("Is a directory" in r["error"] for r in failures)
+    rows = _rows(out / "reports.csv")  # this run's, not the previous one's
+    assert [(r["method"], r["seed"]) for r in rows] == [("raw-uwb", "0"), ("raw-vo", "0")]
 
 
 def test_filter_error_fails_only_its_cell(tmp_path, monkeypatch, capsys):

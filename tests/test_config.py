@@ -177,6 +177,29 @@ def test_derivation_knob_out_of_range_is_a_config_error_naming_the_file(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("segments, legal", [("-1", False), ("16", False), ("15", True)])
+def test_forced_fault_segment_outside_the_plan_is_refused(tmp_path, capsys, segments, legal):
+    # the worst-case plan flies 16 legs, indexed 0 to 15
+    path = tmp_path / "scenario.ini"
+    save_config(worst_case_scenario(), default_pipeline_params(), path)
+    cp = configparser.ConfigParser()
+    cp.read(path, encoding="utf-8")
+    cp["vo"]["forced_fault_segments"] = segments
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    if legal:
+        scenario, _ = load_config(path)
+        assert scenario.vo.underestimate.forced_segments == (15,)
+        return
+    with pytest.raises(ConfigError, match=rf"forced fault segments \[{segments}\]") as exc:
+        load_config(path)
+    assert str(path) in str(exc.value)
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _damage_non_utf8(data: bytes) -> bytes:
     return data[:40] + b"\xff" + data[41:]
 

@@ -18,6 +18,7 @@ from ekf_oracle import (
     wrap_angle_scalar,
 )
 from uwbvo import ekf
+from uwbvo.core import Stream
 from uwbvo.ekf import (
     CtraFilter,
     CtraParams,
@@ -601,6 +602,71 @@ class TestStackedStreams:
         assert isinstance(stacked[1], FilterError) and str(stacked[1]) == str(lone)
         assert stacked[0] == stacked[2] == filter_one(short, zero_a)
 
+    @staticmethod
+    def batches(draw_blowups):
+        """Batches of 2-5 streams, moving or still, of 0-70 samples at 27
+        Hz, with a shared restart schedule; with ``draw_blowups``, a sample
+        of each of a subset of the streams set to 1e200 (placed by a
+        fraction of the stream's length)."""
+        stream = st.tuples(
+            st.integers(0, 70), st.integers(0, 2**16), st.sampled_from([0.0, 300.0]),
+            st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True))
+            if draw_blowups
+            else st.none(),
+        )
+        return st.tuples(
+            st.lists(stream, min_size=2, max_size=5),
+            st.lists(st.integers(-100, 2700), max_size=4),
+        )
+
+    @staticmethod
+    def build(spec):
+        n, seed, speed_mm_s, blowup_at = spec
+        ts = np.round(np.arange(n) * 37.037).astype(np.int64)
+        xy = np.stack([speed_mm_s * ts / 1000.0, np.zeros(n)], axis=1)
+        xy += np.random.default_rng(seed).normal(0.0, 20.0, size=xy.shape)
+        if blowup_at is not None and n:
+            xy[int(blowup_at * n), 0] = 1e200  # its square overflows in the differencing sums
+        return make_stream(ts, xy)
+
+    @staticmethod
+    def assert_each_result_is_a_lone_runs(streams, params, restarts):
+        out = run_filter(streams, params, restarts)
+        for stream, result in zip(streams, out):
+            [lone] = run_filter([stream], params, restarts)
+            if isinstance(lone, FilterError):
+                assert isinstance(result, FilterError) and str(result) == str(lone)
+            else:
+                assert isinstance(result, Stream) and result == lone
+        return out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(batches(True))
+    def test_batch_with_blowups_gives_each_stream_its_lone_result(self, batch):
+        specs, restarts = batch
+        streams = [self.build(spec) for spec in specs]
+        self.assert_each_result_is_a_lone_runs(streams, CtraParams(), restarts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batches(False))
+    def test_degenerate_batch_gives_each_stream_its_lone_result(self, batch):
+        # no acceleration noise anywhere: a segment that reaches its third
+        # sample, its first update, fails there (see the test above)
+        zero_a = CtraParams(
+            q_diag=CtraParams().q_diag[:5] + (0.0,),
+            r_diag=CtraParams().r_diag[:5] + (0.0,),
+            p0_diag=CtraParams().p0_diag[:5] + (0.0,),
+        )
+        specs, restarts = batch
+        streams = [self.build(spec) for spec in specs]
+        out = self.assert_each_result_is_a_lone_runs(streams, zero_a, restarts)
+        for stream, result in zip(streams, out):
+            cut = np.searchsorted(stream.t_ms, restarts)
+            starts = np.unique(np.concatenate(([0], cut[cut < len(stream)])))
+            longest = np.diff(starts, append=len(stream)).max() if len(stream) else 0
+            assert isinstance(result, FilterError) == (longest >= 3)
+
     def test_empty_streams_are_their_own_results(self):
         empty = make_stream([], [])
         stream = constant_position_stream(40.0, 30, seed=5)
@@ -670,12 +736,6 @@ class TestStacks:
         filt.P[1] = 0.0
         with pytest.raises(FilterError, match="degenerate"):
             filt.update(np.zeros((3, 6)))
-
-    def test_degenerate_flags_rows(self):
-        filt = CtraFilter(CtraParams(r_diag=(0.0,) * 6))
-        filt.reset(np.zeros(3), np.zeros(3))
-        filt.P[1] = 0.0
-        assert filt.degenerate().tolist() == [False, True, False]
 
     def test_jacobian_buffer_reused_as_the_lockstep_reuses_it(self):
         # one buffer stepped through stacks whose row prefix shrinks, arc and

@@ -15,7 +15,8 @@ import pipeline_oracle as oracle
 from conftest import filtered_uwb, replay_pipeline
 from uwbvo.config import default_pipeline_params
 from uwbvo.core import CoverageError, Position2D, Stream, nearest_indices
-from uwbvo.pipeline import MAX_UWB_AGE_MS, run_pipeline_live
+from uwbvo import pipeline
+from uwbvo.pipeline import MAX_UWB_AGE_MS, run_pipeline_live, uwb_age_bound_ms
 from uwbvo.simulate import SCENARIO_PRESETS, VoSensor, build_truth, simulate_pair
 
 
@@ -274,6 +275,50 @@ def test_uwb_gap_across_a_leg_and_a_dwell_trusts_the_vo_past_the_bound():
     assert (replay.samples.xy[gap] == pair.vo.xy[gap] + w[1:]).all()
     # no decision at stop 9, whose dwell the gap holds
     assert 9 not in [e.stop_index for e in replay.stop_events + live.stop_events]
+
+
+def slow_uwb_worst_case():
+    """The worst-case preset with a 5 Hz UWB unit, k1 and k2 scaled to its
+    ticks (9 and 27), and its default pipeline parameters."""
+    scenario, params = SCENARIO_PRESETS["worst-case"](), default_pipeline_params()
+    return (
+        replace(scenario, uwb=replace(scenario.uwb, rate_hz=5.0)),
+        replace(params, cluster=replace(params.cluster, k1=9, k2=27)),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_slow_uwb_age_bound_is_four_periods(seed, monkeypatch):
+    # a 5 Hz tick is 200 ms old before the next one comes: under a 150 ms
+    # bound every KALMAN stretch flipped to the VO between ticks, 2,000+
+    # mode flips a run. Four periods flip none: the track is the one with
+    # no bound at all
+    scenario, params = slow_uwb_worst_case()
+    replay, live, _ = both_modes(scenario, seed, params)
+    pair = simulate_pair(scenario, seed)[0]
+    assert uwb_age_bound_ms(pair.uwb.t_ms) == 800
+    truth = build_truth(scenario.plan)
+    monkeypatch.setattr(pipeline, "MAX_UWB_AGE_MS", truth.duration_ms + 1)
+    assert_same_track(replay, replay_pipeline(pair, scenario.plan, params))
+    sensor = VoSensor(truth, scenario.vo, seed)
+    assert_same_track(live, run_pipeline_live(pair.uwb, sensor, scenario.plan, params))
+
+
+def test_slow_uwb_gap_trusts_the_vo_past_four_periods():
+    # the gap of the 27 Hz test above, at 5 Hz: the fix of the tick before
+    # it holds for 800 ms, inclusive, and the VO is trusted after
+    scenario, params = slow_uwb_worst_case()
+    pair = simulate_pair(scenario, 0)[0]
+    uwb, legs = pair.uwb, build_truth(scenario.plan).segments
+    lo, hi = (np.searchsorted(uwb.t_ms, 0.5 * (s.t0_ms + s.t1_ms)) for s in legs[8:10])
+    replay, live, _ = both_modes(scenario, 0, params, uwb_keep=np.r_[:lo, hi : len(uwb)])
+    last, after = int(uwb.t_ms[lo - 1]), int(uwb.t_ms[hi])
+    assert (last, after) == (194400, 216000)
+    for track in (replay, live):
+        t, kalman = track.samples.t_ms, track.kalman
+        i, edge = (int(np.searchsorted(t, last + age)) for age in (0, 800))
+        assert kalman[i] and kalman[edge] and t[edge] == last + 800
+        assert not kalman[edge + 1 : int(np.searchsorted(t, after))].any()
 
 
 def test_uwb_cut_to_three_rows_reaches_no_stop_visit():

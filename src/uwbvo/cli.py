@@ -310,7 +310,7 @@ def _run_seeds(
     is returned. A malformed or unreadable log fails every method of its
     seed; a method that fails (stop detection, filter divergence, or a
     track that misses a dwell window) leaves the other methods and seeds
-    running.
+    running, and an earlier run's files of a failed cell are deleted.
     """
     pairs: dict[int, StreamPair] = {}
     failures: list[tuple[str, int, str]] = []
@@ -332,6 +332,9 @@ def _run_seeds(
                 )
             except (StopDetectionFailure, FilterError, CoverageError) as exc:
                 failures.append((kind.value, seed, str(exc)))
+    for method_value, seed, _ in failures:
+        for prefix in ("track", "errors", "stops"):
+            (tracks_dir / f"{prefix}_{method_value}_{seed:04d}.csv").unlink(missing_ok=True)
     return reports, failures
 
 

@@ -82,14 +82,16 @@ class Sample:
 
 def _adopted(a, dtype) -> np.ndarray:
     """``a`` itself if it is a read-only, C-ordered ``ndarray`` of ``dtype``
-    that owns its data: another stream's column, or an array its maker set
-    read-only to hand it over. Otherwise a C-ordered copy."""
+    whose data a read-only array owns (``a``, or the array it views: a
+    stream's column, or an array its maker set read-only to hand it over).
+    Otherwise a C-ordered copy."""
+    owner = a.base if isinstance(a, np.ndarray) and a.base is not None else a
     if (
-        isinstance(a, np.ndarray)
+        isinstance(owner, np.ndarray)
+        and owner.base is None
+        and not (owner.flags.writeable or a.flags.writeable)
         and a.dtype == dtype
         and a.flags.c_contiguous
-        and not a.flags.writeable
-        and a.base is None
     ):
         return a
     return np.array(a, dtype=dtype, order="C")
@@ -103,8 +105,10 @@ class Stream:
     position per timestamp, finite positions and timestamps in
     non-decreasing order (a merged stream holds ties; :class:`StreamPair`
     asks its streams for strictly increasing ones). An input that is
-    already a read-only, C-ordered array of the right dtype owning its data
-    is kept as it is; any other is copied. Iterating or indexing yields :class:`Sample` values for scalar
+    already a read-only, C-ordered array of the right dtype, whose data a
+    read-only array owns (itself or the array it views), is kept as it
+    is; any other, a read-only view of a writable array included, is
+    copied. Iterating or indexing yields :class:`Sample` values for scalar
     consumers; a slice is a Stream.
     """
 

@@ -292,6 +292,7 @@ def _block_cuts(active: np.ndarray) -> list[int]:
 def _measurement_blocks(
     t_ms: np.ndarray,
     xy: np.ndarray,
+    starts: np.ndarray,
     lengths: np.ndarray,
     cuts: Sequence[int],
     span_s: float,
@@ -299,16 +300,16 @@ def _measurement_blocks(
 ):
     """Full-state measurements of lockstep rows, one block of steps at a time.
 
-    Row ``r`` is a restart segment: ``lengths[r]`` consecutive samples of
-    ``t_ms`` and ``xy``, right after those of row ``r - 1``; rows come
-    longest first. Each block ``cuts[b]:cuts[b + 1]`` yields ``(u, dt,
-    samples)`` in the lockstep's step-major order, where the entries of
-    step ``k`` are the rows still running at ``k``, in row order: ``u``
-    holds each entry's measurement, ``dt`` the step from the row's previous
-    sample in seconds (0.0 at its sample 0), and ``samples`` the index of
-    each entry's sample. A block's positions are read only when the
-    generator resumes for it, so a caller may overwrite the samples of a
-    block it has been given.
+    Row ``r`` is a restart segment: the ``lengths[r]`` consecutive samples
+    of ``t_ms`` and ``xy`` from ``starts[r]`` on. The segments tile the
+    two arrays in any order, and the rows come longest first. Each block
+    ``cuts[b]:cuts[b + 1]`` yields ``(u, dt, samples)`` in the lockstep's
+    step-major order, where the entries of step ``k`` are the rows still
+    running at ``k``, in row order: ``u`` holds each entry's measurement,
+    ``dt`` the step from the row's previous sample in seconds (0.0 at its
+    sample 0), and ``samples`` the index of each entry's sample. A block's
+    positions are read only when the generator resumes for it, so a caller
+    may overwrite the samples of a block it has been given.
 
     Sample ``k`` of a segment gets the measurement derived from the
     trailing window ending there (NaN for samples 0 and 1, where no window
@@ -331,7 +332,8 @@ def _measurement_blocks(
       slabs of steps trimmed to the rows that may read them;
     - window starts come from one ``searchsorted`` over integer keys, each
       sample's milliseconds from its segment's first plus an offset per
-      row that lifts every row above the one before it;
+      segment that lifts it above the segment before it in the arrays, so
+      that the keys rise along them;
     - the gates run as a cascade over every row's windows at once: the
       full-window fit and its speed gate over every window, the residual
       scatter over the windows fast enough, and the two half-window fits
@@ -341,14 +343,14 @@ def _measurement_blocks(
       last one.
     """
     n_rows = len(lengths)
-    starts = np.cumsum(lengths) - lengths
     last = starts + lengths - 1
     floor = max(min_speed_mm_s, 1e-9)
     span_ms = span_s * 1000.0
     t0 = t_ms[starts]
     room = t_ms[last] - t0 + 2
-    key_off = np.cumsum(room) - room
-    keys = np.repeat(t0 - key_off, lengths)
+    flat = np.argsort(starts)  # the rows in the arrays' order, where the keys rise
+    key_off = (np.cumsum(room[flat]) - room[flat])[np.argsort(flat)]
+    keys = np.repeat((t0 - key_off)[flat], lengths[flat])
     np.subtract(t_ms, keys, out=keys)
     del t_ms
 
@@ -400,7 +402,7 @@ def _measurement_blocks(
         # windows: the rectangle's steps from sample 2 on
         w0 = max(k0, 2) - k0
         k = np.arange(k0 + w0, k1)[:, None]
-        # window starts, searched row after row so that the keys come sorted
+        # window starts, searched row after row, each row's queries rising
         q = np.maximum(np.floor(rel_ms[w0:] - span_ms), -1.0).astype(np.int64)
         q += key_off[:rows]
         a = np.searchsorted(keys, q.T.reshape(-1), side="right").reshape(rows, -1).T
@@ -584,60 +586,56 @@ def _lockstep(
 
     Segments share nothing, so one :class:`CtraFilter` holds a stack with one
     row per segment, longest first, and step ``k`` advances the ``k``-th
-    sample of every segment that has one. The rows still running at step
-    ``k`` are a prefix, so inputs are packed step-major: step ``k`` reads
-    the slice ``off[k]:off[k + 1]`` of flat arrays that hold one entry per
-    input sample, then writes its estimates over the measurements it read.
+    sample of every segment that has one. The samples lie in one array,
+    stream after stream; a row is its segment's start there. The rows
+    still running at step ``k`` are a prefix, so inputs are packed
+    step-major: step ``k`` reads the entries ``bounds[k]:bounds[k + 1]``,
+    then writes its estimates over the measurements it read.
 
     The steps are packed and filtered a block at a time, blocks cut to
     :data:`_ROW_STEPS_PER_BLOCK` row-steps each. One columnar pass
     (:func:`_measurement_blocks`) packs a block's measurements and steps
     for every row at once, each row resuming from what its previous block
     carried, so the packed arrays hold one block of steps, not the whole
-    run. The estimates of a block go back into its samples with one
-    scatter.
+    run. A block's estimates overwrite its samples' positions with one
+    scatter. At the end the positions are set read-only, and each output
+    stream adopts its slice uncopied. A slice keeps the whole array alive
+    while any output lives; ``cli`` holds a batch's outputs together anyway.
 
     Returns a stream per input stream, or raises the first
     :class:`FilterError` of the stack: ``update``'s degenerate innovation
-    covariance, or a failed health test, named by the earliest bad sample
-    among the rows :meth:`CtraFilter.diverged` flags. Its text is a lone
-    run's only when one stream is given; :func:`run_filter` reruns a
-    failed stack stream by stream.
+    covariance, or a failed health test, named by the first bad sample in
+    the array of the rows :meth:`CtraFilter.diverged` flags, by its index
+    in its own stream. Its text is a lone run's only when one stream is
+    given; :func:`run_filter` reruns a failed stack stream by stream.
     """
-    seg_stream, seg_first, seg_len = [], [], []
-    for s, stream in enumerate(streams):
-        n = len(stream)
+    sizes = [len(stream) for stream in streams]
+    offs = np.cumsum(sizes) - sizes  # each stream's first sample in the flat arrays
+    starts = []
+    for a, stream in zip(offs, streams):
         cut = np.searchsorted(stream.t_ms, restart_times_ms, side="left")
-        is_start = np.zeros(n, dtype=bool)
-        is_start[0] = True
-        is_start[cut[cut < n]] = True
-        starts = np.flatnonzero(is_start)
-        seg_stream.append(np.full(len(starts), s))
-        seg_first.append(starts)
-        seg_len.append(np.diff(starts, append=n))
-    lengths = np.concatenate(seg_len)
+        # a set, not np.unique, which imports numpy.ma (1.6 MB of RSS)
+        starts += [a + c for c in sorted({0, *cut[cut < len(stream)].tolist()})]
+    starts = np.array(starts)
+    lengths = np.diff(starts, append=sum(sizes))
     order = np.argsort(-lengths, kind="stable")
-    row_stream = np.concatenate(seg_stream)[order]
-    first, lengths = np.concatenate(seg_first)[order], lengths[order]
+    starts, lengths = starts[order], lengths[order]  # the rows, longest first
     active = np.searchsorted(-lengths, -np.arange(lengths[0]), side="left")
-    off = np.concatenate(([0], np.cumsum(active)))
     # the Jacobian buffer of every step: rows only leave its prefix, and the
     # entries outside the ones each step writes stay the identity's
     jac = np.broadcast_to(_EYE, (len(lengths), STATE_DIM, STATE_DIM)).copy()
 
     filt = CtraFilter(params)
-    # the samples of every row, row after row: the positions are read block
-    # by block, and each block's estimates overwrite its samples
-    spans = list(zip(row_stream.tolist(), first.tolist(), lengths.tolist()))
-    xy = np.concatenate([streams[s].xy[a : a + n] for s, a, n in spans])
-    starts = np.cumsum(lengths) - lengths
+    # every stream's samples, stream after stream: the positions are read
+    # block by block, and each block's estimates overwrite its samples
+    xy = np.concatenate([stream.xy for stream in streams])
     filt.reset(xy[starts, 0], xy[starts, 1])
     cuts = _block_cuts(active)
     blocks = _measurement_blocks(
-        np.concatenate([streams[s].t_ms[a : a + n] for s, a, n in spans]),
-        xy, lengths, cuts, params.diff_span_s, params.min_speed_mm_s,
+        np.concatenate([stream.t_ms for stream in streams]),
+        xy, starts, lengths, cuts, params.diff_span_s, params.min_speed_mm_s,
     )
-    bounds = off.tolist()
+    bounds = [0, *np.cumsum(active).tolist()]
     for (u, dt, samples), k0, k1 in zip(blocks, cuts, cuts[1:]):
         base = bounds[k0]
         half_dt, dt_cubed = 0.5 * dt, np.float_power(dt, 3)
@@ -656,21 +654,12 @@ def _lockstep(
                 np.logical_and.reduce(np.isfinite(filt.state), axis=None)
                 and np.minimum.reduce(filt.P.diagonal(0, -2, -1), axis=None) >= 0.0
             ):
-                bad = np.flatnonzero(filt.diverged())
-                r = int(bad[np.argmin(first[bad])])
-                s, i = spans[r][0], int(first[r]) + k
+                i = int(starts[np.flatnonzero(filt.diverged())].min()) + k
+                s = int(np.searchsorted(offs, i, side="right")) - 1
+                i -= int(offs[s])
                 raise FilterError(f"filter diverged at sample {i} (t_ms {streams[s].t_ms[i]})")
             u[a:b, :2] = filt.state[:, :2]
         xy[samples] = u[:, :2]
         del u, dt, half_dt, dt_cubed  # not held while the next block is packed
-    # each stream's estimates, its segments in order; read-only, so that
-    # its output stream adopts the array uncopied
-    pieces: list[list[np.ndarray]] = [[] for _ in streams]
-    for r in np.lexsort((first, row_stream)).tolist():
-        pieces[spans[r][0]].append(xy[starts[r] : starts[r] + spans[r][2]])
-    out = []
-    for stream, piece in zip(streams, pieces):
-        est = np.concatenate(piece)
-        est.flags.writeable = False
-        out.append(Stream(stream.t_ms, est, stream.source))
-    return out
+    xy.flags.writeable = False  # so that each output stream adopts its slice
+    return [Stream(s.t_ms, xy[a : a + n], s.source) for s, a, n in zip(streams, offs, sizes)]

@@ -8,13 +8,11 @@ in ``math`` calls, one state at a time, which both outputs of
 ``_segment_measurements`` is the per-segment measurement synthesizer that
 the lockstep's columnar pass replaced, and ``loop_filter`` reads its
 measurements from it; ``pseudo_measurements`` and ``MeasurementBuilder``
-re-derive the same measurements one window at a time. ``CtraState`` is a
-validated state snapshot.
+re-derive the same measurements one window at a time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -247,35 +245,6 @@ def loop_filter(
                    samples[k].source)
         )
     return out
-
-
-@dataclass(frozen=True)
-class CtraState:
-    """Filter state snapshot; positions in mm, angles in radians."""
-
-    x: float
-    y: float
-    v: float
-    psi: float
-    psi_dot: float
-    a: float
-
-    def __post_init__(self) -> None:
-        if not all(
-            math.isfinite(f)
-            for f in (self.x, self.y, self.v, self.psi, self.psi_dot, self.a)
-        ):
-            raise ValueError("non-finite filter state")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.x, self.y, self.v, self.psi, self.psi_dot, self.a],
-            dtype=np.float64,
-        )
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "CtraState":
-        return CtraState(*(float(f) for f in arr))
 
 
 def _ls_velocity(

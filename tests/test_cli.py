@@ -511,6 +511,20 @@ def test_clean_rerun_removes_stale_failures(tmp_path):
     assert not (out / "failures.csv").exists()
 
 
+def test_failed_cell_leaves_no_earlier_track_files(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--scenario", "worst-case", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    assert main(["run", "--logs", str(out), "--method", "self-corrective"]) == 0
+    files = [out / "tracks" / f"{prefix}_self-corrective_0000.csv"
+             for prefix in ("track", "errors", "stops")]
+    assert all(path.exists() for path in files)
+    assert main(["run", "--logs", str(out), "--method", "self-corrective",
+                 "--k1", "8000", "--k2", "9000"]) == 2
+    assert len(_rows(out / "failures.csv")) == 1
+    assert not any(path.exists() for path in files)
+
+
 def test_calibrate_scores_the_uwb_stream_of_simulate_pair(monkeypatch):
     scored = []
 

@@ -125,6 +125,17 @@ def test_stream_adopts_read_only_arrays_that_own_their_data():
         Stream(ts, bad, VO)
 
 
+def test_stream_adopts_read_only_slices_of_read_only_owners():
+    owner = np.array([0, 5, 9, 12])
+    owner.flags.writeable = False
+    xy = np.array([[0.0, 1.0], [2.0, 3.0]])
+    xy.flags.writeable = False
+    assert Stream(owner[1:3], xy, VO).t_ms.base is owner
+    assert Stream(owner, np.zeros((4, 2)), VO)[2:].t_ms.base is owner  # a stream's slice
+    # a slice that is not C-ordered is copied, as any other input
+    assert not np.shares_memory(Stream(owner[::2], xy, VO).t_ms, owner)
+
+
 def test_filtered_streams_share_their_input_timestamps(desk_params):
     stream = Stream(np.arange(0, 3700, 37), np.linspace((0.0, 0.0), (990.0, 0.0), 100), UWB)
     [out] = run_filter([stream], desk_params.ekf, [])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import constant_position_stream, filter_one, make_stream, path_length, positions
 from ekf_oracle import (
-    CtraState,
     MeasurementBuilder,
     _segment_measurements,
     ctra_jacobian_scalar,
@@ -258,33 +257,33 @@ def _bits(u):
 
 def columnar_measurements(segments, span_s, min_speed_mm_s, cuts):
     """The lockstep's columnar measurements of ``segments`` ((t_ms, xy)
-    pairs), as lockstep rows longest first, in blocks cut at ``cuts``: one
-    array of rows per segment, in the segments' order.
+    pairs), laid out one after another in the order given and filtered as
+    lockstep rows longest first, in blocks cut at ``cuts``: one array of
+    rows per segment, in the segments' order.
 
     Checks what each block yields besides ``u``: the entries of step ``k``
     are the rows longer than ``k``, in row order, and each entry's ``dt``
     is ``t[k] / 1000 - t[k - 1] / 1000`` (0.0 at ``k = 0``), bit for bit.
     """
     lengths = np.array([len(t) for t, _ in segments])
+    starts = np.cumsum(lengths) - lengths
     order = np.argsort(-lengths, kind="stable")
-    rows = lengths[order]
-    starts = np.cumsum(rows) - rows
-    t_ms = np.concatenate([np.asarray(segments[i][0], np.int64) for i in order])
-    xy = np.concatenate([np.asarray(segments[i][1], float).reshape(-1, 2) for i in order])
+    row_starts, rows = starts[order], lengths[order]
+    t_ms = np.concatenate([np.asarray(t, np.int64) for t, _ in segments])
+    xy = np.concatenate([np.asarray(xy, float).reshape(-1, 2) for _, xy in segments])
     assert cuts[0] == 0 and cuts[-1] == rows[0]
     t_s = t_ms / 1000.0
     u_all = np.empty((len(t_ms), 6))
-    blocks = _measurement_blocks(t_ms, xy.copy(), rows, cuts, span_s, min_speed_mm_s)
+    blocks = _measurement_blocks(
+        t_ms, xy.copy(), row_starts, rows, cuts, span_s, min_speed_mm_s
+    )
     for (u, dt, samples), k0, k1 in zip(blocks, cuts, cuts[1:]):
-        expected = np.concatenate([starts[rows > k] + k for k in range(k0, k1)])
+        expected = np.concatenate([row_starts[rows > k] + k for k in range(k0, k1)])
         assert samples.tolist() == expected.tolist()
-        prev = np.where(samples - starts.repeat(rows)[samples] > 0, samples - 1, samples)
+        prev = np.where(samples - starts.repeat(lengths)[samples] > 0, samples - 1, samples)
         assert _bits(dt).tolist() == _bits(t_s[samples] - t_s[prev]).tolist()
         u_all[samples] = u
-    out = [None] * len(segments)
-    for i, s0, n in zip(order, starts, rows):
-        out[i] = u_all[s0 : s0 + n]
-    return out
+    return [u_all[s0 : s0 + n] for s0, n in zip(starts, lengths)]
 
 
 def test_builder_matches_vectorized_derivation():
@@ -408,6 +407,13 @@ def lockstep_blocks(draw):
     [(_T37, _ALONG_MINUS_X), (_T37, _STEP), (_T37[:60], _MOVE_THEN_DWELL[:60]),
      (_T37[:3], _JITTER[:3]), (_T37[:2], _SLOW_DRIFT[:2]), (_T37[:1], _STEP[:1])],
     3.0, 100.0, [0, 1, 3, 4, 6, 9, 10, 12, 40, 60, 62, 63, 120],
+))
+# short segments before long ones in the flat arrays: the rows' order is
+# not the samples' order, and the rows of 2 and 60 end inside blocks
+@example((
+    [(_T37[:2], _SLOW_DRIFT[:2]), (_T37[:60], _MOVE_THEN_DWELL[:60]),
+     (_T37, _ALONG_MINUS_X), (_T37[:3], _JITTER[:3]), (_T37, _STEP)],
+    3.0, 100.0, [0, 1, 3, 7, 40, 59, 62, 120],
 ))
 # 0.3 s windows: the jitter passes the speed gate and fails significance,
 # the slow drift fails the speed gate, the move turns into a dwell
@@ -675,6 +681,16 @@ class TestStackedStreams:
         assert out[1] == filter_one(stream, CtraParams())
         assert run_filter([], CtraParams()) == []
 
+    def test_outputs_are_read_only_slices_of_one_array(self):
+        streams = [constant_position_stream(40.0, n, seed=n) for n in (30, 80, 5)]
+        out = run_filter(streams, CtraParams(), [600.0])
+        owner = out[0].xy.base
+        assert not owner.flags.writeable and len(owner) == 115
+        for result in out:
+            assert result.xy.base is owner and np.shares_memory(result.xy, owner)
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                result.xy.flags.writeable = True
+
 
 class TestStacks:
     @staticmethod
@@ -815,13 +831,6 @@ def test_wrap_angle_infinities_take_the_full_path(inf):
         wrapped = wrap_angle(np.array([0.5, inf, -0.0]))
     assert np.isnan(wrapped[1])
     assert _bits(wrapped[[0, 2]]).tolist() == _bits(np.array([0.5, -0.0])).tolist()
-
-
-def test_ctra_state_round_trip_and_validation():
-    s = CtraState(1.0, 2.0, 3.0, 0.5, -0.1, 9.0)
-    assert CtraState.from_array(s.as_array()) == s
-    with pytest.raises(ValueError):
-        CtraState(float("nan"), 0, 0, 0, 0, 0)
 
 
 def test_params_validation():

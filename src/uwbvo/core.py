@@ -6,10 +6,12 @@ coordinates as fixed decimals at 0.1 mm resolution, so a log written from
 quantized samples reads back bit-exact.
 
 A :class:`Stream` holds one source's timestamps and positions as arrays,
-validated once; :class:`Position2D` and :class:`Sample` are the scalar
-types. All are immutable (a Stream's arrays are read-only, so writing into
-them raises) and all operations are pure functions, so they are safe to
-share across threads, worker processes and methods.
+validated once, and is read by column. :class:`Position2D` is the scalar
+position type; :class:`Sample` is what iterating a stream yields, which
+stays for perfbench until ROADMAP item 3. All are immutable (a Stream's
+arrays are read-only, so writing into them raises) and all operations are
+pure functions, so they are safe to share across threads, worker processes
+and methods.
 """
 from __future__ import annotations
 
@@ -108,8 +110,8 @@ class Stream:
     already a read-only, C-ordered array of the right dtype, whose data a
     read-only array owns (itself or the array it views), is kept as it
     is; any other, a read-only view of a writable array included, is
-    copied. Iterating or indexing yields :class:`Sample` values for scalar
-    consumers; a slice is a Stream.
+    copied. Read it by its columns: iterating yields :class:`Sample` values
+    only for perfbench, until ROADMAP item 3.
     """
 
     t_ms: np.ndarray
@@ -142,12 +144,6 @@ class Stream:
     def __iter__(self) -> Iterator[Sample]:
         for t, (x, y) in zip(self.t_ms.tolist(), self.xy.tolist()):
             yield Sample(t, Position2D(x, y), self.source)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Stream(self.t_ms[index], self.xy[index], self.source)
-        x, y = self.xy[index].tolist()
-        return Sample(int(self.t_ms[index]), Position2D(x, y), self.source)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Stream):

@@ -185,8 +185,21 @@ class RaySpec:
             raise ValueError("ray length must be finite and nonnegative, and count nonnegative")
 
 
-def _rate_and_sigma_ok(rate_hz: float, sigma_mm: float) -> bool:
-    return math.isfinite(rate_hz) and rate_hz > 0 and math.isfinite(sigma_mm) and sigma_mm >= 0
+# Timestamps are whole milliseconds: a period under 1 ms would repeat one.
+MAX_RATE_HZ = 1000.0
+
+
+def _check_rate_and_sigma(sensor: str, rate_hz: float, sigma_mm: float) -> None:
+    if not (
+        math.isfinite(rate_hz)
+        and 0 < rate_hz <= MAX_RATE_HZ
+        and math.isfinite(sigma_mm)
+        and sigma_mm >= 0
+    ):
+        raise ValueError(
+            f"bad {sensor} model parameters: need a finite rate > 0 of at most "
+            f"{MAX_RATE_HZ:g} Hz (timestamps have 1 ms resolution) and sigma >= 0"
+        )
 
 
 @dataclass(frozen=True)
@@ -196,8 +209,7 @@ class UwbModel:
     ray: RaySpec = field(default_factory=RaySpec)
 
     def __post_init__(self) -> None:
-        if not _rate_and_sigma_ok(self.rate_hz, self.sigma_mm):
-            raise ValueError("bad UWB model parameters: need a finite rate > 0 and sigma >= 0")
+        _check_rate_and_sigma("UWB", self.rate_hz, self.sigma_mm)
 
 
 @dataclass(frozen=True)
@@ -228,8 +240,7 @@ class VoModel:
     underestimate: ScaleFaultSpec = field(default_factory=ScaleFaultSpec)
 
     def __post_init__(self) -> None:
-        if not _rate_and_sigma_ok(self.rate_hz, self.sigma_mm):
-            raise ValueError("bad VO model parameters: need a finite rate > 0 and sigma >= 0")
+        _check_rate_and_sigma("VO", self.rate_hz, self.sigma_mm)
 
 
 @dataclass(frozen=True)
@@ -356,7 +367,8 @@ class VoSensor:
     so ``fill`` generates the samples up to the next event as one vectorised
     block, into the full-length ``xy`` whose first ``count`` rows are
     generated. ``next`` hands the samples out one at a time, filling as it
-    goes.
+    goes; the package reads the sensor by ``fill`` and ``xy`` only, and the
+    iterator stays for perfbench until ROADMAP item 3 moves it off.
     ``reboot`` re-anchors the origin at the given position and cancels the
     active segment's scale fault (later segments keep their own fault
     draws); the samples from the reboot on are generated again. Without
@@ -430,18 +442,16 @@ class VoSensor:
         x, y = self.xy[i].tolist()
         return Sample(int(self.ts[i]), Position2D(x, y), VO)
 
-    def reboot(self, anchor: Position2D, at: int | None = None) -> None:
+    def reboot(self, anchor: Position2D, at: int) -> None:
         """Re-anchor at ``anchor`` from sample ``at`` on; the active scale fault is cleared.
 
-        ``at`` is any index from 0 to the stream's length, by default the
-        read position. The samples before it keep the old frame, generated
-        now if they were not yet; the ones from it on are generated again,
-        and a read position past it moves back to it.
+        ``at`` is required: any index from 0 to the stream's length. The
+        samples before it keep the old frame, generated now if they were
+        not yet; the ones from it on are generated again, and a read
+        position past it moves back to it.
         """
         n = len(self.ts)
-        if at is None:
-            at = self._idx
-        elif not 0 <= at <= n:
+        if not 0 <= at <= n:
             raise ValueError(f"reboot at sample {at} outside the stream [0, {n}]")
         self.fill(at)
         # the segment state the old frame reached at sample at - 1, by the
@@ -517,38 +527,23 @@ def default_scenario() -> ScenarioConfig:
     )
 
 
+def _forced_fault_scenario(name: str, forced_segments: tuple[int, ...]) -> ScenarioConfig:
+    """The default scenario whose VO faults on exactly ``forced_segments``."""
+    base = default_scenario()
+    fault = ScaleFaultSpec(
+        prob_per_segment=0.0, scale_range=(0.70, 0.88), forced_segments=forced_segments
+    )
+    return replace(base, name=name, vo=replace(base.vo, underestimate=fault))
+
+
 def worst_case_scenario() -> ScenarioConfig:
     """Severe VO reference loss from the sixth stop onward, every run."""
-    base = default_scenario()
-    return replace(
-        base,
-        name="worst-case",
-        vo=replace(
-            base.vo,
-            underestimate=ScaleFaultSpec(
-                prob_per_segment=0.0,
-                scale_range=(0.70, 0.88),
-                forced_segments=WORST_CASE_SEGMENTS,
-            ),
-        ),
-    )
+    return _forced_fault_scenario("worst-case", WORST_CASE_SEGMENTS)
 
 
 def best_case_scenario() -> ScenarioConfig:
     """VO working correctly: no underestimation faults at all."""
-    base = default_scenario()
-    return replace(
-        base,
-        name="best-case",
-        vo=replace(
-            base.vo,
-            underestimate=ScaleFaultSpec(
-                prob_per_segment=0.0,
-                scale_range=(0.70, 0.88),
-                forced_segments=(),
-            ),
-        ),
-    )
+    return _forced_fault_scenario("best-case", ())
 
 
 SCENARIO_PRESETS = {

@@ -1,9 +1,10 @@
 """Per-sample reference for pairing each UWB sample with the nearest VO one.
 
 ``align_streams`` is the pairing from before streams became columnar,
-copied as it was: one ``searchsorted`` per UWB sample, the earlier sample
-on a tie. ``uwbvo.core.nearest_indices`` pairs all samples in one call and
-must choose the same VO sample for each.
+copied as it was but for reading the streams' columns: one
+``searchsorted`` per UWB sample, the earlier sample on a tie.
+``uwbvo.core.nearest_indices`` pairs all samples in one call and must
+choose the same VO sample for each.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import numpy as np
 from uwbvo.core import Position2D, StreamPair
 
 
-class AlignedSample(NamedTuple):
+class AlignedPair(NamedTuple):
     t_ms: int
     uwb: Position2D
     vo: Position2D
@@ -31,15 +32,15 @@ def nearest_index(ts: np.ndarray, t: float) -> int:
     return i - 1 if t - ts[i - 1] <= ts[i] - t else i
 
 
-def align_streams(pair: StreamPair) -> list[AlignedSample]:
+def align_streams(pair: StreamPair) -> list[AlignedPair]:
     """Match each UWB sample with the nearest-in-time VO sample.
 
     The UWB stream is the slower one in all supported scenarios, so the
     output has one tuple per UWB sample.
     """
-    vo_ts = np.array([s.t_ms for s in pair.vo], dtype=np.int64)
+    vo_ts, vo_xy = pair.vo.t_ms, pair.vo.xy.tolist()
     out = []
-    for s in pair.uwb:
-        j = nearest_index(vo_ts, s.t_ms)
-        out.append(AlignedSample(s.t_ms, s.pos, pair.vo[j].pos))
+    for t, (x, y) in zip(pair.uwb.t_ms.tolist(), pair.uwb.xy.tolist()):
+        j = nearest_index(vo_ts, t)
+        out.append(AlignedPair(t, Position2D(x, y), Position2D(*vo_xy[j])))
     return out

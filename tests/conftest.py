@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uwbvo.baselines import filter_inputs, run_method
-from uwbvo.core import UWB, FlightPlan, Position2D, Stream
+from uwbvo.core import UWB, Stream
 from uwbvo.config import default_pipeline_params
 from uwbvo.ekf import checked, run_filter
 from uwbvo.pipeline import PipelineParams, run_pipeline, stop_visits
@@ -15,19 +15,14 @@ def desk_params() -> PipelineParams:
     return default_pipeline_params()
 
 
-@pytest.fixture
-def small_plan() -> FlightPlan:
-    return FlightPlan(
-        stops=(Position2D(0.0, 0.0), Position2D(1000.0, 0.0), Position2D(1000.0, 1000.0)),
-        dwell_ms=15000.0,
-        cruise_mm_s=500.0,
-        accel_mm_s2=1000.0,
-        closed=False,
-    )
-
-
 def make_stream(ts_ms, xy, source=UWB):
     return Stream(ts_ms, xy, source)
+
+
+def rows(stream, keep):
+    """The stream of the samples of ``stream`` that ``keep`` selects: a slice,
+    an index array or a mask."""
+    return Stream(stream.t_ms[keep], stream.xy[keep], stream.source)
 
 
 def constant_position_stream(sigma, n, rate_hz=27.0, seed=0, center=(1000.0, 500.0)):

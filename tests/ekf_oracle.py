@@ -7,8 +7,8 @@ in ``math`` calls, one state at a time, which both outputs of
 ``ctra_transition`` must match bit for bit.
 ``_segment_measurements`` is the per-segment measurement synthesizer that
 the lockstep's columnar pass replaced, and ``loop_filter`` reads its
-measurements from it; ``pseudo_measurements`` and ``MeasurementBuilder``
-re-derive the same measurements one window at a time.
+measurements from it; ``window_measurements`` re-derives the same
+measurements one window at a time with ``pseudo_measurements``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from uwbvo.core import Position2D, Sample
+from uwbvo.core import Stream
 from uwbvo.ekf import STATE_DIM, TAU, CtraFilter, CtraParams, _significance
 
 
@@ -206,16 +206,15 @@ def step(filt: CtraFilter, u, dt_s) -> None:
 
 
 def loop_filter(
-    samples: Sequence[Sample],
+    stream: Stream,
     params: CtraParams,
     restart_times_ms: Sequence[float] = (),
-) -> list[Sample]:
-    """``run_filter`` one sample at a time, over a single 1-D filter state."""
-    if not samples:
-        return []
-    n = len(samples)
-    ts_ms = np.array([s.t_ms for s in samples], dtype=np.int64)
-    xy = np.array([[s.pos.x, s.pos.y] for s in samples])
+) -> Stream:
+    """``run_filter`` of one stream, one sample at a time, over a single 1-D filter state."""
+    n = len(stream)
+    if not n:
+        return stream
+    ts_ms, xy = stream.t_ms, stream.xy
     ts_s = ts_ms / 1000.0
     start_idx = {0}
     for t in restart_times_ms:
@@ -229,7 +228,7 @@ def loop_filter(
             ts_ms[s0:s1], xy[s0:s1], params.diff_span_s, params.min_speed_mm_s
         )
     filt = CtraFilter(params)
-    out = []
+    out = np.empty((n, 2))
     for k in range(n):
         if k in start_idx:
             filt.reset(xy[k, 0], xy[k, 1])
@@ -240,11 +239,8 @@ def loop_filter(
             else:
                 step(filt, u_all[k], dt_s)
         assert filt.state.shape == (STATE_DIM,)
-        out.append(
-            Sample(int(ts_ms[k]), Position2D(float(filt.state[0]), float(filt.state[1])),
-                   samples[k].source)
-        )
-    return out
+        out[k] = filt.state[:2]
+    return Stream(ts_ms, out, stream.source)
 
 
 def _ls_velocity(
@@ -261,11 +257,10 @@ def _ls_velocity(
 
 
 def pseudo_measurements(
-    window: Sequence[Sample],
-    prev_psi: float = 0.0,
-    min_speed_mm_s: float = 0.0,
+    ts: np.ndarray, xy: np.ndarray, prev_psi: float = 0.0, min_speed_mm_s: float = 0.0
 ) -> np.ndarray:
-    """Build a full-state measurement from a position history window.
+    """Build a full-state measurement from a position history window:
+    times ``ts`` in seconds, positions ``xy`` in mm.
 
     The newest sample provides the position. Speed and heading come from the
     first difference of positions fitted over the window (a least-squares
@@ -276,20 +271,8 @@ def pseudo_measurements(
     stationary platform: zero speed, zero rates, heading retained from
     ``prev_psi``.
     """
-    if len(window) < 3:
+    if len(ts) < 3:
         raise ValueError("insufficient history: need at least 3 samples")
-    ts = np.fromiter((s.t_ms for s in window), dtype=np.float64, count=len(window))
-    ts /= 1000.0
-    xy = np.empty((len(window), 2))
-    for i, s in enumerate(window):
-        xy[i, 0] = s.pos.x
-        xy[i, 1] = s.pos.y
-    return _pseudo_from_arrays(ts, xy, prev_psi, min_speed_mm_s)
-
-
-def _pseudo_from_arrays(
-    ts: np.ndarray, xy: np.ndarray, prev_psi: float, min_speed_mm_s: float
-) -> np.ndarray:
     span = ts[-1] - ts[0]
     half_dt = 0.5 * span
     if half_dt <= 0.0:
@@ -329,54 +312,26 @@ def _pseudo_from_arrays(
     return np.array([xy[-1, 0], xy[-1, 1], v_full, psi_full, psi_dot, accel])
 
 
-class MeasurementBuilder:
-    """Incrementally derives measurement vectors from a raw position stream.
+def whole_window_starts(t_ms: np.ndarray, span_s: float) -> np.ndarray:
+    """The first sample of each row's window over a whole segment (rows 2 on)."""
+    rel_ms = t_ms - t_ms[0]
+    k = np.arange(2, len(t_ms))
+    a = np.searchsorted(rel_ms, rel_ms[k] - span_s * 1000.0, side="right")
+    return np.clip(np.minimum(a - 1, k - 2), 0, None)
 
-    The history window lives in preallocated arrays (compacted when the
-    buffer fills) so a push costs a few vector operations regardless of
-    stream length.
-    """
 
-    _CAPACITY = 4096
-
-    def __init__(self, diff_span_s: float, min_speed_mm_s: float) -> None:
-        self.diff_span_ms = diff_span_s * 1000.0
-        self.min_speed_mm_s = min_speed_mm_s
-        self._t_ms = np.empty(self._CAPACITY, dtype=np.int64)
-        self._xy = np.empty((self._CAPACITY, 2))
-        self._lo = 0
-        self._hi = 0
-        self.prev_psi = 0.0
-
-    def push(self, sample: Sample) -> np.ndarray | None:
-        """Add a sample; returns a measurement once three samples are held."""
-        if self._hi == self._CAPACITY:
-            if self._lo == 0:
-                self._lo = 1  # window outgrew the buffer; drop the oldest
-            n = self._hi - self._lo
-            self._t_ms[:n] = self._t_ms[self._lo : self._hi]
-            self._xy[:n] = self._xy[self._lo : self._hi]
-            self._lo, self._hi = 0, n
-        self._t_ms[self._hi] = sample.t_ms
-        self._xy[self._hi, 0] = sample.pos.x
-        self._xy[self._hi, 1] = sample.pos.y
-        self._hi += 1
-        # keep at least 3 samples even if the span budget is tighter; span
-        # bounds compare in exact integer milliseconds
-        while (
-            self._hi - self._lo > 3
-            and self._t_ms[self._hi - 1] - self._t_ms[self._lo + 1]
-            >= self.diff_span_ms
-        ):
-            self._lo += 1
-        if self._hi - self._lo < 3:
-            return None
-        window_t = self._t_ms[self._lo : self._hi]
-        u = _pseudo_from_arrays(
-            (window_t - window_t[0]) / 1000.0,
-            self._xy[self._lo : self._hi],
-            prev_psi=self.prev_psi,
-            min_speed_mm_s=self.min_speed_mm_s,
+def window_measurements(
+    t_ms: np.ndarray, xy: np.ndarray, span_s: float, min_speed_mm_s: float
+) -> np.ndarray:
+    """:func:`pseudo_measurements` of every row's window over a whole
+    segment, one window at a time, each window's heading carried to the next
+    as ``prev_psi``; rows 0 and 1, which hold no window, are NaN."""
+    u = np.full((len(t_ms), STATE_DIM), np.nan)
+    prev_psi = 0.0
+    for k, lo in enumerate(whole_window_starts(t_ms, span_s).tolist(), start=2):
+        window_t = t_ms[lo : k + 1]
+        u[k] = pseudo_measurements(
+            (window_t - window_t[0]) / 1000.0, xy[lo : k + 1], prev_psi, min_speed_mm_s
         )
-        self.prev_psi = float(u[3])
-        return u
+        prev_psi = float(u[k, 3])
+    return u

@@ -1,10 +1,11 @@
 """Row-by-row reference for reading stream logs.
 
 ``read_log`` is the log reader from before streams became columnar, copied
-as it was, with two changes: it returns the two lists of samples instead of
-a :class:`~uwbvo.core.StreamPair`, which now holds columnar streams, and
-``_log_rows`` decodes the whole file before it reads a row, so a file that
-is not UTF-8 is named by its first bad byte wherever its first bad row is.
+as it was, with two changes: it returns two lists of ``(t_ms, Position2D)``
+pairs instead of a :class:`~uwbvo.core.StreamPair`, which now holds
+columnar streams, and ``_log_rows`` decodes the whole file before it reads
+a row, so a file that is not UTF-8 is named by its first bad byte wherever
+its first bad row is.
 ``uwbvo.core.read_log`` parses files laid out exactly as ``write_log``
 writes them in bulk and hands every other file to its own row parser. It
 must accept the same files as this reference with the same values, and
@@ -16,7 +17,9 @@ import csv
 import io
 from typing import Iterator
 
-from uwbvo.core import LOG_HEADER, SENSORS, UWB, VO, LogFormatError, Position2D, Sample
+from uwbvo.core import LOG_HEADER, SENSORS, UWB, VO, LogFormatError, Position2D
+
+Rows = list[tuple[int, Position2D]]
 
 
 def _log_rows(path) -> Iterator[list[str]]:
@@ -35,14 +38,14 @@ def _log_rows(path) -> Iterator[list[str]]:
         raise LogFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def read_log(path) -> tuple[list[Sample], list[Sample]]:
-    """Read a stream pair written by :func:`write_log`.
+def read_log(path) -> tuple[Rows, Rows]:
+    """Read a stream pair written by :func:`write_log`: the UWB rows, then the VO rows.
 
     Raises :class:`LogFormatError` naming the offending line for bytes that
     are not UTF-8, malformed rows and non-monotone timestamps within a
     stream.
     """
-    streams: dict[str, list[Sample]] = {UWB: [], VO: []}
+    streams: dict[str, Rows] = {UWB: [], VO: []}
     rows = _log_rows(path)
     header = next(rows, None)
     if header is None:
@@ -65,12 +68,12 @@ def read_log(path) -> tuple[list[Sample], list[Sample]]:
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from None
         bucket = streams[sensor]
-        if bucket and bucket[-1].t_ms >= t:
+        if bucket and bucket[-1][0] >= t:
             raise LogFormatError(
                 f"{path}: line {lineno}: non-monotone timestamp {t} "
                 f"in {sensor} stream"
             )
-        bucket.append(Sample(t, pos, sensor))
+        bucket.append((t, pos))
     for sensor in SENSORS:
         if not streams[sensor]:
             raise LogFormatError(f"{path}: empty stream: {sensor}")

@@ -6,9 +6,10 @@ bound after the last UWB tick trusts the corrected VO, the bound being
 ``MAX_UWB_AGE_MS`` or four median tick gaps, whichever is longer. It
 merges the two streams sample by sample, processes each UWB tick as it
 comes (UWB first on a tie) and emits each VO sample with the mode and
-correction vector then in force. In live mode it pulls every VO
-sample through ``VoSensor.__next__``, and its detectors are the per-sample
-clusterers of ``cluster_oracle``. ``uwbvo.pipeline`` loops over the stop
+correction vector then in force. In live mode it drives the per-sample
+``vo_oracle.LoopVoSensor``, whose reboot acts at its read position, so it
+shares no code with the ``VoSensor`` it checks; its detectors are the
+per-sample clusterers of ``cluster_oracle``. ``uwbvo.pipeline`` loops over the stop
 visits, with the UWB ticks, the VO samples and each visit's detector input
 as columns, and must match it exactly: samples, modes, stop decisions,
 restarts, correction vectors and sensor reboots. ``mode_select`` is the
@@ -37,7 +38,8 @@ from uwbvo.pipeline import (
     corrected_vo,
     update_correction,
 )
-from uwbvo.simulate import StopWindow, VoSensor, build_truth
+from uwbvo.simulate import StopWindow, build_truth
+from vo_oracle import LoopVoSensor
 
 
 def mode_select(y_o: Position2D, y_u: Position2D, beta_mm: float) -> str:
@@ -68,7 +70,7 @@ def run_pipeline(
 
 def run_pipeline_live(
     uwb: Stream,
-    vo_sensor: VoSensor,
+    vo_sensor: LoopVoSensor,
     plan: FlightPlan,
     params: PipelineParams,
 ) -> FusedTrack:
@@ -77,7 +79,7 @@ def run_pipeline_live(
     The sensor restarts at the corrected stop estimate, so its output needs
     no further correction: the vector re-zeroes at each reboot.
     """
-    vo_rows = ((s.t_ms, s.pos.x, s.pos.y) for s in vo_sensor)
+    vo_rows = ((t, pos.x, pos.y) for t, pos in vo_sensor)
     return _run(uwb, vo_rows, vo_sensor.reboot, plan, params)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from align_oracle import align_streams
-from conftest import filter_one, filtered_uwb, positions, run_one_method
+from conftest import filter_one, filtered_uwb, positions, rows, run_one_method
 from ekf_oracle import loop_filter
 from uwbvo import baselines
 from uwbvo.baselines import (
@@ -52,24 +52,21 @@ def test_averaged_stream_identical_inputs():
     v = Stream(ts, [(float(t), 2.0) for t in ts], VO)
     pair = StreamPair(u, v)
     avg = averaged_stream(pair)
-    assert [s.pos for s in avg] == [s.pos for s in u]
+    assert avg.xy.tolist() == u.xy.tolist()
 
 
 def test_averaged_stream_componentwise_mean():
     u = Stream([0], [(100.0, 0.0)], UWB)
     v = Stream([0], [(0.0, 0.0)], VO)
     avg = averaged_stream(StreamPair(u, v))
-    assert avg[0].pos == Position2D(50.0, 0.0)
+    assert avg.xy.tolist() == [[50.0, 0.0]]
 
 
 def test_averaged_stream_pairs_nearest_vo_sample():
     scenario = tiny_scenario(sigma_uwb=30.0, sigma_vo=1.0)
     pair, _, _ = simulate_pair(scenario, 5)
-    expected = [
-        Position2D(0.5 * (u.x + v.x), 0.5 * (u.y + v.y))
-        for _, u, v in align_streams(pair)
-    ]
-    assert [s.pos for s in averaged_stream(pair)] == expected
+    expected = [[0.5 * (u.x + v.x), 0.5 * (u.y + v.y)] for _, u, v in align_streams(pair)]
+    assert averaged_stream(pair).xy.tolist() == expected
 
 
 def test_avg_fusion_output_at_uwb_rate():
@@ -77,7 +74,7 @@ def test_avg_fusion_output_at_uwb_rate():
     pair, _, _ = simulate_pair(scenario, 0)
     out, _ = run_one_method(BaselineKind.AVG_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb)
-    assert [s.t_ms for s in out] == [s.t_ms for s in pair.uwb]
+    assert out.t_ms.tolist() == pair.uwb.t_ms.tolist()
 
 
 def test_merge_streams_sorted_and_complete():
@@ -86,8 +83,10 @@ def test_merge_streams_sorted_and_complete():
     merged = merge_streams(pair)
     assert len(merged) == len(pair.uwb) + len(pair.vo)
     assert np.any(np.isin(pair.uwb.t_ms, pair.vo.t_ms))  # ties to order
-    expected = sorted([*pair.uwb, *pair.vo], key=lambda s: (s.t_ms, s.source))
-    assert [(s.t_ms, s.pos) for s in merged] == [(s.t_ms, s.pos) for s in expected]
+    both = [(t, s.source, xy) for s in (pair.uwb, pair.vo)
+            for t, xy in zip(s.t_ms.tolist(), s.xy.tolist())]
+    expected = sorted(both, key=lambda r: r[:2])  # UWB first on a tie
+    assert list(zip(merged.t_ms.tolist(), merged.xy.tolist())) == [(t, xy) for t, _, xy in expected]
 
 
 def test_direct_fusion_tracks_noiseless_truth():
@@ -96,7 +95,7 @@ def test_direct_fusion_tracks_noiseless_truth():
     truth = build_truth(scenario.plan)
     out, _ = run_one_method(BaselineKind.DIRECT_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb) + len(pair.vo)
-    ts = np.array([s.t_ms for s in out], dtype=float)
+    ts = out.t_ms.astype(float)
     err = np.hypot(*(positions(out) - truth.sample(ts)).T)
     warm = ts > 1000.0
     dwell_tail = ts > truth.stop_windows[1].t0_ms + 3000.0
@@ -168,7 +167,8 @@ def test_stacked_streams_equal_lone_runs_and_loop(case, desk_params):
         cut = np.searchsorted(stream.t_ms, restarts)
         bounds = np.unique(np.concatenate(([0], cut, [len(stream)]))).tolist()
         for s0, s1 in list(zip(bounds, bounds[1:]))[case::len(SEED_CASES)]:
-            assert list(out[s0:s1]) == loop_filter(stream[s0:s1], params)
+            segment = slice(s0, s1)
+            assert rows(out, segment) == loop_filter(rows(stream, segment), params)
 
 
 def test_filter_inputs_of_a_batch_equal_one_pair_calls(desk_params):

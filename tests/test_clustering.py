@@ -13,26 +13,26 @@ from uwbvo.clustering import ClusterParams, StopClusterer, StopEstimate
 from uwbvo.core import Position2D, euclidean
 
 
-def as_rows(stream) -> np.ndarray:
+def as_rows(points) -> np.ndarray:
     """The ``(m, 2)`` array of a sequence of positions."""
-    return np.array([(p.x, p.y) for p in stream], dtype=np.float64).reshape(-1, 2)
+    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
 
 
-def detect_stop(stream, params: ClusterParams) -> StopEstimate:
-    """Run one detector instance over a sample stream of positions.
+def detect_stop(points, params: ClusterParams) -> StopEstimate:
+    """Run one detector instance over a sequence of positions, as one block.
 
     Returns a complete estimate as soon as the termination count is reached;
-    if the stream runs out first, returns the best-so-far estimate flagged
+    if the positions run out first, returns the best-so-far estimate flagged
     incomplete (the caller decides whether its support suffices).
     """
     clusterer = StopClusterer(params)
-    return clusterer.push(as_rows(stream)) or clusterer.finish()
+    return clusterer.push(as_rows(points)) or clusterer.finish()
 
 
-def oracle_detect(stream, params: ClusterParams) -> StopEstimate:
+def oracle_detect(points, params: ClusterParams) -> StopEstimate:
     """:func:`detect_stop` with the per-sample clusterer of ``cluster_oracle``."""
     clusterer = cluster_oracle.StopClusterer(params)
-    for pos in stream:
+    for pos in points:
         result = clusterer.push(pos)
         if result is not None:
             return result
@@ -73,7 +73,7 @@ def brute_force_counts(points, alpha):
 def vectorized_counts(points, alpha):
     """Numpy recount of the same counters as :func:`brute_force_counts`.
 
-    Sample ``i`` and distinct value ``d`` form a pair event when ``d`` was
+    The sample ``i`` and distinct value ``d`` form a pair event when ``d`` was
     first seen before ``i``, is not the value of sample ``i``, and lies within
     alpha of it; the event gives one count to ``d`` and one to the arriving
     value. Every re-arrival adds one count to its own value.
@@ -355,11 +355,11 @@ def pushed_in_calls(rows, params, sizes):
 )
 def test_block_push_matches_per_sample_oracle(seed, n, spread, noisy_share, k1, extra, cuts):
     params = ClusterParams(alpha_mm=10.0, k1=k1, k2=k1 + extra, gamma_mm=100.0)
-    stream = tie_stream(seed, n, spread, noisy_share)
-    expected = oracle_detect(stream, params)
+    points = tie_stream(seed, n, spread, noisy_share)
+    expected = oracle_detect(points, params)
     last = expected.samples_consumed - 1 if expected.complete else None
     cuts = np.diff(sorted({0, *cuts})).tolist()
-    rows = as_rows(stream)
+    rows = as_rows(points)
     for sizes in chunkings(n, cuts, last):
         assert pushed_in_calls(rows, params, sizes) == expected
 
@@ -371,9 +371,9 @@ def test_block_push_terminates_at_block_edges(blocks, offset):
     # last or first position of an internal block, or one either side
     k2 = blocks * clustering._BLOCK + offset
     params = ClusterParams(alpha_mm=5.0, k1=2, k2=k2, gamma_mm=50.0)
-    stream = [Position2D(1.0, 2.0)] * (k2 + 40)
-    est = detect_stop(stream, params)
-    assert est == oracle_detect(stream, params)
+    points = [Position2D(1.0, 2.0)] * (k2 + 40)
+    est = detect_stop(points, params)
+    assert est == oracle_detect(points, params)
     assert est.complete and est.samples_consumed == k2 + 1 and est.support == k2
 
 
@@ -391,8 +391,8 @@ def test_long_dwell_counted_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    stream = [Position2D(x, y) for x, y in rows.tolist()]
-    assert clusterer.finish() == oracle_detect(stream, params)
+    points = [Position2D(x, y) for x, y in rows.tolist()]
+    assert clusterer.finish() == oracle_detect(points, params)
 
 
 def test_live_visit_counted_without_squared_temporaries(monkeypatch):

@@ -119,6 +119,31 @@ def test_non_finite_diag_rejected(tmp_path, value):
         load_config(path)
 
 
+def edited_config(tmp_path, section, key, value, scenario=None):
+    """A file of ``scenario`` (the default one) with one value replaced."""
+    path = tmp_path / "scenario.ini"
+    save_config(scenario or default_scenario(), default_pipeline_params(), path)
+    cp = configparser.ConfigParser()
+    cp.read(path, encoding="utf-8")
+    cp[section][key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    return path
+
+
+def assert_refused(path, capsys, match=None):
+    """``load_config`` raises a ConfigError naming ``path``; through the CLI
+    it is a usage error (exit 1) naming the file, with no traceback and no
+    output written."""
+    with pytest.raises(ConfigError, match=match) as exc:
+        load_config(path)
+    assert str(path) in str(exc.value)
+    out = path.parent / "runs"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert str(path) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -133,20 +158,14 @@ def test_non_finite_diag_rejected(tmp_path, value):
     ],
 )
 def test_non_finite_scenario_value_rejected(tmp_path, capsys, section, key, value):
-    path = tmp_path / "scenario.ini"
-    save_config(default_scenario(), default_pipeline_params(), path)
-    cp = configparser.ConfigParser()
-    cp.read(path, encoding="utf-8")
-    cp[section][key] = value
-    with open(path, "w", encoding="utf-8") as fh:
-        cp.write(fh)
-    with pytest.raises(ConfigError, match="finite") as exc:
-        load_config(path)
-    assert str(path) in str(exc.value)
-    out = tmp_path / "runs"
-    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
-    assert str(path) in capsys.readouterr().err
-    assert not out.exists()
+    assert_refused(edited_config(tmp_path, section, key, value), capsys, "finite")
+
+
+@pytest.mark.parametrize("section", ["uwb", "vo"])
+def test_a_rate_above_1_khz_is_a_config_error(tmp_path, capsys, section):
+    # 1500 Hz would repeat whole-millisecond timestamps
+    path = edited_config(tmp_path, section, "rate_hz", "1500")
+    assert_refused(path, capsys, r"at most 1000 Hz \(timestamps have 1 ms resolution\)")
 
 
 @pytest.mark.parametrize(
@@ -161,43 +180,20 @@ def test_non_finite_scenario_value_rejected(tmp_path, capsys, section, key, valu
 def test_derivation_knob_out_of_range_is_a_config_error_naming_the_file(
     tmp_path, capsys, key, value
 ):
-    path = tmp_path / "scenario.ini"
-    save_config(default_scenario(), default_pipeline_params(), path)
-    cp = configparser.ConfigParser()
-    cp.read(path, encoding="utf-8")
-    cp["ekf"][key] = value
-    with open(path, "w", encoding="utf-8") as fh:
-        cp.write(fh)
-    with pytest.raises(ConfigError, match=f"{key} must be finite") as exc:
-        load_config(path)
-    assert str(path) in str(exc.value)
-    out = tmp_path / "runs"
-    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
-    assert str(path) in capsys.readouterr().err
-    assert not out.exists()
+    assert_refused(edited_config(tmp_path, "ekf", key, value), capsys, f"{key} must be finite")
 
 
 @pytest.mark.parametrize("segments, legal", [("-1", False), ("16", False), ("15", True)])
 def test_forced_fault_segment_outside_the_plan_is_refused(tmp_path, capsys, segments, legal):
     # the worst-case plan flies 16 legs, indexed 0 to 15
-    path = tmp_path / "scenario.ini"
-    save_config(worst_case_scenario(), default_pipeline_params(), path)
-    cp = configparser.ConfigParser()
-    cp.read(path, encoding="utf-8")
-    cp["vo"]["forced_fault_segments"] = segments
-    with open(path, "w", encoding="utf-8") as fh:
-        cp.write(fh)
+    path = edited_config(
+        tmp_path, "vo", "forced_fault_segments", segments, worst_case_scenario()
+    )
     if legal:
         scenario, _ = load_config(path)
         assert scenario.vo.underestimate.forced_segments == (15,)
         return
-    with pytest.raises(ConfigError, match=rf"forced fault segments \[{segments}\]") as exc:
-        load_config(path)
-    assert str(path) in str(exc.value)
-    out = tmp_path / "runs"
-    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
-    assert str(path) in capsys.readouterr().err
-    assert not out.exists()
+    assert_refused(path, capsys, rf"forced fault segments \[{segments}\]")
 
 
 def _damage_non_utf8(data: bytes) -> bytes:
@@ -224,9 +220,4 @@ def test_malformed_file_is_a_config_error_naming_it(tmp_path, capsys, damage):
     path = tmp_path / "bad.ini"
     save_config(default_scenario(), default_pipeline_params(), path)
     path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(ConfigError) as exc:
-        load_config(path)
-    assert str(path) in str(exc.value)
-    # through the CLI: a usage error (exit 1) naming the file, no traceback
-    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert str(path) in capsys.readouterr().err
+    assert_refused(path, capsys)

@@ -1,3 +1,4 @@
+import ast
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import log_oracle
 from uwbvo import core
-from align_oracle import AlignedSample, align_streams
+from align_oracle import AlignedPair, align_streams
 from uwbvo.core import (
     UWB,
     VO,
@@ -24,6 +25,7 @@ from uwbvo.core import (
 )
 from uwbvo.ekf import run_filter
 from uwbvo.simulate import SCENARIO_PRESETS, simulate_pair
+from test_imports import ROOT
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -96,9 +98,48 @@ def test_stream_arrays_are_read_only_copies():
     stream = Stream(ts, xy, VO)
     ts[0], xy[0, 0] = 99, 99.0  # the caller's arrays stay the caller's
     assert stream.t_ms.tolist() == [0, 5] and stream.xy[0, 0] == 0.0
-    assert stream[1] == Sample(5, Position2D(2.0, 3.0), VO)
-    assert stream[1:] == Stream([5], [(2.0, 3.0)], VO)
-    assert list(stream) == [stream[0], stream[1]]
+    # iterating yields samples, kept for perfbench until ROADMAP item 3; indexing is gone
+    assert list(stream) == [Sample(0, Position2D(0.0, 1.0), VO), Sample(5, Position2D(2.0, 3.0), VO)]
+    with pytest.raises(TypeError):
+        stream[1]
+
+
+def sample_builders(source: str) -> set[str]:
+    """The qualified names of the functions of ``source`` that call ``Sample``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef)
+            if isinstance(child, ast.Call) and _names_sample(child.func):
+                found.add(".".join(scope))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def _names_sample(node) -> bool:
+    """A name, attribute or import alias ``Sample``."""
+    return "Sample" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+
+
+def test_samples_come_only_from_the_two_scalar_accessors():
+    # a scalar path must not grow back before ROADMAP item 14 removes the
+    # accessors: src builds a Sample only in the two perfbench reads, and no
+    # test names the type but this file's test of them
+    built = {
+        f"{path.name}:{name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in sample_builders(path.read_text(encoding="utf-8"))
+    }
+    assert built == {"core.py:Stream.__iter__", "simulate.py:VoSensor.__next__"}
+    naming = [
+        path.name
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if any(map(_names_sample, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    ]
+    assert naming == ["test_core.py"]
 
 
 def test_stream_adopts_read_only_arrays_that_own_their_data():
@@ -131,7 +172,8 @@ def test_stream_adopts_read_only_slices_of_read_only_owners():
     xy = np.array([[0.0, 1.0], [2.0, 3.0]])
     xy.flags.writeable = False
     assert Stream(owner[1:3], xy, VO).t_ms.base is owner
-    assert Stream(owner, np.zeros((4, 2)), VO)[2:].t_ms.base is owner  # a stream's slice
+    # a stream's column, sliced
+    assert Stream(Stream(owner, np.zeros((4, 2)), VO).t_ms[2:], xy, VO).t_ms.base is owner
     # a slice that is not C-ordered is copied, as any other input
     assert not np.shares_memory(Stream(owner[::2], xy, VO).t_ms, owner)
 
@@ -163,9 +205,10 @@ def _pair(uwb_ts, vo_ts):
 def nearest_pairing(pair):
     """Each UWB sample with its VO sample as ``nearest_indices`` picks it."""
     j = nearest_indices(pair.vo.t_ms, pair.uwb.t_ms)
+    vo_xy = pair.vo.xy[j].tolist()
     return [
-        AlignedSample(u.t_ms, u.pos, pair.vo[int(k)].pos)
-        for u, k in zip(pair.uwb, j)
+        AlignedPair(t, Position2D(*uwb), Position2D(*vo))
+        for t, uwb, vo in zip(pair.uwb.t_ms.tolist(), pair.uwb.xy.tolist(), vo_xy)
     ]
 
 
@@ -180,7 +223,7 @@ def test_align_streams_nearest_timestamp():
 def test_align_streams_single_sample():
     pair = _pair([10], [10])
     assert nearest_pairing(pair) == align_streams(pair) == [
-        AlignedSample(10, Position2D(10.0, 0.0), Position2D(10.0, 1.0))
+        AlignedPair(10, Position2D(10.0, 0.0), Position2D(10.0, 1.0))
     ]
 
 
@@ -347,9 +390,9 @@ def assert_read_like_oracle(path):
         assert str(got.value) == str(exc)
         return
     pair = read_log(path)
-    for stream, samples in zip((pair.uwb, pair.vo), want):
-        assert stream.t_ms.tolist() == [s.t_ms for s in samples]
-        want_xy = np.array([[s.pos.x, s.pos.y] for s in samples])
+    for stream, want_rows in zip((pair.uwb, pair.vo), want):
+        assert stream.t_ms.tolist() == [t for t, _ in want_rows]
+        want_xy = np.array([[pos.x, pos.y] for _, pos in want_rows])
         assert stream.xy.tobytes() == want_xy.tobytes()  # bit for bit
 
 

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_position_stream, filter_one, make_stream, path_length, positions
+from conftest import constant_position_stream, filter_one, make_stream, path_length, positions, rows
 from ekf_oracle import (
-    MeasurementBuilder,
     _segment_measurements,
     ctra_jacobian_scalar,
     loop_filter,
     predict_state_scalar,
     pseudo_measurements,
     step,
+    whole_window_starts,
+    window_measurements,
     wrap_angle_scalar,
 )
 from uwbvo import ekf
@@ -187,12 +188,17 @@ class TestFilterStep:
         assert abs(filt.state[1]) < 1.0
 
 
+def measure(ts_ms, points, **kwargs):
+    """``pseudo_measurements`` of one window given in integer milliseconds."""
+    return pseudo_measurements(np.asarray(ts_ms) / 1000.0, np.asarray(points, float), **kwargs)
+
+
 class TestPseudoMeasurements:
     def test_uniform_straight_line(self):
         ts = [0, 37, 74]
-        samples = make_stream(ts, [(1000.0 * t / 1000.0, 0.0) for t in ts])
-        u = pseudo_measurements(samples)
-        assert u[0] == samples[-1].pos.x and u[1] == 0.0
+        points = [(1000.0 * t / 1000.0, 0.0) for t in ts]
+        u = measure(ts, points)
+        assert u[0] == points[-1][0] and u[1] == 0.0
         assert u[2] == pytest.approx(1000.0, rel=1e-9)
         assert u[3] == pytest.approx(0.0, abs=1e-12)
         assert u[4] == pytest.approx(0.0, abs=1e-9)
@@ -203,25 +209,23 @@ class TestPseudoMeasurements:
         r, omega, dt = 500.0, 1.0, 0.037
         ts = [0, 37, 74]
         pts = [(r * math.cos(omega * t / 1000.0), r * math.sin(omega * t / 1000.0)) for t in ts]
-        u = pseudo_measurements(make_stream(ts, pts))
+        u = measure(ts, pts)
         assert u[4] == pytest.approx(omega, rel=0.01)
 
     def test_repeated_identical_positions(self):
-        samples = make_stream([0, 37, 74], [(5.0, 5.0)] * 3)
-        u = pseudo_measurements(samples, prev_psi=1.25)
+        u = measure([0, 37, 74], [(5.0, 5.0)] * 3, prev_psi=1.25)
         assert u[2] == 0.0 and u[5] == 0.0
         assert u[3] == 1.25  # heading retained
         assert u[4] == 0.0
 
     def test_requires_three_samples(self):
-        samples = make_stream([0, 37], [(0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(ValueError, match="insufficient history"):
-            pseudo_measurements(samples)
+            measure([0, 37], [(0.0, 0.0), (1.0, 0.0)])
 
     def test_slow_drift_gated_to_stationary(self):
         ts = [0, 37, 74]
-        samples = make_stream(ts, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])  # 27 mm/s
-        u = pseudo_measurements(samples, prev_psi=0.5, min_speed_mm_s=100.0)
+        points = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]  # 27 mm/s
+        u = measure(ts, points, prev_psi=0.5, min_speed_mm_s=100.0)
         assert u[2] == 0.0 and u[3] == 0.5
 
 
@@ -295,27 +299,15 @@ def test_builder_matches_vectorized_derivation():
         ts = np.cumsum(rng.integers(4, 60, size=n)).astype(np.int64)
         segments.append((ts, np.cumsum(rng.normal(0, 30, size=(n, 2)), axis=0)))
     for ts, xy in segments:
-        samples = make_stream(ts, xy)
-        builder = MeasurementBuilder(params.diff_span_s, params.min_speed_mm_s)
-        incremental = [builder.push(s) for s in samples]
+        # one pseudo_measurements call per window, from row 2 on
+        windowed = window_measurements(ts, xy, params.diff_span_s, params.min_speed_mm_s)
         [vectorized] = columnar_measurements(
             [(ts, xy)], params.diff_span_s, params.min_speed_mm_s, [0, len(ts)]
         )
-        for k in range(len(ts)):
-            if incremental[k] is None:
-                assert np.isnan(vectorized[k]).all()
-            else:
-                assert np.allclose(incremental[k], vectorized[k], rtol=1e-9, atol=1e-9)
-                if incremental[k][2] == 0.0:  # stationary: speed and rates +0.0
-                    assert _bits(vectorized[k, [2, 4, 5]]).tolist() == [0, 0, 0]
-
-
-def _whole_window_starts(t_ms, span_s):
-    """The first sample of each row's window over a whole segment (rows 2 on)."""
-    rel_ms = t_ms - t_ms[0]
-    k = np.arange(2, len(t_ms))
-    a = np.searchsorted(rel_ms, rel_ms[k] - span_s * 1000.0, side="right")
-    return np.clip(np.minimum(a - 1, k - 2), 0, None)
+        assert np.isnan(vectorized[:2]).all()
+        assert np.allclose(windowed[2:], vectorized[2:], rtol=1e-9, atol=1e-9)
+        still = windowed[:, 2] == 0.0  # stationary: speed and rates +0.0
+        assert still.any() and (_bits(vectorized[still][:, [2, 4, 5]]) == 0).all()
 
 
 @st.composite
@@ -354,7 +346,7 @@ def cut_segments(draw):
     span_s = draw(st.sampled_from([0.05, 0.3, 3.0]))
     sizes = draw(st.lists(st.one_of(st.integers(1, 3), st.integers(1, 64)), max_size=40))
     cuts = set(np.cumsum(sizes).tolist())
-    starts = _whole_window_starts(t_ms, span_s)
+    starts = whole_window_starts(t_ms, span_s)
     if len(starts):
         cuts |= set(draw(st.lists(st.sampled_from(starts.tolist()), max_size=4)))
     return t_ms, xy, span_s, sorted({0, n} | {c for c in cuts if 0 < c < n})
@@ -455,12 +447,12 @@ class TestRunFilter:
     def test_restart_equals_fresh_run_on_suffix(self):
         raw = constant_position_stream(40.0, 200, seed=3)
         params = CtraParams()
-        restart_t = raw[120].t_ms
+        restart_t = raw.t_ms[120]
         with_restart = filter_one(raw, params, [restart_t])
-        fresh_suffix = filter_one(raw[120:], params)
-        assert with_restart[120:] == fresh_suffix
+        fresh_suffix = filter_one(rows(raw, slice(120, None)), params)
+        assert rows(with_restart, slice(120, None)) == fresh_suffix
         # the restart sample reseeds the state from the measurement itself
-        assert with_restart[120].pos == raw[120].pos
+        assert with_restart.xy[120].tolist() == raw.xy[120].tolist()
 
     def test_zigzag_noise_smoothing_path_length(self):
         # noisy zig-zag oscillation around a slow traverse between two points
@@ -505,7 +497,7 @@ class TestRunFilter:
             starts = sorted({0, *np.searchsorted(ts, restarts).tolist()} - {len(ts)})
             assert np.diff(starts)[1:4].tolist() == [1, 1, 2]
         params = CtraParams()
-        assert list(filter_one(stream, params, restarts)) == loop_filter(stream, params, restarts)
+        assert filter_one(stream, params, restarts) == loop_filter(stream, params, restarts)
 
     # row-step budgets: a block per step; blocks of one step while four or
     # more rows run and of 2, 3 and 7 steps after, rows 113 and 65 ending
@@ -542,7 +534,7 @@ class TestRunFilter:
         }[budget]
         out = run_filter(streams, params, restarts)
         for stream, result in zip(streams, out):
-            assert list(result) == loop_filter(stream, params, restarts)
+            assert result == loop_filter(stream, params, restarts)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_names_the_sample(self):
@@ -568,7 +560,7 @@ class TestRunFilter:
         # -0.0 >= 0: the stream filters as the per-sample loop does
         raw = constant_position_stream(40.0, 50, seed=1)
         params = CtraParams(p0_diag=(-0.0,) + CtraParams().p0_diag[1:])
-        assert list(filter_one(raw, params)) == loop_filter(raw, params)
+        assert filter_one(raw, params) == loop_filter(raw, params)
 
 
 class TestStackedStreams:

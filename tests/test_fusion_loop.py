@@ -1,10 +1,10 @@
 """The tick-driven fusion loop against the per-sample oracle, in replay and live.
 
-``pipeline_oracle`` merges the two streams sample by sample and pulls every
-live VO sample through ``VoSensor.__next__``; ``uwbvo.pipeline`` loops over
-the UWB ticks only and reads the live sensor in blocks. Both must produce
-the same track, modes, stop decisions, restarts, correction vectors and
-sensor reboots.
+``pipeline_oracle`` merges the two streams sample by sample and, live, drives
+the per-sample ``vo_oracle.LoopVoSensor``; ``uwbvo.pipeline`` loops over the
+UWB ticks only and reads a ``VoSensor`` in blocks. Both must produce the same
+track, modes, stop decisions, restarts, correction vectors and sensor
+reboots.
 """
 from dataclasses import replace
 
@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 import pipeline_oracle as oracle
-from conftest import filtered_uwb, replay_pipeline
+from conftest import filtered_uwb, replay_pipeline, rows
 from uwbvo.config import default_pipeline_params
 from uwbvo.core import CoverageError, Position2D, Stream, nearest_indices
 from uwbvo import pipeline
 from uwbvo.pipeline import MAX_UWB_AGE_MS, run_pipeline_live, uwb_age_bound_ms
 from uwbvo.simulate import SCENARIO_PRESETS, VoSensor, build_truth, simulate_pair
+from vo_oracle import LoopVoSensor
 
 
 def assert_same_track(track, expected):
@@ -37,14 +38,14 @@ def both_modes(scenario, seed, params, uwb_keep=slice(None)):
     ``uwb_keep`` (a slice or an index array) selects the UWB samples kept.
     """
     pair, _, _ = simulate_pair(scenario, seed)
-    uwb = Stream(pair.uwb.t_ms[uwb_keep], pair.uwb.xy[uwb_keep], pair.uwb.source)
+    uwb = rows(pair.uwb, uwb_keep)
     replay_pair = replace(pair, uwb=uwb)
     replay = replay_pipeline(replay_pair, scenario.plan, params)
     assert_same_track(replay, oracle.run_pipeline(replay_pair, scenario.plan, params))
 
     truth = build_truth(scenario.plan)
     sensor = VoSensor(truth, scenario.vo, seed)
-    oracle_sensor = VoSensor(truth, scenario.vo, seed)
+    oracle_sensor = LoopVoSensor(truth, scenario.vo, seed)
     live = run_pipeline_live(uwb, sensor, scenario.plan, params)
     assert_same_track(live, oracle.run_pipeline_live(uwb, oracle_sensor, scenario.plan, params))
     assert sensor.reboots == oracle_sensor.reboots
@@ -112,7 +113,7 @@ def test_vo_starting_after_the_first_visit_equals_oracle():
     pair = simulate_pair(scenario, 0)[0]
     first = build_truth(scenario.plan).stop_windows[1]
     late = pair.vo.t_ms > first.t1_ms + 1000
-    vo = Stream(pair.vo.t_ms[late], pair.vo.xy[late], pair.vo.source)
+    vo = rows(pair.vo, late)
     track = replay_equals_oracle(replace(pair, vo=vo), scenario.plan, params)
     assert (track.stop_events[0].stop_index, track.stop_events[0].t_ms) == (1, 0)
     assert track.stop_events[0].restart
@@ -165,7 +166,7 @@ def test_live_decisions_before_a_cut_ignore_the_uwb_after_it():
     cut = 0.5 * (leg.t0_ms + leg.t1_ms)
     n = int(np.searchsorted(uwb.t_ms, cut))
     runs = []
-    for head in (uwb, Stream(uwb.t_ms[:n], uwb.xy[:n], uwb.source)):
+    for head in (uwb, rows(uwb, slice(n))):
         sensor = VoSensor(truth, scenario.vo, seed)
         runs.append((run_pipeline_live(head, sensor, scenario.plan, params), sensor))
     (full, full_sensor), (part, part_sensor) = runs
@@ -257,7 +258,7 @@ def test_uwb_gap_across_a_leg_and_a_dwell_trusts_the_vo_past_the_bound():
     replay, live, _ = both_modes(scenario, seed, params, uwb_keep=keep)
     last, after = int(uwb.t_ms[lo - 1]), int(uwb.t_ms[hi])
     assert (last, after) == (194370, 215926) and after - last > 100 * MAX_UWB_AGE_MS
-    gapped = replace(pair, uwb=Stream(uwb.t_ms[keep], uwb.xy[keep], uwb.source))
+    gapped = replace(pair, uwb=rows(uwb, keep))
     filtered = filtered_uwb(gapped, scenario.plan, params)
     for track in (replay, live):
         t, kalman = track.samples.t_ms, track.kalman
@@ -325,7 +326,7 @@ def test_uwb_cut_to_three_rows_reaches_no_stop_visit():
     scenario, seed = SCENARIO_PRESETS["worst-case"](), 2
     params = default_pipeline_params()
     pair = simulate_pair(scenario, seed)[0]
-    cut = replace(pair, uwb=pair.uwb[:3])
+    cut = replace(pair, uwb=rows(pair.uwb, slice(3)))
     with pytest.raises(CoverageError, match="reaches no stop visit"):
         replay_pipeline(cut, scenario.plan, params)
     sensor = VoSensor(build_truth(scenario.plan), scenario.vo, seed)

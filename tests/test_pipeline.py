@@ -216,17 +216,14 @@ def test_noiseless_streams_pass_vo_through():
     assert track.restarts == []
     assert track.w_history == [(0, 0.0, 0.0)]
     assert len(track.samples) == len(pair.vo)
-    assert [s.t_ms for s in track.samples] == [s.t_ms for s in pair.vo]
-    vo_mode = (~track.kalman).tolist()
-    assert all(
-        s.pos == v.pos for s, v, keep in zip(track.samples, pair.vo, vo_mode) if keep
-    )
+    assert track.samples.t_ms.tolist() == pair.vo.t_ms.tolist()
+    vo_mode = ~track.kalman
+    assert track.samples.xy[vo_mode].tolist() == pair.vo.xy[vo_mode].tolist()
     # dwell cores are always VO-trusted on exact streams
     truth = build_truth(scenario.plan)
+    t = track.samples.t_ms
     for w in truth.stop_windows:
-        for s, keep in zip(track.samples, vo_mode):
-            if w.t0_ms + 3000.0 <= s.t_ms <= w.t1_ms:
-                assert keep
+        assert vo_mode[(w.t0_ms + 3000.0 <= t) & (t <= w.t1_ms)].all()
 
 
 def test_correction_algebra_on_injected_fault():
@@ -277,9 +274,8 @@ def test_correction_applied_once_not_compounded():
     track = replay_pipeline(pair, scenario.plan, small_params())
     event = track.stop_events[0]
     assert event.restart
-    ts = [s.t_ms for s in track.samples]
-    k = next(i for i, t in enumerate(ts) if t >= event.t_ms)
-    jump = euclidean(track.samples[k + 1].pos, track.samples[k].pos)
+    k = int(np.searchsorted(track.samples.t_ms, event.t_ms))
+    jump = math.hypot(*(track.samples.xy[k + 1] - track.samples.xy[k]))
     assert jump <= event.distance_mm + 5.0
 
 
@@ -363,7 +359,7 @@ def test_output_covers_every_vo_timestamp_in_kalman_mode_too():
     scenario = scenario_two_stop(seg_scale=0.7, sigma_uwb=40.0)
     pair, _, _ = simulate_pair(scenario, 8)
     track = replay_pipeline(pair, scenario.plan, small_params())
-    assert [s.t_ms for s in track.samples] == [s.t_ms for s in pair.vo]
+    assert track.samples.t_ms.tolist() == pair.vo.t_ms.tolist()
     assert track.kalman.any()
 
 

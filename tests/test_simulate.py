@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import positions
 from vo_oracle import LoopVoSensor
-from uwbvo.core import FlightPlan, Position2D, euclidean
+from uwbvo.core import VO, FlightPlan, Position2D, euclidean
 from uwbvo import simulate
 from uwbvo.simulate import (
     SCENARIO_PRESETS,
@@ -117,7 +117,7 @@ class TestSynthUwb:
         truth = build_truth(two_stop_plan())
         model = UwbModel(sigma_mm=0.0, ray=RaySpec(prob_per_stop=0.0))
         trace = synth_uwb(truth, model, seed=0)
-        ts = np.array([s.t_ms for s in trace.samples], dtype=float)
+        ts = trace.samples.t_ms.astype(float)
         assert np.allclose(positions(trace.samples), truth.sample(ts), atol=0.051)
 
     def test_noise_std_calibration(self):
@@ -127,7 +127,7 @@ class TestSynthUwb:
         model = UwbModel(rate_hz=50.0, sigma_mm=50.0, ray=RaySpec(prob_per_stop=0.0))
         trace = synth_uwb(truth, model, seed=1)
         assert len(trace.samples) > 10_000
-        ts = np.array([s.t_ms for s in trace.samples], dtype=float)
+        ts = trace.samples.t_ms.astype(float)
         residual = positions(trace.samples) - truth.sample(ts)
         assert np.allclose(residual.std(axis=0), 50.0, rtol=0.05)
 
@@ -137,7 +137,7 @@ class TestSynthUwb:
         model = UwbModel(sigma_mm=0.0, ray=RaySpec(prob_per_stop=1.0, length_mm=600, count=30))
         trace = synth_uwb(truth, model, seed=2)
         assert len(trace.rays) == len(truth.stop_windows)
-        ts = np.array([s.t_ms for s in trace.samples], dtype=float)
+        ts = trace.samples.t_ms.astype(float)
         xy = positions(trace.samples)
         for event in trace.rays:
             window = truth.stop_windows[event.window_ordinal]
@@ -186,10 +186,22 @@ class TestSynthUwb:
         spec = ScaleFaultSpec(prob_per_segment=0.0, scale_range=(0.7, 0.9))
         assert simulate._segment_scales(truth, spec, ZeroDraws()).tolist() == [1.0]
 
-    @pytest.mark.parametrize("model", [UwbModel, VoModel])
-    def test_a_zero_rate_is_refused(self, model):
-        with pytest.raises(ValueError, match="need a finite rate > 0"):
-            model(rate_hz=0.0)
+    @pytest.mark.parametrize(
+        "model, rate_hz",
+        [
+            pytest.param(UwbModel, 0.0, id="UwbModel"),
+            pytest.param(VoModel, 0.0, id="VoModel"),
+            pytest.param(UwbModel, 1000.5, id="UwbModel-1000.5Hz"),
+            pytest.param(VoModel, 1000.5, id="VoModel-1000.5Hz"),
+        ],
+    )
+    def test_a_zero_rate_is_refused(self, model, rate_hz):
+        # timestamps are whole milliseconds: above 1 kHz sample_times would
+        # repeat one, so 1000.5 Hz is refused and 1000 Hz accepted
+        with pytest.raises(ValueError, match=r"finite rate > 0 of at most 1000 Hz \(timestamps have 1 ms"):
+            model(rate_hz=rate_hz)
+        assert model(rate_hz=1000.0).rate_hz == 1000.0
+        assert np.diff(sample_times(1000.0, 5000.0)).min() == 1
 
     def test_fault_specs_at_their_edges_are_accepted(self):
         # probabilities are within [0, 1], a ray count nonnegative, and
@@ -208,7 +220,7 @@ class TestSynthVo:
         model = VoModel(sigma_mm=0.0, underestimate=ScaleFaultSpec(0.0, (0.7, 0.9), ()))
         trace = synth_vo(truth, model, seed=0)
         assert trace.faults == []
-        ts = np.array([s.t_ms for s in trace.samples], dtype=float)
+        ts = trace.samples.t_ms.astype(float)
         assert np.allclose(positions(trace.samples), truth.sample(ts), atol=0.051)
 
     def test_single_segment_scale_fault_offsets_tail(self):
@@ -220,7 +232,7 @@ class TestSynthVo:
         trace = synth_vo(truth, model, seed=0)
         assert [f.segment_index for f in trace.faults] == [0]
         assert trace.faults[0].scale == pytest.approx(0.7)
-        ts = np.array([s.t_ms for s in trace.samples], dtype=float)
+        ts = trace.samples.t_ms.astype(float)
         offset = positions(trace.samples) - truth.sample(ts)
         seg = truth.segments[0]
         after = ts > seg.t1_ms
@@ -251,7 +263,7 @@ class TestSynthVo:
         truth = build_truth(scenario.plan)
         model = replace(scenario.vo, sigma_mm=0.0)
         trace = synth_vo(truth, model, seed=5)
-        ts = np.array([s.t_ms for s in trace.samples], dtype=float)
+        ts = trace.samples.t_ms.astype(float)
         offset = positions(trace.samples) - truth.sample(ts)
         for w in truth.stop_windows:
             sel = (ts >= w.t0_ms) & (ts <= w.t1_ms)
@@ -271,8 +283,8 @@ class TestDeterminismAndSensor:
         scenario = worst_case_scenario()
         truth = build_truth(scenario.plan)
         batch = synth_vo(truth, scenario.vo, seed=3).samples
-        live = list(VoSensor(truth, scenario.vo, seed=3))
-        assert live == list(batch)
+        live = [(s.t_ms, [s.pos.x, s.pos.y], s.source) for s in VoSensor(truth, scenario.vo, seed=3)]
+        assert live == [(t, xy, VO) for t, xy in zip(batch.t_ms.tolist(), batch.xy.tolist())]
 
     def test_reboot_reanchors_and_clears_active_fault(self):
         plan = two_stop_plan(length=1000.0)
@@ -284,11 +296,11 @@ class TestDeterminismAndSensor:
         sensor = VoSensor(truth, model, seed=0)
         seg = truth.segments[0]
         t_mid_seg = 0.5 * (seg.t0_ms + seg.t1_ms)
-        for s in sensor:
+        for read, s in enumerate(sensor, start=1):
             if s.t_ms >= t_mid_seg:
                 break
         anchor = Position2D(123.0, 456.0)
-        sensor.reboot(anchor)
+        sensor.reboot(anchor, at=read)  # from the next sample on
         first = next(sensor)
         true_at_reboot = truth.pose_at(sensor.reboots[-1])
         true_now = truth.pose_at(first.t_ms)
@@ -308,22 +320,30 @@ def short_dwell_loop() -> FlightPlan:
 
 
 def drive(sensor, reboot_at):
-    """Every sample, rebooting before sample k once per occurrence of k.
+    """Every sample as a ``(t_ms, Position2D)`` pair, read one at a time,
+    rebooting before sample k once per occurrence of k.
 
     ``k == len(sensor.ts)`` reboots after the last sample. Each reboot gets
-    its own anchor.
+    its own anchor. A ``VoSensor`` is told k; the oracle reboots at its read
+    position, which is k.
     """
+    block = isinstance(sensor, VoSensor)
     out = []
     for k in range(len(sensor.ts) + 1):
         for _ in range(reboot_at.count(k)):
             r = len(sensor.reboots)
-            sensor.reboot(Position2D(100.0 + 37.5 * r, 200.0 - 12.25 * r))
-        out.append(next(sensor, None))
+            anchor = Position2D(100.0 + 37.5 * r, 200.0 - 12.25 * r)
+            if block:
+                sensor.reboot(anchor, k)
+            else:
+                sensor.reboot(anchor)
+        s = next(sensor, None)
+        out.append((s.t_ms, s.pos) if block and s is not None else s)
     return out
 
 
 def reboot_points(truth, rate_hz, seed):
-    """Sample indices to reboot before: the stream's ends, one past the last
+    """The sample indices to reboot before: the stream's ends, one past the last
     sample, a dwell, a faulted segment, a back-to-back pair and 12 random ones."""
     ts = sample_times(rate_hz, truth.duration_ms)
     n = len(ts)
@@ -386,7 +406,7 @@ class TestSensorOracle:
         model = replace(worst_case_scenario().vo, rate_hz=rate_hz)
         reboot_at, _ = reboot_points(truth, rate_hz, seed)
         loop = LoopVoSensor(truth, model, seed)
-        expected = [s.pos for s in drive(loop, reboot_at)[:-1]]
+        expected = [pos for _, pos in drive(loop, reboot_at)[:-1]]
         n = len(loop.ts)
         # fill the block holding k (k may start the next block), or the whole stream
         for ahead in (lambda k: min(k + 1, n), lambda k: n):
@@ -405,7 +425,7 @@ class TestSensorOracle:
         ts = sample_times(scenario.vo.rate_hz, truth.duration_ms)
         n = len(ts)
         k = int(np.searchsorted(ts, truth.segments[4].t0_ms))
-        expected = [s.pos for s in drive(LoopVoSensor(truth, scenario.vo, 0), [k])[:-1]]
+        expected = [pos for _, pos in drive(LoopVoSensor(truth, scenario.vo, 0), [k])[:-1]]
         for filled in (0, k, k + 1, n):
             sensor = VoSensor(truth, scenario.vo, seed=0)
             sensor.fill(filled)
@@ -430,7 +450,8 @@ class TestSensorOracle:
         scenario = SCENARIO_PRESETS[preset]()
         truth = build_truth(scenario.plan)
         batch = synth_vo(truth, scenario.vo, seed).samples
-        assert list(batch) == list(LoopVoSensor(truth, scenario.vo, seed))
+        drained = [(t, [pos.x, pos.y]) for t, pos in LoopVoSensor(truth, scenario.vo, seed)]
+        assert list(zip(batch.t_ms.tolist(), batch.xy.tolist())) == drained
 
 
 _WORST_TRUTH = build_truth(worst_case_scenario().plan)

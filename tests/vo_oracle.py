@@ -2,9 +2,11 @@
 
 ``LoopVoSensor`` is the live sensor one sample at a time: each ``next``
 applies the segment events up to the sample's time, evaluates the sensor
-formula for that one sample and snaps both coordinates to the 0.1 mm log
-resolution. ``VoSensor`` computes the same samples in blocks between
+formula for that one sample, snaps both coordinates to the 0.1 mm log
+resolution and returns a ``(t_ms, Position2D)`` pair; a reboot acts at the
+read position. ``VoSensor`` computes the same samples in blocks between
 segment events and reboots, and must match it bit for bit.
+``tests/pipeline_oracle.py`` drives it in live mode.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from uwbvo.core import MM_DECIMALS, VO, Position2D, Sample
+from uwbvo.core import MM_DECIMALS, Position2D
 from uwbvo.simulate import GroundTruth, VoModel, _child_rngs, _segment_scales, sample_times
 
 
@@ -63,10 +65,10 @@ class LoopVoSensor:
                 self._active_scale = float(self._scales[self._seg_ptr])
                 self._in_segment = True
 
-    def __iter__(self) -> Iterator[Sample]:
+    def __iter__(self) -> Iterator[tuple[int, Position2D]]:
         return self
 
-    def __next__(self) -> Sample:
+    def __next__(self) -> tuple[int, Position2D]:
         if self._idx >= len(self.ts):
             raise StopIteration
         i = self._idx
@@ -76,14 +78,10 @@ class LoopVoSensor:
         bias = self._ref_bias + (self._active_scale - 1.0) * (true_pos - self._ref_pos)
         xy = true_pos + bias + self._noise[i]
         self._idx = i + 1
-        return Sample(
-            int(self.ts[i]),
-            Position2D(quantize_mm(float(xy[0])), quantize_mm(float(xy[1]))),
-            VO,
-        )
+        return int(self.ts[i]), Position2D(quantize_mm(float(xy[0])), quantize_mm(float(xy[1])))
 
     def reboot(self, anchor: Position2D) -> None:
-        """Re-anchor at ``anchor``; the active scale fault is cleared."""
+        """Re-anchor at ``anchor`` from the read position on; the active scale fault is cleared."""
         t_now = float(self.ts[min(self._idx, len(self.ts) - 1)])
         true_now = self.truth.sample(np.array([t_now]))[0]
         self._ref_pos = true_now

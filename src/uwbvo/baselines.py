@@ -37,14 +37,18 @@ class BaselineKind(enum.Enum):
 def averaged_stream(pair: StreamPair) -> Stream:
     """Per-sample mean at UWB rate, with the VO sample nearest in time (earlier on a tie)."""
     j = nearest_indices(pair.vo.t_ms, pair.uwb.t_ms)
-    return Stream(pair.uwb.t_ms, 0.5 * (pair.uwb.xy + pair.vo.xy[j]), UWB)
+    xy = 0.5 * (pair.uwb.xy + pair.vo.xy[j])
+    xy.flags.writeable = False  # handed over to the stream
+    return Stream(pair.uwb.t_ms, xy, UWB)
 
 
 def merge_streams(pair: StreamPair) -> Stream:
     """Interleave both streams by timestamp, UWB first on ties; tagged UWB like the average."""
     t_ms = np.concatenate((pair.uwb.t_ms, pair.vo.t_ms))
     order = np.argsort(t_ms, kind="stable")  # UWB rows come first in t_ms
-    return Stream(t_ms[order], np.concatenate((pair.uwb.xy, pair.vo.xy))[order], UWB)
+    t_ms, xy = t_ms[order], np.concatenate((pair.uwb.xy, pair.vo.xy))[order]
+    t_ms.flags.writeable = xy.flags.writeable = False  # handed over to the stream
+    return Stream(t_ms, xy, UWB)
 
 
 # the stream each CTRA baseline filters: the UWB alone, the per-sample
@@ -79,8 +83,8 @@ def filter_inputs(
     restarts = [w.t0_ms for w in stop_visits(plan)]
     streams = [_FILTER_INPUT[k](pair) for pair in pairs for k in kinds]
     results = run_filter(streams, params.ekf, restart_times_ms=restarts)
-    n = len(kinds)
-    return [dict(zip(kinds, results[i * n : (i + 1) * n])) for i in range(len(pairs))]
+    n = len(kinds)  # zip stops after a pair's n results
+    return [dict(zip(kinds, results[i * n :])) for i in range(len(pairs))]
 
 
 def run_method(

@@ -390,7 +390,8 @@ def cmd_run(args) -> int:
 
 
 def read_reports(path: Path) -> list[RunReport]:
-    """The rows of a ``reports.csv``; a missing column or a bad row is a ConfigError."""
+    """The rows of a ``reports.csv``; a missing column or a bad row is a ConfigError,
+    as is a row whose ``corrections`` differ from its ``restarts`` (each correction restarts)."""
     reports = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -399,6 +400,9 @@ def read_reports(path: Path) -> list[RunReport]:
             raise ConfigError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
             try:
+                restarts = int(row["restarts"])
+                if int(row["corrections"]) != restarts:
+                    raise ValueError(f"{row['corrections']} corrections but {restarts} restarts")
                 reports.append(
                     RunReport(
                         method=row["method"],
@@ -406,8 +410,7 @@ def read_reports(path: Path) -> list[RunReport]:
                         avg_stop_mm=float(row["avg_stop_mm"]),
                         std_stop_mm=float(row["std_stop_mm"]),
                         rmse_mm=float(row["rmse_mm"]),
-                        restarts=int(row["restarts"]),
-                        corrections=int(row["corrections"]),
+                        restarts=restarts,
                     )
                 )
             except (TypeError, ValueError) as exc:  # a short row reads as None

@@ -80,14 +80,12 @@ class RunReport:
     std_stop_mm: float
     rmse_mm: float
     restarts: int
-    corrections: int
 
     @staticmethod
     def build(method: str, seed: int, track: Stream | FusedTrack, truth: TruthLike) -> "RunReport":
         """Score a method's output stream, or a fused track and its restarts."""
         restarts = 0
         if isinstance(track, FusedTrack):
-            # every correction requests a restart, so the two counts agree
             track, restarts = track.samples, len(track.restarts)
         acc = stop_accuracy(track, truth)
         return RunReport(
@@ -97,7 +95,6 @@ class RunReport:
             std_stop_mm=acc.std_mm,
             rmse_mm=trajectory_rmse(track, truth),
             restarts=restarts,
-            corrections=restarts,
         )
 
 
@@ -120,7 +117,7 @@ def report_row(report: RunReport) -> list[str]:
         f"{report.std_stop_mm:.3f}",
         f"{report.rmse_mm:.3f}",
         str(report.restarts),
-        str(report.corrections),
+        str(report.restarts),  # corrections: every correction requests a restart
     ]
 
 
@@ -134,7 +131,6 @@ class MethodSummary:
     rmse_mm: float
     rmse_ci_mm: float
     restarts_mean: float
-    corrections_mean: float
 
 
 def _ci95(values: np.ndarray) -> float:
@@ -166,7 +162,6 @@ def compare(reports: Sequence[RunReport]) -> list[MethodSummary]:
                 rmse_mm=float(rmse.mean()),
                 rmse_ci_mm=_ci95(rmse),
                 restarts_mean=float(np.mean([r.restarts for r in rows])),
-                corrections_mean=float(np.mean([r.corrections for r in rows])),
             )
         )
     return out
@@ -196,7 +191,7 @@ def compare_rows(summaries: Sequence[MethodSummary]) -> list[list[str]]:
             f"{s.rmse_mm:.3f}",
             f"{s.rmse_ci_mm:.3f}",
             f"{s.restarts_mean:.2f}",
-            f"{s.corrections_mean:.2f}",
+            f"{s.restarts_mean:.2f}",  # corrections_mean
         ]
         for s in summaries
     ]
@@ -205,7 +200,7 @@ def compare_rows(summaries: Sequence[MethodSummary]) -> list[list[str]]:
 def render_table(summaries: Sequence[MethodSummary]) -> str:
     """Aligned text table of the comparison."""
     rows = [list(COMPARE_HEADER)] + compare_rows(summaries)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    widths = [max(map(len, column)) for column in zip(*rows)]
     lines = []
     for i, row in enumerate(rows):
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

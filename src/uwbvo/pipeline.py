@@ -351,6 +351,7 @@ def _run(
     age = vo_t[in_kalman] - uwb_t[gov[in_kalman] - 1]
     in_kalman[in_kalman] = age <= uwb_age_bound_ms(uwb_t)
     out_xy[in_kalman] = filtered.xy[nearest_indices(uwb_t, vo_t[in_kalman])]
+    out_xy.flags.writeable = False  # handed over to the track's stream
     track.samples = Stream(vo_t, out_xy, VO)
     track.kalman = in_kalman
     return track

@@ -76,14 +76,11 @@ class GroundTruth:
     _dirs: np.ndarray
     _profile: np.ndarray  # columns: s0, v0, acc
 
-    def _phase_index(self, ts: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._t0s, ts, side="right") - 1
-        return np.clip(idx, 0, len(self._t0s) - 1)
-
     def sample(self, ts_ms: np.ndarray) -> np.ndarray:
         """Vectorized pose lookup; times clamp to the flight duration."""
         ts = np.clip(np.asarray(ts_ms, dtype=np.float64), 0.0, self.duration_ms)
-        idx = self._phase_index(ts)
+        # the first phase starts at 0, so every clamped time has a phase
+        idx = np.searchsorted(self._t0s, ts, side="right") - 1
         # take gathers the same rows as fancy indexing, several times faster
         tau = (ts - self._t0s.take(idx)) / 1000.0
         prof = self._profile
@@ -127,24 +124,18 @@ def build_truth(plan: FlightPlan) -> GroundTruth:
     legs = plan.legs()
     t = 0.0
 
-    def heading_dir(i: int) -> tuple[float, float]:
-        a, b = legs[min(i, len(legs) - 1)]
-        d = math.hypot(b.x - a.x, b.y - a.y)
-        return ((b.x - a.x) / d, (b.y - a.y) / d)
-
     stop_order = [i % len(plan.stops) for i in range(len(legs) + 1)]
     for visit, stop_idx in enumerate(stop_order):
+        if visit < len(legs):  # a dwell heads along the next leg, the last one along the last
+            a, b = legs[visit]
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            direction = ((b.x - a.x) / length, (b.y - a.y) / length)
         stop = plan.stops[stop_idx]
         windows.append(StopWindow(stop_idx, t, t + plan.dwell_ms))
-        phases.append(
-            _Phase(t, (stop.x, stop.y), heading_dir(visit), 0.0, 0.0, 0.0)
-        )
+        phases.append(_Phase(t, (stop.x, stop.y), direction, 0.0, 0.0, 0.0))
         t += plan.dwell_ms
         if visit == len(legs):
             break
-        a, b = legs[visit]
-        length = math.hypot(b.x - a.x, b.y - a.y)
-        direction = ((b.x - a.x) / length, (b.y - a.y) / length)
         t_seg_start = t
         for dur_s, s0, v0, acc in _segment_phases(
             length, plan.cruise_mm_s, plan.accel_mm_s2
@@ -305,7 +296,7 @@ def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:
         trigger = rng_ray.uniform() < spec.prob_per_stop
         theta = rng_ray.uniform(0.0, 2.0 * math.pi)
         onset_frac = rng_ray.uniform(0.55, 0.80)
-        if not trigger or spec.count == 0 or spec.length_mm == 0.0:
+        if not trigger or spec.length_mm == 0.0:
             continue
         t_onset = window.t0_ms + onset_frac * (window.t1_ms - window.t0_ms)
         start = int(np.searchsorted(ts, t_onset))
@@ -318,7 +309,9 @@ def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:
         xy[start:stop, 1] += magnitude * math.sin(theta)
         events.append(RayEvent(ordinal, window.stop_index, int(ts[start]), theta))
 
-    return UwbTrace(Stream(ts, np.round(xy, MM_DECIMALS), UWB), events)
+    xy = np.round(xy, MM_DECIMALS)
+    ts.flags.writeable = xy.flags.writeable = False  # handed over to the stream
+    return UwbTrace(Stream(ts, xy, UWB), events)
 
 
 def _segment_scales(
@@ -353,6 +346,7 @@ def synth_vo(truth: GroundTruth, model: VoModel, seed: int) -> VoTrace:
     """
     sensor = VoSensor(truth, model, seed)
     sensor.fill(len(sensor.ts))
+    sensor.xy.flags.writeable = False  # filled: handed over to the stream
     faults = [FaultEvent(i, float(s)) for i, s in enumerate(sensor._scales) if s != 1.0]
     return VoTrace(Stream(sensor.ts, sensor.xy, VO), faults)
 
@@ -379,6 +373,7 @@ class VoSensor:
         _, _, rng_noise, rng_fault = _child_rngs(seed)
         self.truth = truth
         self.ts = sample_times(model.rate_hz, truth.duration_ms)
+        self.ts.flags.writeable = False  # its streams adopt it
         self._noise = rng_noise.normal(0.0, model.sigma_mm, size=(len(self.ts), 2))
         self._scales = _segment_scales(truth, model.underestimate, rng_fault)
         self._seg_ptr = 0

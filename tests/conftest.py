@@ -70,3 +70,22 @@ def replay_pipeline(pair, plan, params):
 def run_one_method(kind, pair, plan, params):
     """``run_method`` of one method, with the inputs it reads filtered for it."""
     return run_method(kind, pair, plan, params, filter_inputs([kind], [pair], plan, params)[0])
+
+
+def record_streams(monkeypatch, module):
+    """Patch ``module.Stream`` to record ``(t_ms, xy, stream)`` for each stream
+    the module builds: the arrays it was handed and the stream built of them."""
+    made = []
+
+    def recording(t_ms, xy, source):
+        stream = Stream(t_ms, xy, source)
+        made.append((t_ms, xy, stream))
+        return stream
+
+    monkeypatch.setattr(module, "Stream", recording)
+    return made
+
+
+def adopted(t_ms, xy, stream):
+    """Whether ``stream`` holds the arrays it was handed, not copies of them."""
+    return np.shares_memory(stream.t_ms, t_ms) and np.shares_memory(stream.xy, xy)

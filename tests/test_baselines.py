@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from align_oracle import align_streams
-from conftest import filter_one, filtered_uwb, positions, rows, run_one_method
+from conftest import adopted, filter_one, filtered_uwb, positions, record_streams, rows, run_one_method
 from ekf_oracle import loop_filter
 from uwbvo import baselines
 from uwbvo.baselines import (
@@ -87,6 +87,15 @@ def test_merge_streams_sorted_and_complete():
             for t, xy in zip(s.t_ms.tolist(), s.xy.tolist())]
     expected = sorted(both, key=lambda r: r[:2])  # UWB first on a tie
     assert list(zip(merged.t_ms.tolist(), merged.xy.tolist())) == [(t, xy) for t, _, xy in expected]
+
+
+def test_built_inputs_adopt_their_fresh_arrays(monkeypatch):
+    pair, _, _ = simulate_pair(tiny_scenario(sigma_uwb=5.0), 1)
+    made = record_streams(monkeypatch, baselines)
+    avg, merged = averaged_stream(pair), merge_streams(pair)
+    assert [stream for _, _, stream in made] == [avg, merged]  # built in this order
+    assert all(adopted(*call) for call in made)
+    assert np.shares_memory(avg.t_ms, pair.uwb.t_ms)
 
 
 def test_direct_fusion_tracks_noiseless_truth():

@@ -114,6 +114,21 @@ def test_compare_prints_the_aligned_table(tmp_path, capsys):
     ]
 
 
+def test_compare_refuses_corrections_that_differ_from_restarts(tmp_path, capsys):
+    # every correction requests a restart: `run` writes one count in both columns
+    reports = tmp_path / "reports.csv"
+    reports.write_text(
+        "method,seed,avg_stop_mm,std_stop_mm,rmse_mm,restarts,corrections\r\n"
+        "self-corrective,0,10.000,2.000,90.000,3,3\r\n"
+        "self-corrective,1,14.000,4.000,94.000,5,4\r\n",
+        encoding="utf-8",
+    )
+    assert main(["compare", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reports}: line 3: 4 corrections but 5 restarts\n"
+    assert captured.out == "" and not (tmp_path / "compare.csv").exists()
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     scenario = small_scenario_file(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

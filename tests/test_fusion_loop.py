@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pipeline_oracle as oracle
-from conftest import filtered_uwb, replay_pipeline, rows
+from conftest import adopted, filtered_uwb, record_streams, replay_pipeline, rows
 from uwbvo.config import default_pipeline_params
 from uwbvo.core import CoverageError, Position2D, Stream, nearest_indices
 from uwbvo import pipeline
@@ -61,6 +61,22 @@ def test_presets_equal_oracle(preset, seed):
     )
     if preset == "worst-case":
         assert replay.restarts and live.restarts and sensor.reboots
+
+
+def test_tracks_adopt_their_positions_and_the_vo_timestamps(monkeypatch):
+    scenario = SCENARIO_PRESETS["worst-case"]()
+    params = default_pipeline_params()
+    pair, _, _ = simulate_pair(scenario, 0)
+    made = record_streams(monkeypatch, pipeline)
+    replay = replay_pipeline(pair, scenario.plan, params)
+    sensor = VoSensor(build_truth(scenario.plan), scenario.vo, 0)
+    live = run_pipeline_live(pair.uwb, sensor, scenario.plan, params)
+    # each run builds an empty stream first, then its track's
+    tracks = [call for call in made if len(call[2])]
+    assert [stream for _, _, stream in tracks] == [replay.samples, live.samples]
+    assert all(adopted(*call) for call in tracks)
+    assert np.shares_memory(replay.samples.t_ms, pair.vo.t_ms)
+    assert np.shares_memory(live.samples.t_ms, sensor.ts)
 
 
 def test_small_beta_forces_corrections_and_equals_oracle():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from uwbvo.core import Position2D
 from uwbvo.metrics import (
     CoverageError,
     RunReport,
+    StopAccuracy,
     _nearest_samples,
     compare,
     render_table,
@@ -257,7 +258,6 @@ def _report(method, seed, avg=1.0, rmse=2.0):
         std_stop_mm=0.1,
         rmse_mm=rmse,
         restarts=3,
-        corrections=2,
     )
 
 
@@ -302,10 +302,20 @@ def test_render_table_rules_the_header_only():
         "---------------  -----  -----------  --------------  -----------  -------  ----------"
         "  -------------  ----------------",
         "raw-vo           1      1.000        0.000           0.100        2.000    0.000"
-        "       3.00           2.00",
+        "       3.00           3.00",
         "self-corrective  1      12.500       0.000           0.100        101.250  0.000"
-        "       3.00           2.00",
+        "       3.00           3.00",
     ]
+
+
+def test_scores_reports_and_summaries_are_immutable_values():
+    # a report row is a record, written and compared as it was scored
+    report = _report("a", 0)
+    for value, name in ((StopAccuracy(1.0, 0.5), "avg_mm"), (report, "restarts"),
+                        (compare([report])[0], "restarts_mean")):
+        hash(value)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 def test_compare_rejects_empty():

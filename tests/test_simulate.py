@@ -1,14 +1,15 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import positions
+from conftest import adopted, positions, record_streams
 from vo_oracle import LoopVoSensor
-from uwbvo.core import VO, FlightPlan, Position2D, euclidean
+from uwbvo.core import VO, FlightPlan, Position2D, Stream, euclidean
 from uwbvo import simulate
 from uwbvo.simulate import (
     SCENARIO_PRESETS,
@@ -28,13 +29,15 @@ from uwbvo.simulate import (
     synth_vo,
     worst_case_scenario,
 )
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 
 def state_at(truth: GroundTruth, t_ms: float) -> tuple[Position2D, float, float]:
     """Pose plus speed (mm/s) and heading (rad) at ``t_ms``, from the truth's phases."""
     t = min(max(t_ms, 0.0), truth.duration_ms)
-    idx = int(truth._phase_index(np.array([t]))[0])
+    idx = 0  # the last phase that starts at or before t
+    while idx + 1 < len(truth._t0s) and truth._t0s[idx + 1] <= t:
+        idx += 1
     tau = (t - truth._t0s[idx]) / 1000.0
     s0, v0, acc = truth._profile[idx]
     speed = v0 + acc * tau
@@ -80,11 +83,38 @@ class TestGroundTruth:
         assert crawled == pytest.approx(expected, rel=1e-6)
 
     def test_speed_profile_continuous_and_capped(self):
-        truth = build_truth(two_stop_plan(length=5000.0))
-        ts = np.linspace(0.0, truth.duration_ms, 20_001)
-        speeds = np.array([state_at(truth, float(t))[1] for t in ts])
-        assert speeds.max() <= 500.0 + 1e-9
-        assert np.all(np.abs(np.diff(speeds)) < 5.0)  # no jumps at phase edges
+        # a 300 mm leg fits both 125 mm ramps (cruise^2 / 2 accel), so even that
+        # short a leg reaches cruise speed and holds it (trapezoidal), never past it
+        for length in (5000.0, 300.0):
+            truth = build_truth(two_stop_plan(length=length))
+            ts = np.linspace(0.0, truth.duration_ms, 20_001)
+            speeds = np.array([state_at(truth, float(t))[1] for t in ts])
+            assert speeds.max() == pytest.approx(500.0, abs=1e-9)
+            assert np.all(np.abs(np.diff(speeds)) < 5.0)  # no jumps at phase edges
+
+    @pytest.mark.parametrize("length", [100.0, 1000.0], ids=["triangular", "trapezoidal"])
+    def test_a_leg_follows_its_speed_profile_in_closed_form(self, length):
+        # from rest to rest at 1000 mm/s^2, cruising at 500 mm/s if the leg
+        # is long enough to reach it (the ramps cover 500^2 / 1000 mm in all)
+        accel, cruise = 1000.0, 500.0
+        truth = build_truth(two_stop_plan(length=length))
+        seg = truth.segments[0]
+        peak = min(cruise, math.sqrt(accel * length))
+        t_up = peak / accel
+        t_down = t_up + (length - peak * peak / accel) / peak  # the ramp down starts
+        end = t_down + t_up
+        assert (seg.t1_ms - seg.t0_ms) / 1000.0 == pytest.approx(end, rel=1e-12)
+        for tau in np.linspace(0.0, end, 101):
+            if tau <= t_up:
+                s, v = 0.5 * accel * tau * tau, accel * tau
+            elif tau <= t_down:
+                s, v = 0.5 * accel * t_up * t_up + peak * (tau - t_up), peak
+            else:
+                s, v = length - 0.5 * accel * (end - tau) ** 2, accel * (end - tau)
+            t_ms = seg.t0_ms + 1000.0 * tau
+            pose = truth.pose_at(t_ms)
+            assert (pose.x, pose.y) == (pytest.approx(s, abs=1e-9), 0.0)
+            assert state_at(truth, t_ms)[1] == pytest.approx(v, abs=1e-9)
 
     def test_a_leg_that_takes_no_time_is_refused(self):
         # at 1e18 mm/s a 1000 mm leg lasts 1e-12 ms, lost when added to 20 s:
@@ -105,11 +135,50 @@ class TestGroundTruth:
         peak = max(state_at(truth, t)[1] for t in np.linspace(seg.t0_ms, seg.t1_ms, 2001))
         assert peak == pytest.approx(math.sqrt(1000.0 * 100.0), rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "plan",
+        [two_stop_plan(), two_stop_plan(dwell=0.5), default_scenario().plan],
+        ids=["two-stop", "half-ms-dwell", "loop"],
+    )
+    def test_sample_equals_the_phase_walk_at_and_past_the_ends(self, plan):
+        # before the flight, at its start, at every phase start and one ulp
+        # either side, at its end and past it: sample clamps the time into
+        # [0, duration_ms], so every time falls in a phase; after a 0.5 ms
+        # dwell the drone has left the first stop at t = 1 ms
+        truth = build_truth(plan)
+        end = truth.duration_ms
+        starts = truth._t0s.tolist()
+        ts = [-math.inf, -1e12, -50.0, -1e-300, -0.0, 0.0, *starts, end, end + 1e-9,
+              end + 99.0, 1e12, math.inf]
+        ts += [math.nextafter(t, side) for t in starts + [end] for side in (-math.inf, math.inf)]
+        poses = [state_at(truth, t)[0] for t in ts]
+        expected = np.array([(pose.x, pose.y) for pose in poses])
+        assert truth.sample(np.array(ts)).tobytes() == expected.tobytes()
+        assert [truth.pose_at(t) for t in ts] == poses
+        assert truth.pose_at(-math.inf) == plan.stops[0]
+        assert truth.pose_at(math.inf) == plan.stops[0 if plan.closed else -1]
+
     def test_times_clamp_to_flight(self):
         plan = two_stop_plan()
         truth = build_truth(plan)
         assert truth.pose_at(-50.0) == plan.stops[0]
         assert truth.pose_at(truth.duration_ms + 99.0) == plan.stops[1]
+
+    def test_truth_and_models_are_immutable_values(self):
+        # one truth serves the sensors, the fusion loop and the scoring of a
+        # run, and one scenario every seed: all are frozen, and all but the
+        # truth (which holds arrays) hashable
+        scenario = default_scenario()
+        truth = build_truth(scenario.plan)
+        values = ((truth.stop_windows[0], "t0_ms"), (truth.segments[0], "start"),
+                  (scenario.uwb.ray, "count"), (scenario.uwb, "rate_hz"),
+                  (scenario.vo.underestimate, "scale_range"), (scenario.vo, "sigma_mm"),
+                  (scenario, "name"), (truth, "duration_ms"))
+        for value, name in values:
+            if value is not truth:
+                hash(value)
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
 
 
 class TestSynthUwb:
@@ -169,6 +238,16 @@ class TestSynthUwb:
             missed += len(truth.stop_windows) - len(trace.rays)
         assert missed > 0
 
+    def test_a_ray_that_displaces_nothing_is_not_recorded(self):
+        # a ray of no length, or of no samples, displaces nothing: no event
+        truth = build_truth(two_stop_plan())
+        clean = synth_uwb(truth, UwbModel(ray=RaySpec(prob_per_stop=0.0)), 3).samples
+        for ray in (RaySpec(prob_per_stop=1.0, length_mm=0.0), RaySpec(prob_per_stop=1.0, count=0)):
+            trace = synth_uwb(truth, UwbModel(ray=ray), 3)
+            assert trace.rays == [] and trace.samples == clean
+        short = synth_uwb(truth, UwbModel(ray=RaySpec(prob_per_stop=1.0, length_mm=1.0)), 3)
+        assert len(short.rays) == len(truth.stop_windows)
+
     def test_a_draw_of_zero_never_fires_at_probability_zero(self, monkeypatch):
         # a probability of 0 is never: not even a uniform draw of exactly
         # 0.0 fires a ray or a scale fault
@@ -212,6 +291,19 @@ class TestSynthUwb:
         assert ScaleFaultSpec(scale_range=(0.7, 1.0)).scale_range == (0.7, 1.0)
         with pytest.raises(ValueError, match="0 < lo <= hi <= 1"):
             ScaleFaultSpec(scale_range=(0.0, 0.5))
+
+    def test_fault_specs_past_their_edges_are_refused(self):
+        above, below = math.nextafter(1.0, 2.0), math.nextafter(0.0, -1.0)
+        for p in (above, below):
+            with pytest.raises(ValueError, match=r"prob_per_stop must be within \[0, 1\]"):
+                RaySpec(prob_per_stop=p)
+            with pytest.raises(ValueError, match=r"prob_per_segment must be within \[0, 1\]"):
+                ScaleFaultSpec(prob_per_segment=p)
+        with pytest.raises(ValueError, match="0 < lo <= hi <= 1"):
+            ScaleFaultSpec(scale_range=(0.7, above))
+        for bad in ({"length_mm": below}, {"length_mm": math.inf}, {"count": -1}):
+            with pytest.raises(ValueError, match="ray length must be finite and nonnegative"):
+                RaySpec(**bad)
 
 
 class TestSynthVo:
@@ -382,6 +474,23 @@ def drive_blocks(sensor, reboot_at, ahead):
     return [Position2D(x, y) for x, y in sensor.xy.tolist()]
 
 
+class TestHandOver:
+    def test_synthesized_streams_adopt_their_fresh_arrays(self, monkeypatch):
+        truth = build_truth(two_stop_plan())
+        made = record_streams(monkeypatch, simulate)
+        uwb, vo = synth_uwb(truth, UwbModel(), 0).samples, synth_vo(truth, VoModel(), 0).samples
+        assert [stream for _, _, stream in made] == [uwb, vo]
+        assert all(adopted(*call) for call in made)
+
+    def test_sensor_timestamps_are_read_only_and_its_streams_share_them(self):
+        truth = build_truth(two_stop_plan())
+        sensor = VoSensor(truth, VoModel(), 0)
+        assert not sensor.ts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sensor.ts[0] = 1
+        assert np.shares_memory(Stream(sensor.ts, np.zeros((len(sensor.ts), 2)), VO).t_ms, sensor.ts)
+
+
 class TestSensorOracle:
     """The block sensor against the per-sample oracle, sample for sample."""
 
@@ -433,6 +542,20 @@ class TestSensorOracle:
             assert sensor.count == k
             sensor.fill(n)
             assert [Position2D(x, y) for x, y in sensor.xy.tolist()] == expected, filled
+
+    def test_a_reboot_before_the_first_leg_keeps_its_fault(self):
+        # the reboot replays the segment events from the stream's start, so
+        # a reboot at sample 0 or in the first dwell leaves leg 0 to come,
+        # and leg 0's fault acts on it
+        truth = build_truth(short_dwell_loop())
+        fault = ScaleFaultSpec(0.0, (0.70, 0.88), forced_segments=(0,))
+        model = replace(worst_case_scenario().vo, underestimate=fault)
+        ts = sample_times(model.rate_hz, truth.duration_ms)
+        in_dwell = int(np.searchsorted(ts, truth.segments[0].t0_ms)) // 2
+        for at in (0, in_dwell):
+            loop = LoopVoSensor(truth, model, 0)
+            assert drive(VoSensor(truth, model, 0), [at]) == drive(loop, [at])
+            assert loop.reboots
 
     def test_reboot_outside_the_stream_is_refused(self):
         scenario = worst_case_scenario()
@@ -550,6 +673,20 @@ class TestScenarios:
         scenario = best_case_scenario()
         truth = build_truth(scenario.plan)
         assert synth_vo(truth, scenario.vo, 0).faults == []
+
+    def test_sample_times_end_at_or_before_the_duration(self):
+        # sample k is taken at k * period; the last one is the last k with
+        # k * period <= duration in exact arithmetic, also where the duration
+        # is m * period rounded below its exact value, and sample m is not taken
+        rounded_below = 0
+        for rate in (3.0, 27.0, 200.0):
+            period = 1000.0 / rate
+            for m in range(1, 400):
+                duration = m * period
+                n = math.floor(Fraction(duration) / Fraction(period)) + 1
+                assert len(sample_times(rate, duration)) == n
+                rounded_below += n == m
+        assert rounded_below > 0
 
     def test_sample_times_grid(self):
         ts = sample_times(200.0, 100.0)

@@ -330,10 +330,10 @@ def _measurement_blocks(
       as one cumulative sum over its whole segment. The prefix sums of
       earlier blocks that a later window can still start at are kept, as
       slabs of steps trimmed to the rows that may read them;
-    - window starts come from one ``searchsorted`` over integer keys, each
-      sample's milliseconds from its segment's first plus an offset per
-      segment that lifts it above the segment before it in the arrays, so
-      that the keys rise along them;
+    - window starts come from one ``searchsorted`` over integer keys: each
+      sample's milliseconds from its segment's first, plus the time spans
+      of the segments before it in the arrays, so the keys never fall; a
+      start found before a segment's first sample reads as that sample;
     - the gates run as a cascade over every row's windows at once: the
       full-window fit and its speed gate over every window, the residual
       scatter over the windows fast enough, and the two half-window fits
@@ -347,8 +347,8 @@ def _measurement_blocks(
     floor = max(min_speed_mm_s, 1e-9)
     span_ms = span_s * 1000.0
     t0 = t_ms[starts]
-    room = t_ms[last] - t0 + 2
-    flat = np.argsort(starts)  # the rows in the arrays' order, where the keys rise
+    room = t_ms[last] - t0
+    flat = np.argsort(starts)  # the rows in the arrays' order, where the keys never fall
     key_off = (np.cumsum(room[flat]) - room[flat])[np.argsort(flat)]
     keys = np.repeat((t0 - key_off)[flat], lengths[flat])
     np.subtract(t_ms, keys, out=keys)
@@ -402,7 +402,7 @@ def _measurement_blocks(
         # windows: the rectangle's steps from sample 2 on
         w0 = max(k0, 2) - k0
         k = np.arange(k0 + w0, k1)[:, None]
-        # window starts, searched row after row, each row's queries rising
+        # window starts by row, each row's queries rising, clamped to stay in int64
         q = np.maximum(np.floor(rel_ms[w0:] - span_ms), -1.0).astype(np.int64)
         q += key_off[:rows]
         a = np.searchsorted(keys, q.T.reshape(-1), side="right").reshape(rows, -1).T

@@ -246,6 +246,14 @@ class ScenarioConfig:
         outside = [i for i in self.vo.underestimate.forced_segments if not 0 <= i < legs]
         if outside:
             raise ValueError(f"forced fault segments {outside} outside the plan's {legs} legs")
+        duration_ms = build_truth(self.plan).duration_ms
+        for sensor, rate_hz in (("UWB", self.uwb.rate_hz), ("VO", self.vo.rate_hz)):
+            count = _sample_count(rate_hz, duration_ms)
+            if not count <= MAX_SAMPLES:
+                raise ValueError(
+                    f"the {duration_ms:.0f} ms flight gives {count:.0f} {sensor} samples,"
+                    f" more than the {MAX_SAMPLES} a stream may hold"
+                )
 
 
 class RayEvent(NamedTuple):
@@ -275,10 +283,19 @@ def _child_rngs(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(c) for c in children)
 
 
+# the most samples a simulated stream may hold: a plan slow enough to need
+# more is refused before any array is allocated
+MAX_SAMPLES = 10_000_000
+
+
+def _sample_count(rate_hz: float, duration_ms: float) -> float:
+    """The length of :func:`sample_times`' array, as a float (NaN for an endless flight)."""
+    return duration_ms // (1000.0 / rate_hz) + 1
+
+
 def sample_times(rate_hz: float, duration_ms: float) -> np.ndarray:
-    period = 1000.0 / rate_hz
-    n = int(duration_ms // period) + 1
-    return np.round(np.arange(n) * period).astype(np.int64)
+    n = int(_sample_count(rate_hz, duration_ms))
+    return np.round(np.arange(n) * (1000.0 / rate_hz)).astype(np.int64)
 
 
 def synth_uwb(truth: GroundTruth, model: UwbModel, seed: int) -> UwbTrace:

@@ -24,10 +24,10 @@ from uwbvo.simulate import (
 )
 
 
-def small_scenario_file(tmp_path, seg_scale=0.7, sigma_uwb=10.0) -> Path:
+def small_scenario_file(tmp_path, seg_scale=0.7, sigma_uwb=10.0, dwell_ms=12000.0) -> Path:
     plan = FlightPlan(
         stops=(Position2D(0.0, 0.0), Position2D(1000.0, 0.0)),
-        dwell_ms=12000.0,
+        dwell_ms=dwell_ms,
         cruise_mm_s=500.0,
         accel_mm_s2=1000.0,
         closed=False,
@@ -156,14 +156,18 @@ def test_jobs_parallel_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "seeds, jobs, workers",
-    [(["--seed", "0"], "3", None), (["--seeds", "2"], "3", 2), (["--seeds", "3"], "2", 2),
-     (["--seeds", "5"], "4", 3)],
+    "seeds, jobs, workers, sizes",
+    [(["--seed", "0"], "3", None, []), (["--seeds", "2"], "3", 2, [1, 1]),
+     (["--seeds", "3"], "2", 2, [2, 1]), (["--seeds", "5"], "4", 3, [2, 2, 1]),
+     (["--seeds", "9"], "2", 2, [4, 4, 1])],
 )
-def test_jobs_start_no_more_workers_than_batches(tmp_path, monkeypatch, seeds, jobs, workers):
-    # one batch runs in-process; otherwise a worker per batch at most. The
-    # fake pool maps in-process and starts no worker
-    started = []
+def test_jobs_start_no_more_workers_than_batches(
+    tmp_path, monkeypatch, seeds, jobs, workers, sizes
+):
+    # batches of min(4, ceil(seeds / jobs)) seeds, as the README says; one
+    # batch runs in-process, otherwise a worker per batch at most. The fake
+    # pool maps in-process and starts no worker
+    started, batches = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -176,7 +180,8 @@ def test_jobs_start_no_more_workers_than_batches(tmp_path, monkeypatch, seeds, j
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            batches.extend(items)
+            return map(fn, batches)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     out = tmp_path / "runs"
@@ -184,6 +189,7 @@ def test_jobs_start_no_more_workers_than_batches(tmp_path, monkeypatch, seeds, j
                  *seeds, "--out", str(out)]) == 0
     assert main(["run", "--logs", str(out), "--method", "raw-uwb", *seeds, "--jobs", jobs]) == 0
     assert started == ([] if workers is None else [workers])
+    assert [len(batch) for batch in batches] == sizes
 
 
 def _rows(path: Path) -> list[dict[str, str]]:
@@ -590,6 +596,82 @@ def test_calibrate_stops_within_a_tolerance_of_zero(monkeypatch, capsys):
     assert main(["calibrate", "--scenario", "best-case", "--target-mm", "131.9",
                  "--tol-mm", "0", "--rounds", "3"]) == 0
     assert capsys.readouterr().out.count("round ") == 1
+
+
+def test_calibrate_starts_from_the_rayleigh_mean_and_scales_by_the_miss(monkeypatch, capsys):
+    # a noisy 2-D sample's mean error is sigma * sqrt(pi / 2): the first
+    # round tries target / sqrt(pi / 2), each later one scales sigma by
+    # target / measured. The fake reads 1.5x high until sigma is small
+    tried = []
+
+    def fake_accuracy(scenario, sigma, seeds):
+        tried.append(sigma)
+        return 1.5 * sigma if sigma > 70.0 else 100.0
+
+    monkeypatch.setattr(cli, "raw_stop_accuracy", fake_accuracy)
+    assert main(["calibrate", "--scenario", "best-case", "--target-mm", "100",
+                 "--tol-mm", "0", "--rounds", "3"]) == 0
+    first = 100.0 / math.sqrt(math.pi / 2.0)
+    second = first * (100.0 / (1.5 * first))
+    assert tried == [first, second]
+    out = capsys.readouterr().out
+    assert f"round 1: sigma_uwb {first:8.2f} mm" in out
+    assert f"round 2: sigma_uwb {second:8.2f} mm" in out
+    assert f"calibrated sigma_uwb = {round(second, 2)} mm" in out
+
+
+def test_simulate_makes_missing_parents_of_its_output_directory(tmp_path):
+    out = tmp_path / "a" / "b" / "runs"
+    assert main(["simulate", "--scenario", str(small_scenario_file(tmp_path)), "--out", str(out)]) == 0
+    assert (out / "streams_0000.csv").exists()
+
+
+@pytest.mark.parametrize("dwell_ms, n, stride", [(12000.0, 2651, 1), (18747.5, 4000, 2)])
+def test_errors_file_keeps_every_nth_row_of_the_track(tmp_path, dwell_ms, n, stride):
+    # plot data of 2000 to 3999 rows: every (n // 2000)-th track row, and a
+    # track under 4000 rows kept whole. At 100 Hz the flight of 2 dwells
+    # and a 2.5 s leg gives floor(duration / 10 ms) + 1 VO rows
+    out = tmp_path / "runs"
+    scenario = small_scenario_file(tmp_path, dwell_ms=dwell_ms)
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert main(["run", "--logs", str(out), "--method", "raw-vo"]) == 0
+    track = _rows(out / "tracks" / "track_raw-vo_0000.csv")
+    errors = _rows(out / "tracks" / "errors_raw-vo_0000.csv")
+    assert len(track) == n
+    assert [row["t_ms"] for row in errors] == [row["t_ms"] for row in track[::stride]]
+
+
+def test_calibrate_accepts_one_seed_one_round_and_any_positive_target(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(
+        cli, "raw_stop_accuracy", lambda scenario, sigma, seeds: seen.append(seeds) or 0.5
+    )
+    assert main(["calibrate", "--target-mm", "0.5", "--seeds", "1", "--rounds", "1"]) == 0
+    assert seen == [1]
+    assert capsys.readouterr().out.count("round ") == 1
+
+
+def test_cli_defaults_are_the_documented_ones():
+    # the README's defaults: seed 0 only, the default preset, one job, and
+    # calibrate's paper target of 131.9 mm within 3 mm, over 5 seeds, 3 rounds
+    parser = cli.build_parser()
+    sim = parser.parse_args(["simulate", "--out", "runs"])
+    assert (sim.scenario, sim.seeds, sim.seed) == ("default", 1, [])
+    run = parser.parse_args(["run", "--logs", "runs"])
+    assert (run.method, run.seeds, run.seed, run.jobs) == ([], 1, [], 1)
+    cal = parser.parse_args(["calibrate"])
+    assert (cal.scenario, cal.target_mm, cal.tol_mm, cal.seeds, cal.rounds) == (
+        "default", 131.9, 3.0, 5, 3
+    )
+    assert cal.write_config is None
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["simulate"], ["compare"]])
+def test_a_missing_command_or_required_argument_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "the following arguments are required" in capsys.readouterr().err
 
 
 def test_calibrate_converges(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import configparser
+from dataclasses import replace
 
 import pytest
 
@@ -221,3 +222,33 @@ def test_malformed_file_is_a_config_error_naming_it(tmp_path, capsys, damage):
     save_config(default_scenario(), default_pipeline_params(), path)
     path.write_bytes(damage(path.read_bytes()))
     assert_refused(path, capsys)
+
+
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        # at 0.1 um/s the worst-case plan flies for ~3 years: its 27 Hz UWB
+        # stream alone would hold 2.6e9 samples (19 GiB of timestamps)
+        ("cruise_mm_s", "1e-4", "gives 2607359828 UWB samples, more than the 10000000 "),
+        # after a 1e308 ms dwell the first leg adds nothing to the timeline
+        ("dwell_ms", "1e308", "the leg from stop 1 takes no time"),
+    ],
+)
+def test_a_flight_too_long_to_simulate_is_a_config_error(tmp_path, capsys, key, value, match):
+    path = edited_config(tmp_path, "flight_plan", key, value, worst_case_scenario())
+    assert_refused(path, capsys, match)
+
+
+@pytest.mark.parametrize("name", ["default", "worst-case", "best-case", "long-dwell"])
+def test_presets_and_the_long_dwell_file_load(tmp_path, name):
+    # long-dwell: the benchmark's worst-case plan with 60 s dwells (209,463
+    # VO samples) and the paper's k1/k2
+    if name == "long-dwell":
+        base = worst_case_scenario()
+        scenario = replace(base, name=name, plan=replace(base.plan, dwell_ms=60000.0))
+        params = replace(default_pipeline_params(), cluster=ClusterParams())
+    else:
+        scenario, params = resolve_scenario(name)
+    path = tmp_path / "scenario.ini"
+    save_config(scenario, params, path)
+    assert load_config(path) == (scenario, params)

@@ -229,6 +229,15 @@ class TestPseudoMeasurements:
         assert u[2] == 0.0 and u[3] == 0.5
 
 
+
+def test_significance_multiple_tightens_as_sqrt_250_over_n_floored_at_3():
+    # the multiple a window's motion must exceed its residual scatter by
+    assert ekf._significance(10) == 5.0
+    assert ekf._significance(np.array([1.0, 25.0, 28.0, 1000.0])).tolist() == [
+        math.sqrt(250.0), math.sqrt(10.0), 3.0, 3.0
+    ]
+
+
 _T37 = np.arange(0, 120 * 37, 37)
 _ALONG_MINUS_X = np.stack([-0.5 * _T37, np.full(len(_T37), -0.0)], axis=1)
 _MOVE_THEN_DWELL = np.minimum(_T37, 2000)[:, None] * np.array([[-0.3, 0.4]])
@@ -252,6 +261,9 @@ _AT_THE_FLOOR = np.stack([0.1 * _T1000, np.zeros(28)], axis=1)
 _AT_SIGNIFICANCE = np.stack(
     [0.1 * _T1000 + np.tile([900.0, -900.0, -900.0, 900.0], 7), np.zeros(28)], axis=1
 )
+
+_T1 = np.arange(40)
+_T_UNEVEN = np.array([0, 1, 3, 6, 8, 11, 14, 15])
 
 
 def _bits(u):
@@ -416,6 +428,19 @@ def lockstep_blocks(draw):
 # windows at exactly the speed floor, and one at exactly the significance
 # bound, which both read as moving
 @example(([(_T1000, _AT_THE_FLOOR), (_T1000, _AT_SIGNIFICANCE)], 30.0, 100.0, [0, 5, 28]))
+# 5 ms windows on lines at 500 mm/s, 1-3 ms apart: windows of the second
+# segment start in its first 2 ms, where its search keys must not fall
+# below the first segment's last ones, also when those times are negative
+@example((
+    [(_T1, np.stack([0.5 * _T1, np.zeros(40)], axis=1)),
+     (_T_UNEVEN, np.stack([0.5 * _T_UNEVEN, np.zeros(8)], axis=1))],
+    0.005, 100.0, [0, 40],
+))
+@example((
+    [(_T1 - 1000, np.stack([0.5 * _T1, np.zeros(40)], axis=1)),
+     (_T_UNEVEN, np.stack([0.5 * _T_UNEVEN, np.zeros(8)], axis=1))],
+    0.005, 100.0, [0, 40],
+))
 def test_columnar_blocks_equal_oracle_rows(case):
     segs, span_s, min_speed, cuts = case
     blocked = columnar_measurements(segs, span_s, min_speed, cuts)
@@ -782,6 +807,11 @@ class TestStacks:
         filt.state[3, 0] = np.inf
         filt.P[0, 5, 5] = 0.0  # a zero variance is not a negative one
         assert filt.diverged().tolist() == [False, True, True, True]
+        # a single state is a stack with no leading axes
+        lone = CtraFilter(CtraParams())
+        assert not lone.diverged()
+        lone.P[4, 4] = -1e-3
+        assert lone.diverged()
 
 
 def test_wrap_angle_equals_remainder():

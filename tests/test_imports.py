@@ -6,6 +6,9 @@ imports names to re-export them, and ``from __future__`` imports are
 compiler directives, so neither counts.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,3 +68,34 @@ def test_no_unused_imports():
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+# ``np.unique`` and other numpy functions import ``numpy.ma`` on their first
+# call, which raises a process's resident set for good (+1.6 MB on numpy 2.4)
+_NO_MASKED_ARRAYS = """
+import sys
+from uwbvo.cli import main
+from uwbvo.config import default_pipeline_params
+from uwbvo.pipeline import run_pipeline_live
+from uwbvo.simulate import VoSensor, build_truth, simulate_pair, worst_case_scenario
+
+out = sys.argv[1]
+assert main(["simulate", "--scenario", "worst-case", "--seed", "0", "--out", out]) == 0
+assert main(["run", "--logs", out, "--method", "all", "--seed", "0"]) == 0
+assert main(["compare", out]) == 0
+scenario = worst_case_scenario()
+sensor = VoSensor(build_truth(scenario.plan), scenario.vo, 0)
+uwb = simulate_pair(scenario, 0)[0].uwb
+run_pipeline_live(uwb, sensor, scenario.plan, default_pipeline_params())
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_worst_case_run_never_imports_numpy_ma(tmp_path):
+    # a fresh process: the suite's other tests may have imported it here
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"

@@ -16,6 +16,7 @@ from uwbvo.simulate import (
     GroundTruth,
     RaySpec,
     ScaleFaultSpec,
+    ScenarioConfig,
     UwbModel,
     VoModel,
     VoSensor,
@@ -687,6 +688,27 @@ class TestScenarios:
                 assert len(sample_times(rate, duration)) == n
                 rounded_below += n == m
         assert rounded_below > 0
+
+    @pytest.mark.parametrize("sensor", ["uwb", "vo"])
+    def test_a_stream_of_max_samples_is_accepted_and_one_more_refused(self, sensor):
+        # at 1 kHz sample k is taken at k ms, so a flight of d ms gives
+        # floor(d) + 1 samples; no stream is simulated
+        bound = simulate.MAX_SAMPLES
+        plan = FlightPlan((Position2D(0.0, 0.0), Position2D(1000.0, 0.0)), 1000.0, closed=False)
+        leg_ms = build_truth(plan).duration_ms - 2000.0
+
+        def scenario(duration_ms):
+            flight = replace(plan, dwell_ms=(duration_ms - leg_ms) / 2.0)
+            assert math.floor(build_truth(flight).duration_ms) == math.floor(duration_ms)
+            model = UwbModel(rate_hz=1000.0) if sensor == "uwb" else VoModel(rate_hz=1000.0)
+            return ScenarioConfig("at-the-bound", flight, **{sensor: model})
+
+        scenario(bound - 0.5)
+        with pytest.raises(
+            ValueError,
+            match=rf"gives {bound + 1} {sensor.upper()} samples, more than the {bound} ",
+        ):
+            scenario(bound + 0.5)
 
     def test_sample_times_grid(self):
         ts = sample_times(200.0, 100.0)

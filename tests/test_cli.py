@@ -160,6 +160,7 @@ def test_jobs_parallel_matches_serial(tmp_path):
     [(["--seed", "0"], "3", None, []), (["--seeds", "2"], "3", 2, [1, 1]),
      (["--seeds", "3"], "2", 2, [2, 1]), (["--seeds", "5"], "4", 3, [2, 2, 1]),
      (["--seeds", "9"], "2", 2, [4, 4, 1])],
+    ids=["seeds0-3-None", "seeds1-3-2", "seeds2-2-2", "seeds3-4-3", "seeds4-2-2"],
 )
 def test_jobs_start_no_more_workers_than_batches(
     tmp_path, monkeypatch, seeds, jobs, workers, sizes
@@ -180,8 +181,9 @@ def test_jobs_start_no_more_workers_than_batches(
             return False
 
         def map(self, fn, items):
+            items = list(items)
             batches.extend(items)
-            return map(fn, batches)
+            return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     out = tmp_path / "runs"
@@ -653,7 +655,7 @@ def test_calibrate_accepts_one_seed_one_round_and_any_positive_target(monkeypatc
 
 def test_cli_defaults_are_the_documented_ones():
     # the README's defaults: seed 0 only, the default preset, one job, and
-    # calibrate's paper target of 131.9 mm within 3 mm, over 5 seeds, 3 rounds
+    # calibrate's target of 131.9 mm within 3 mm, over 5 seeds and 3 rounds
     parser = cli.build_parser()
     sim = parser.parse_args(["simulate", "--out", "runs"])
     assert (sim.scenario, sim.seeds, sim.seed) == ("default", 1, [])

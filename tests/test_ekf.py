@@ -229,7 +229,6 @@ class TestPseudoMeasurements:
         assert u[2] == 0.0 and u[3] == 0.5
 
 
-
 def test_significance_multiple_tightens_as_sqrt_250_over_n_floored_at_3():
     # the multiple a window's motion must exceed its residual scatter by
     assert ekf._significance(10) == 5.0

@@ -391,8 +391,10 @@ def cmd_run(args) -> int:
 
 def read_reports(path: Path) -> list[RunReport]:
     """The rows of a ``reports.csv``; a missing column or a bad row is a ConfigError,
-    as is a row whose ``corrections`` differ from its ``restarts`` (each correction restarts)."""
+    as is a row whose ``corrections`` differ from its ``restarts`` (each correction restarts),
+    a non-finite metric, or a second row of one method and seed."""
     reports = []
+    seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in REPORT_HEADER if c not in (reader.fieldnames or ())]
@@ -403,16 +405,15 @@ def read_reports(path: Path) -> list[RunReport]:
                 restarts = int(row["restarts"])
                 if int(row["corrections"]) != restarts:
                     raise ValueError(f"{row['corrections']} corrections but {restarts} restarts")
-                reports.append(
-                    RunReport(
-                        method=row["method"],
-                        seed=int(row["seed"]),
-                        avg_stop_mm=float(row["avg_stop_mm"]),
-                        std_stop_mm=float(row["std_stop_mm"]),
-                        rmse_mm=float(row["rmse_mm"]),
-                        restarts=restarts,
-                    )
-                )
+                metrics = {c: float(row[c]) for c in ("avg_stop_mm", "std_stop_mm", "rmse_mm")}
+                for column, value in metrics.items():
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite {column} {row[column]!r}")
+                key = (row["method"], int(row["seed"]))
+                if key in seen:
+                    raise ValueError(f"a second row for {key[0]} seed {key[1]}")
+                seen.add(key)
+                reports.append(RunReport(method=key[0], seed=key[1], restarts=restarts, **metrics))
             except (TypeError, ValueError) as exc:  # a short row reads as None
                 raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
     return reports

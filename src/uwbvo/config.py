@@ -49,7 +49,9 @@ class ConfigError(ValueError):
 
 
 def _fmt_float(x: float) -> str:
-    return format(x, ".12g")
+    """``x`` at 12 significant digits if that reads back as ``x``, else all of them."""
+    text = format(x, ".12g")
+    return text if float(text) == x else repr(x)
 
 
 def _fmt_points(points) -> str:

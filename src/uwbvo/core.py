@@ -99,7 +99,7 @@ def _adopted(a, dtype) -> np.ndarray:
     return np.array(a, dtype=dtype, order="C")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Stream:
     """One source's readings as columns: ``t_ms`` int64[N], ``xy`` float64[N, 2].
 
@@ -182,10 +182,10 @@ class FlightPlan:
     """
 
     stops: tuple[Position2D, ...]
-    dwell_ms: float = 22000.0
-    cruise_mm_s: float = 500.0
-    accel_mm_s2: float = 1000.0
-    closed: bool = True
+    dwell_ms: float
+    cruise_mm_s: float
+    accel_mm_s2: float
+    closed: bool
 
     def __post_init__(self) -> None:
         if len(self.stops) < 2:
@@ -259,9 +259,9 @@ _HIGH_CHUNKS, _LOW_CHUNKS = _chunk_tables()
 
 
 def _digits(a: np.ndarray) -> np.ndarray:
-    """Decimal digits of the uint64 ``a`` as a uint8 matrix, one row per
-    value, right-aligned and padded with NUL bytes."""
-    n_digits = len(str(int(a.max()))) if len(a) else 1
+    """Decimal digits of the non-empty uint64 ``a`` as a uint8 matrix, one
+    row per value, right-aligned and padded with NUL bytes."""
+    n_digits = len(str(int(a.max())))
     n_chunks = (n_digits + 3) // 4
     out = np.empty((len(a), n_chunks), "<u4")
     for k in range(n_chunks - 1, -1, -1):
@@ -293,11 +293,11 @@ _VECTOR_MAX = 2.0**52 / 10
 def _tenths_field(column) -> list[np.ndarray]:
     """``%.1f`` of every value of a float column, as NUL-padded byte matrices.
 
-    ``rint(|x| * 10)`` is the value's tenths unless ``|x| * 10`` lies within
-    4 ulps of a half (``a * 2**-50`` bounds 4 ulps of ``a``): a tie such as
-    0.25, or a near-tie the product may have rounded onto either side. Such
-    values, and those too large for the fraction to be exact, take
-    ``'%.1f' % v`` itself.
+    ``rint(|x| * 10)`` is the value's tenths unless the product lands on a
+    half: rounding is monotone and halves below 2**52 are floats, so a
+    product off a half is on the exact ``|x| * 10``'s side of it. Values on
+    a half (a tie such as 0.25, or a near-tie), and those too large for the
+    fraction to be exact, take ``'%.1f' % v`` itself.
     """
     x = np.asarray(column, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -305,7 +305,7 @@ def _tenths_field(column) -> list[np.ndarray]:
     ax = np.abs(x)
     large = ax >= _VECTOR_MAX
     a = np.where(large, 0.0, ax) * 10
-    undecided = large | (np.abs(a - np.floor(a) - 0.5) <= a * 2.0**-50)
+    undecided = large | (a - np.floor(a) == 0.5)
     tenths = np.rint(a).astype(np.uint64)
     units = tenths // 10
     tail = np.full((len(x), 2), ord("."), np.uint8)

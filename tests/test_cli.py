@@ -129,6 +129,31 @@ def test_compare_refuses_corrections_that_differ_from_restarts(tmp_path, capsys)
     assert captured.out == "" and not (tmp_path / "compare.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("raw-uwb,0,10.000,2.000,90.000,0,0", "a second row for raw-uwb seed 0"),
+        ("raw-uwb,2,nan,2.000,90.000,0,0", "non-finite avg_stop_mm 'nan'"),
+        ("raw-uwb,2,10.000,inf,90.000,0,0", "non-finite std_stop_mm 'inf'"),
+        ("raw-uwb,2,10.000,2.000,-inf,0,0", "non-finite rmse_mm '-inf'"),
+    ],
+)
+def test_compare_refuses_a_repeated_seed_or_a_non_finite_metric(tmp_path, capsys, row, message):
+    # `run` writes one finite row per method and seed; a repeat is not another seed
+    reports = tmp_path / "reports.csv"
+    reports.write_text(
+        "method,seed,avg_stop_mm,std_stop_mm,rmse_mm,restarts,corrections\r\n"
+        "raw-uwb,0,10.000,2.000,90.000,0,0\r\n"
+        "raw-uwb,1,14.000,4.000,94.000,0,0\r\n"
+        f"{row}\r\n",
+        encoding="utf-8",
+    )
+    assert main(["compare", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reports}: line 4: {message}\n"
+    assert captured.out == "" and not (tmp_path / "compare.csv").exists()
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     scenario = small_scenario_file(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

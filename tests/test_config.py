@@ -19,17 +19,20 @@ from uwbvo.simulate import best_case_scenario, default_scenario, worst_case_scen
 
 
 def test_round_trip_preserves_everything(tmp_path):
-    scenario = worst_case_scenario()
-    params = PipelineParams(
-        beta_mm=42.5,
-        cluster=ClusterParams(alpha_mm=12.5, k1=33, k2=77, gamma_mm=90.0),
-        ekf=CtraParams(diff_span_s=2.5, min_speed_mm_s=123.0),
-    )
-    path = tmp_path / "scenario.ini"
-    save_config(scenario, params, path)
-    loaded_scenario, loaded_params = load_config(path)
-    assert loaded_scenario == scenario
-    assert loaded_params == params
+    worst = worst_case_scenario()
+    # the second pair: values that 12 significant digits would round
+    for beta_mm, dwell_ms in ((42.5, worst.plan.dwell_ms), (30.000000000000004, 20000.000000000004)):
+        scenario = replace(worst, plan=replace(worst.plan, dwell_ms=dwell_ms))
+        params = PipelineParams(
+            beta_mm=beta_mm,
+            cluster=ClusterParams(alpha_mm=12.5, k1=33, k2=77, gamma_mm=90.0),
+            ekf=CtraParams(diff_span_s=2.5, min_speed_mm_s=123.0),
+        )
+        path = tmp_path / "scenario.ini"
+        save_config(scenario, params, path)
+        loaded_scenario, loaded_params = load_config(path)
+        assert loaded_scenario == scenario
+        assert loaded_params == params
 
 
 def test_file_holds_no_seed_kind_or_anchors(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ def test_stream_arrays_are_read_only_copies():
     assert list(stream) == [Sample(0, Position2D(0.0, 1.0), VO), Sample(5, Position2D(2.0, 3.0), VO)]
     with pytest.raises(TypeError):
         stream[1]
+
+
+def test_streams_pairs_and_samples_are_frozen():
+    # the module's promise: every value is immutable, so one stream serves
+    # every method and worker of a run; a Stream's replaced array would skip
+    # its checks
+    pair = StreamPair(Stream([0, 5], [[0.0, 1.0], [2.0, 3.0]], UWB), Stream([1], [[0.0, 0.0]], VO))
+    values = ((pair.uwb, "t_ms"), (pair.uwb, "xy"), (pair, "vo"), (next(iter(pair.vo)), "pos"))
+    for value, name in values:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
 
 
 def sample_builders(source: str) -> set[str]:
@@ -458,6 +470,8 @@ CRAFTED_LOGS = {
         for token in (b"+5", b"1_0", b"1e3", b"nan", b"inf", b" 5", b"-0")
         for name, row, field in (("t_ms", 4, 0), ("x_mm", 2, 2))
     },
+    # the line of a bad byte counts every line break before it, the first byte's too
+    "not UTF-8 after a leading line break": b"\n" + _with(2, 2, b"3\xff.5"),
 }
 
 # each a file the bulk parser's column checks must hand to the row parser:
@@ -482,6 +496,9 @@ NEAR_MISSES = {
         f"{token!r} in t_ms": _with(4, 0, token, _BULK_LOG)
         for token in (b"1-2", b"-", b"--5", b"1.0", b"1234567890123456")
     },
+    # ':' is the byte after '9', and XORed with '0' it reads as 10: the last
+    # row's 1: would read as 20, after the stream's 5 and 10
+    "b'1:' in the last t_ms": _with(5, 0, b"1:", _BULK_LOG),
     **{
         f"{token!r} sensor": _with(1, 1, token, _BULK_LOG)
         for token in (b"UWB", b"uwbx", b"uw", b"vo", b"vox", b"v")
@@ -497,6 +514,8 @@ NEAR_MISSES = {
     ),
     "5 fields": _crafted(_BULK_LOG[:2] + [b"37,uwb,-3.5,-0.0,5"] + _BULK_LOG[3:]),
     "header only": _crafted(_BULK_LOG[:1]),
+    # the last row's sensor word is read from the file's last four bytes
+    "',,,' as the last row": _crafted(_BULK_LOG + [b",,,"]),
     "uwb after vo": _crafted(_BULK_LOG + [b"50,uwb,0.0,0.0"]),
     "empty uwb stream": _crafted(_BULK_LOG[:1] + _BULK_LOG[3:]),
     "no final newline": _crafted(_BULK_LOG, final=False),
@@ -612,19 +631,25 @@ def test_reading_a_worst_case_log_peaks_below_the_text_parser(tmp_path):
 
 def test_flight_plan_validation():
     a, b = Position2D(0, 0), Position2D(500, 0)
+    timing = {"dwell_ms": 22000.0, "cruise_mm_s": 500.0, "accel_mm_s2": 1000.0}
     with pytest.raises(ValueError, match="at least 2"):
-        FlightPlan(stops=(a,))
+        FlightPlan(stops=(a,), closed=True, **timing)
     with pytest.raises(ValueError, match="distinct"):
-        FlightPlan(stops=(a, b, b), closed=False)
+        FlightPlan(stops=(a, b, b), closed=False, **timing)
     # closed plan: the closing leg must be flyable too
     with pytest.raises(ValueError, match="distinct"):
-        FlightPlan(stops=(a, b, a), closed=True)
+        FlightPlan(stops=(a, b, a), closed=True, **timing)
     # dwell, cruise speed and acceleration must be positive: zero is not
     for field in ("dwell_ms", "cruise_mm_s", "accel_mm_s2"):
         with pytest.raises(ValueError, match="finite and positive"):
-            FlightPlan(stops=(a, b), closed=False, **{field: 0.0})
-    plan = FlightPlan(stops=(a, b), closed=False)
+            FlightPlan(stops=(a, b), closed=False, **{**timing, field: 0.0})
+    plan = FlightPlan(stops=(a, b), closed=False, **timing)
     assert plan.min_stop_separation() == 500.0
+    # regions of radius gamma never overlap: the stops lie more than 2 gamma apart
     plan.check_region_radius(100.0)
+    plan.check_region_radius(249.9)
     with pytest.raises(ValueError, match="need >"):
         plan.check_region_radius(250.0)
+    with pytest.raises(ValueError) as refused:
+        plan.check_region_radius(300.0)
+    assert str(refused.value) == "stops only 500.0 mm apart; need > 600.0 mm for gamma = 300.0 mm"

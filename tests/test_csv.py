@@ -83,7 +83,9 @@ def test_edge_values_equal_the_per_row_oracle():
     near = [v for k in range(-200, 201) for v in near_ties(k)]
     big = [s * 10.0**e for e in range(14, 301) for s in (1, -1)]
     tiny = [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.0, -0.0, -0.04, 0.04]
-    x = np.array(ties + near + big + tiny)
+    # fractions in every binade up to 2**53, around the vector path's bound
+    binades = [s * (2.0**k + j * 2.0 ** (k - 52)) for k in range(44, 54) for j in range(16) for s in (1, -1)]
+    x = np.array(ties + near + big + tiny + binades)
     t = np.resize(np.array([INT64.min, INT64.max, 0, -1, 1, 9999, -9999, 10000]), len(x))
     for row_format in ("%d,%.1f\r\n", "%d,%.1f,%.1f,%d\r\n"):
         columns = [t, x, -x, t][: row_format.count("%")]

@@ -1,5 +1,5 @@
 """Byte-identity gate: the CLI's files and a live run for one worst-case seed,
-pinned by sha256.
+and the CLI's files for a three-seed batch, pinned by sha256.
 
 ``simulate``, ``run --method all`` and ``compare`` promise deterministic
 bytes for a fixed invocation. These digests were recorded from the outputs
@@ -68,6 +68,33 @@ def test_cli_writes_exactly_the_pinned_files(golden_dir):
 def test_cli_output_bytes_are_pinned(golden_dir, name):
     digest = hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+# one digest over every file of worst-case ``simulate --seeds 3``, ``run
+# --method all --jobs 1 --seeds 3`` and ``compare``, in sorted relative-path
+# order (each file's path bytes, a NUL, then its contents), then compare's
+# stdout; the seeds share one lockstep, which seed 0 alone does not exercise
+BATCH_SHA256 = "bd37e3d9179ac338ca741b30712074e43242e9b6c3a8a63c1a7f013c69aeaf7d"
+
+
+def test_three_seed_batch_is_pinned(tmp_path):
+    printed = io.StringIO()
+    with redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--scenario", "worst-case", "--seeds", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["run", "--logs", str(tmp_path), "--method", "all",
+                     "--jobs", "1", "--seeds", "3"]) == 0
+    with redirect_stdout(printed):
+        assert main(["compare", str(tmp_path)]) == 0
+    digest = hashlib.sha256()
+    files = sorted(
+        (p.relative_to(tmp_path).as_posix(), p) for p in tmp_path.rglob("*") if p.is_file()
+    )
+    assert len(files) == 51
+    for name, path in files:
+        digest.update(name.encode() + b"\0" + path.read_bytes())
+    digest.update(printed.getvalue().encode())
+    assert digest.hexdigest() == BATCH_SHA256
 
 
 LIVE_SHA256 = {

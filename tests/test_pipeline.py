@@ -312,6 +312,8 @@ def test_gamma_overlap_rejected():
     plan = FlightPlan(
         stops=(Position2D(0.0, 0.0), Position2D(150.0, 0.0)),
         dwell_ms=1000.0,
+        cruise_mm_s=500.0,
+        accel_mm_s2=1000.0,
         closed=False,
     )
     scenario = ScenarioConfig(

@@ -340,6 +340,8 @@ class TestSynthVo:
         plan = FlightPlan(
             stops=tuple(Position2D(500.0 * i, 0.0) for i in range(5)),
             dwell_ms=1000.0,
+            cruise_mm_s=500.0,
+            accel_mm_s2=1000.0,
             closed=False,
         )
         truth = build_truth(plan)
@@ -694,7 +696,8 @@ class TestScenarios:
         # at 1 kHz sample k is taken at k ms, so a flight of d ms gives
         # floor(d) + 1 samples; no stream is simulated
         bound = simulate.MAX_SAMPLES
-        plan = FlightPlan((Position2D(0.0, 0.0), Position2D(1000.0, 0.0)), 1000.0, closed=False)
+        plan = FlightPlan((Position2D(0.0, 0.0), Position2D(1000.0, 0.0)), 1000.0, 500.0, 1000.0,
+                          closed=False)
         leg_ms = build_truth(plan).duration_ms - 2000.0
 
         def scenario(duration_ms):

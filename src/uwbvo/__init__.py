@@ -9,52 +9,6 @@ technologies disagree. Kalman-fusion baselines, a fault-injecting flight
 simulator, accuracy metrics, and a benchmark CLI round out the package.
 """
 
-from .baselines import BaselineKind, filter_inputs, run_method
-from .clustering import ClusterParams, StopClusterer, StopEstimate
-from .core import (
-    FlightPlan,
-    LogFormatError,
-    Position2D,
-    Sample,
-    Stream,
-    StreamPair,
-    euclidean,
-    read_log,
-    write_log,
-)
-from .ekf import CtraFilter, CtraParams, ctra_transition, run_filter
-from .metrics import (
-    RunReport,
-    StopAccuracy,
-    compare,
-    stop_accuracy,
-    trajectory_rmse,
-)
-from .pipeline import (
-    FusedTrack,
-    PipelineParams,
-    StopDecision,
-    StopDetectionFailure,
-    corrected_vo,
-    run_pipeline,
-    run_pipeline_live,
-    update_correction,
-)
-from .simulate import (
-    GroundTruth,
-    RaySpec,
-    ScaleFaultSpec,
-    ScenarioConfig,
-    UwbModel,
-    VoModel,
-    VoSensor,
-    best_case_scenario,
-    build_truth,
-    default_scenario,
-    simulate_pair,
-    synth_uwb,
-    synth_vo,
-    worst_case_scenario,
-)
+from . import baselines, clustering, core, ekf, metrics, pipeline, simulate
 
 __version__ = "0.1.0"

@@ -93,18 +93,17 @@ def run_method(
     plan: FlightPlan,
     params: PipelineParams,
     filtered: Filtered,
-) -> tuple[Stream, FusedTrack | None]:
-    """Produce the method's output track; the fused track where one exists.
+) -> Stream | FusedTrack:
+    """The method's output: its stream, or self-corrective's fused track.
 
     ``filtered`` is :func:`filter_inputs` of these methods; a failed input
     raises its :class:`FilterError` for every method that reads it.
     """
     if kind is BaselineKind.RAW_UWB:
-        return pair.uwb, None
+        return pair.uwb
     if kind is BaselineKind.RAW_VO:
-        return pair.vo, None
+        return pair.vo
     stream = checked(filtered[_SHARES_INPUT.get(kind, kind)])
     if kind is BaselineKind.SELF_CORRECTIVE:
-        track = run_pipeline(pair, plan, params, stream)
-        return track.samples, track
-    return stream, None
+        return run_pipeline(pair, plan, params, stream)
+    return stream

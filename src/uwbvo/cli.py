@@ -51,7 +51,7 @@ from .metrics import (
     report_row,
     stop_accuracy,
 )
-from .pipeline import MODE_NAMES, VO_SELECTED, PipelineParams, StopDetectionFailure
+from .pipeline import MODE_NAMES, VO_SELECTED, FusedTrack, PipelineParams, StopDetectionFailure
 from .simulate import ScenarioConfig, build_truth, sample_times, simulate_pair, synth_uwb
 
 USAGE_ERROR = 1
@@ -231,60 +231,59 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_rows(path: Path, header, row_format: str, *columns, words=()) -> None:
-    """Write one ``row_format`` line per row of the columns, a block at a time."""
-    write_blocks(path, header, csv_blocks(row_format, *columns, words=words))
-
-
 def _score_and_write(
-    method_value: str, seed: int, samples: Stream, track, truth, tracks_dir: Path
+    method_value: str, seed: int, result: Stream | FusedTrack, truth, tracks_dir: Path
 ) -> RunReport:
-    """Score one method's output and write its track, error and stop files."""
-    report = RunReport.build(
-        method_value, seed, track if track is not None else samples, truth
-    )
+    """Score one method's output, its stream or its fused track, and write
+    its track and error files, and a fused track's stop file."""
+    report = RunReport.build(method_value, seed, result, truth)
     name = f"{method_value}_{seed:04d}.csv"
-    # a fused track names each sample's mode; every other track is all VO
-    if track is not None:
-        mode_field, mode_codes = "%s", (track.kalman,)
+    # a fused track names each sample's mode and has stop decisions; every
+    # other track is all VO
+    if isinstance(result, FusedTrack):
+        samples, mode_field, mode_codes = result.samples, "%s", (result.kalman,)
+        events = [(e, e.estimate) for e in result.stop_events]
+        # the corrected column repeats the restart one: a correction is a restart
+        counts = np.array(
+            [
+                (e.stop_index, e.t_ms, s.support, s.samples_consumed, s.complete,
+                 e.restart, e.restart)
+                for e, s in events
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 7)
+        mm = np.array(
+            [(e.planned.x, e.planned.y, s.pos.x, s.pos.y) for e, s in events], dtype=np.float64
+        ).reshape(-1, 4)
+        write_blocks(
+            tracks_dir / f"stops_{name}",
+            STOPS_HEADER,
+            csv_blocks(
+                "%d,%d,%.1f,%.1f,%.1f,%.1f,%d,%d,%d,%d,%d\r\n",
+                *counts[:, :2].T,
+                *mm.T,
+                *counts[:, 2:].T,
+            ),
+        )
     else:
-        mode_field, mode_codes = VO_SELECTED, ()
-    _write_rows(
+        samples, mode_field, mode_codes = result, VO_SELECTED, ()
+    write_blocks(
         tracks_dir / f"track_{name}",
         TRACK_HEADER,
-        f"%d,%.1f,%.1f,{mode_field}\r\n",
-        samples.t_ms,
-        *samples.xy.T,
-        *mode_codes,
-        words=MODE_NAMES,
+        csv_blocks(
+            f"%d,%.1f,%.1f,{mode_field}\r\n",
+            samples.t_ms,
+            *samples.xy.T,
+            *mode_codes,
+            words=MODE_NAMES,
+        ),
     )
     # plot data: the error-vs-time curve, decimated to a plottable size; the
     # truth is sampled only at the rows kept
     stride = max(1, len(samples) // 2000)
     t_ms, xy = samples.t_ms[::stride], samples.xy[::stride]
     err = np.hypot(*(xy - truth.sample(t_ms)).T)
-    _write_rows(tracks_dir / f"errors_{name}", ERRORS_HEADER, "%d,%.1f\r\n", t_ms, err)
-    if track is not None:
-        _write_csv(
-            tracks_dir / f"stops_{name}",
-            STOPS_HEADER,
-            (
-                [
-                    e.stop_index,
-                    e.t_ms,
-                    f"{e.planned.x:.1f}",
-                    f"{e.planned.y:.1f}",
-                    f"{e.estimate.pos.x:.1f}",
-                    f"{e.estimate.pos.y:.1f}",
-                    e.estimate.support,
-                    e.estimate.samples_consumed,
-                    int(e.estimate.complete),
-                    int(e.restart),  # the corrected column: a correction is a restart
-                    int(e.restart),
-                ]
-                for e in track.stop_events
-            ),
-        )
+    write_blocks(tracks_dir / f"errors_{name}", ERRORS_HEADER, csv_blocks("%d,%.1f\r\n", t_ms, err))
     return report
 
 
@@ -326,10 +325,8 @@ def _run_seeds(
     for (seed, pair), seed_filtered in zip(pairs.items(), filtered):
         for kind in methods:
             try:
-                samples, track = run_method(kind, pair, plan, params, seed_filtered)
-                reports.append(
-                    _score_and_write(kind.value, seed, samples, track, truth, tracks_dir)
-                )
+                result = run_method(kind, pair, plan, params, seed_filtered)
+                reports.append(_score_and_write(kind.value, seed, result, truth, tracks_dir))
             except (StopDetectionFailure, FilterError, CoverageError) as exc:
                 failures.append((kind.value, seed, str(exc)))
     for method_value, seed, _ in failures:
@@ -392,7 +389,8 @@ def cmd_run(args) -> int:
 def read_reports(path: Path) -> list[RunReport]:
     """The rows of a ``reports.csv``; a missing column or a bad row is a ConfigError,
     as is a row whose ``corrections`` differ from its ``restarts`` (each correction restarts),
-    a non-finite metric, or a second row of one method and seed."""
+    a non-finite metric, a second row of one method and seed, or a row ``run`` never
+    writes: an unknown method, or a negative seed, metric or restart count."""
     reports = []
     seen = set()
     with open(path, newline="", encoding="utf-8") as fh:
@@ -410,6 +408,11 @@ def read_reports(path: Path) -> list[RunReport]:
                     if not math.isfinite(value):
                         raise ValueError(f"non-finite {column} {row[column]!r}")
                 key = (row["method"], int(row["seed"]))
+                if key[0] not in {k.value for k in BaselineKind}:
+                    raise ValueError(f"unknown method {key[0]!r}")
+                for column, value in (("seed", key[1]), ("restarts", restarts), *metrics.items()):
+                    if value < 0:
+                        raise ValueError(f"negative {column} {row[column]!r}")
                 if key in seen:
                     raise ValueError(f"a second row for {key[0]} seed {key[1]}")
                 seen.add(key)

@@ -148,7 +148,7 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, PipelineParams]:
         version = cp.getint("meta", "schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError(
-                f"{path}: schema_version {version} unsupported "
+                f"schema_version {version} unsupported "
                 f"(expected {SCHEMA_VERSION})"
             )
         plan = FlightPlan(
@@ -205,9 +205,7 @@ def load_config(path: str | Path) -> tuple[ScenarioConfig, PipelineParams]:
             ),
             ekf=ekf,
         )
-    except (configparser.Error, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except (configparser.Error, ValueError) as exc:  # a ConfigError too: every one names the file
         raise ConfigError(f"{path}: {exc}") from None
     return scenario, params
 

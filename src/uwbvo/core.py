@@ -77,10 +77,6 @@ class Sample:
     pos: Position2D
     source: str
 
-    def __post_init__(self) -> None:
-        if self.source not in SENSORS:
-            raise ValueError(f"unknown sensor {self.source!r}")
-
 
 def _adopted(a, dtype) -> np.ndarray:
     """``a`` itself if it is a read-only, C-ordered ``ndarray`` of ``dtype``

@@ -236,8 +236,6 @@ def _run(
     visits = stop_visits(plan)
 
     n_vo = len(vo_t)
-    if not n_vo:
-        raise ValueError("empty stream: vo")
     uwb_t = filtered.t_ms
     u = filtered.xy
     n_uwb = len(uwb_t)

@@ -67,10 +67,8 @@ def worst_batch():
         pair, _, _ = simulate_pair(scenario, seed)
         [filtered] = filter_inputs(CRITERION_6_METHODS, [pair], scenario.plan, params)
         for kind in CRITERION_6_METHODS:
-            samples, track = run_method(kind, pair, scenario.plan, params, filtered)
-            reports[kind].append(
-                RunReport.build(kind.value, seed, track if track else samples, truth)
-            )
+            result = run_method(kind, pair, scenario.plan, params, filtered)
+            reports[kind].append(RunReport.build(kind.value, seed, result, truth))
     elapsed = time.perf_counter() - t0
     return {"reports": reports, "elapsed_s": elapsed, "scenario": scenario}
 

@@ -17,7 +17,7 @@ from uwbvo.baselines import (
 from uwbvo.core import UWB, VO, FlightPlan, Position2D, Stream, StreamPair, nearest_indices
 from uwbvo.ekf import run_filter
 from uwbvo.metrics import stop_accuracy
-from uwbvo.pipeline import PipelineParams, stop_visits
+from uwbvo.pipeline import FusedTrack, PipelineParams, stop_visits
 from uwbvo.simulate import (
     SCENARIO_PRESETS,
     RaySpec,
@@ -72,7 +72,7 @@ def test_averaged_stream_pairs_nearest_vo_sample():
 def test_avg_fusion_output_at_uwb_rate():
     scenario = tiny_scenario(sigma_uwb=30.0, sigma_vo=1.0)
     pair, _, _ = simulate_pair(scenario, 0)
-    out, _ = run_one_method(BaselineKind.AVG_FUSION, pair, scenario.plan, PipelineParams())
+    out = run_one_method(BaselineKind.AVG_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb)
     assert out.t_ms.tolist() == pair.uwb.t_ms.tolist()
 
@@ -102,7 +102,7 @@ def test_direct_fusion_tracks_noiseless_truth():
     scenario = tiny_scenario()
     pair, _, _ = simulate_pair(scenario, 2)
     truth = build_truth(scenario.plan)
-    out, _ = run_one_method(BaselineKind.DIRECT_FUSION, pair, scenario.plan, PipelineParams())
+    out = run_one_method(BaselineKind.DIRECT_FUSION, pair, scenario.plan, PipelineParams())
     assert len(out) == len(pair.uwb) + len(pair.vo)
     ts = out.t_ms.astype(float)
     err = np.hypot(*(positions(out) - truth.sample(ts)).T)
@@ -124,8 +124,8 @@ def test_filtered_methods_delegate_bit_exactly():
         BaselineKind.DIRECT_FUSION: merge_streams(pair),
     }
     for kind, stream in inputs.items():
-        out, track = run_one_method(kind, pair, scenario.plan, params)
-        assert track is None
+        out = run_one_method(kind, pair, scenario.plan, params)
+        assert isinstance(out, Stream), kind
         assert out == filter_one(stream, params.ekf, restarts), kind
 
 
@@ -136,7 +136,7 @@ def test_pozyx_only_beats_raw_on_stop_accuracy():
     for seed in range(5):
         pair, _, _ = simulate_pair(scenario, seed)
         raw_avgs.append(stop_accuracy(pair.uwb, truth).avg_mm)
-        flt, _ = run_one_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, PipelineParams())
+        flt = run_one_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, PipelineParams())
         flt_avgs.append(stop_accuracy(flt, truth).avg_mm)
     assert np.mean(flt_avgs) < 0.3 * np.mean(raw_avgs)
 
@@ -145,15 +145,13 @@ def test_run_method_dispatch(desk_params):
     scenario = tiny_scenario(sigma_uwb=20.0)
     pair, _, _ = simulate_pair(scenario, 4)
     for kind in BaselineKind:
-        samples, track = run_one_method(kind, pair, scenario.plan, desk_params)
-        assert samples, kind
-        if kind is BaselineKind.SELF_CORRECTIVE:
-            assert track is not None
-        else:
-            assert track is None
-    raw_u, _ = run_one_method(BaselineKind.RAW_UWB, pair, scenario.plan, desk_params)
+        result = run_one_method(kind, pair, scenario.plan, desk_params)
+        fused = kind is BaselineKind.SELF_CORRECTIVE
+        assert isinstance(result, FusedTrack if fused else Stream), kind
+        assert result.samples if fused else result, kind
+    raw_u = run_one_method(BaselineKind.RAW_UWB, pair, scenario.plan, desk_params)
     assert raw_u == pair.uwb
-    raw_v, _ = run_one_method(BaselineKind.RAW_VO, pair, scenario.plan, desk_params)
+    raw_v = run_one_method(BaselineKind.RAW_VO, pair, scenario.plan, desk_params)
     assert raw_v == pair.vo
 
 
@@ -265,9 +263,9 @@ def test_self_corrective_fuses_pozyx_ctra_track(desk_params, monkeypatch):
         return run_pipeline(pair, plan, params, filtered_uwb)
 
     [filtered] = filter_inputs(list(BaselineKind), [pair], scenario.plan, desk_params)
-    pozyx, _ = run_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, desk_params, filtered)
+    pozyx = run_method(BaselineKind.POZYX_CTRA, pair, scenario.plan, desk_params, filtered)
     monkeypatch.setattr(baselines, "run_pipeline", spy)
-    _, track = run_method(
+    track = run_method(
         BaselineKind.SELF_CORRECTIVE, pair, scenario.plan, desk_params, filtered
     )
     assert fused_with == [pozyx]

@@ -140,6 +140,28 @@ def test_compare_refuses_corrections_that_differ_from_restarts(tmp_path, capsys)
 )
 def test_compare_refuses_a_repeated_seed_or_a_non_finite_metric(tmp_path, capsys, row, message):
     # `run` writes one finite row per method and seed; a repeat is not another seed
+    assert_compare_refuses(tmp_path, capsys, row, message)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("teleport,2,10.000,2.000,90.000,0,0", "unknown method 'teleport'"),
+        ("raw-uwb,-1,10.000,2.000,90.000,0,0", "negative seed '-1'"),
+        ("raw-uwb,2,-10.000,2.000,90.000,0,0", "negative avg_stop_mm '-10.000'"),
+        ("raw-uwb,2,10.000,-2.000,90.000,0,0", "negative std_stop_mm '-2.000'"),
+        ("raw-uwb,2,10.000,2.000,-0.001,0,0", "negative rmse_mm '-0.001'"),
+        ("raw-uwb,2,10.000,2.000,90.000,-1,-1", "negative restarts '-1'"),
+    ],
+)
+def test_compare_refuses_a_row_run_never_writes(tmp_path, capsys, row, message):
+    # `run` writes only its methods, seeds from 0, and errors and counts of at least 0
+    assert_compare_refuses(tmp_path, capsys, row, message)
+
+
+def assert_compare_refuses(tmp_path, capsys, row, message):
+    """``compare`` exits 1 on a ``reports.csv`` whose fourth line is ``row``,
+    naming the line and ``message``, and writes nothing."""
     reports = tmp_path / "reports.csv"
     reports.write_text(
         "method,seed,avg_stop_mm,std_stop_mm,rmse_mm,restarts,corrections\r\n"
@@ -645,6 +667,31 @@ def test_calibrate_starts_from_the_rayleigh_mean_and_scales_by_the_miss(monkeypa
     assert f"round 1: sigma_uwb {first:8.2f} mm" in out
     assert f"round 2: sigma_uwb {second:8.2f} mm" in out
     assert f"calibrated sigma_uwb = {round(second, 2)} mm" in out
+
+
+def test_a_seed_count_that_is_not_an_integer_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--logs", str(tmp_path), "--seeds", "abc"])
+    assert exc.value.code == 1
+    assert "argument --seeds: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_compare_of_a_header_only_report_file_is_a_usage_error(tmp_path, capsys):
+    # what `run` writes when every cell failed
+    reports = tmp_path / "reports.csv"
+    reports.write_text("method,seed,avg_stop_mm,std_stop_mm,rmse_mm,restarts,corrections\r\n")
+    assert main(["compare", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {reports} holds no report rows\n"
+    assert not (tmp_path / "compare.csv").exists()
+
+
+def test_an_output_path_that_is_a_file_is_an_experiment_error(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.write_text("not a directory")
+    assert main(["simulate", "--scenario", str(small_scenario_file(tmp_path)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert out.read_text() == "not a directory"
 
 
 def test_simulate_makes_missing_parents_of_its_output_directory(tmp_path):

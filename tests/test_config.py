@@ -187,6 +187,15 @@ def test_derivation_knob_out_of_range_is_a_config_error_naming_the_file(
     assert_refused(edited_config(tmp_path, "ekf", key, value), capsys, f"{key} must be finite")
 
 
+def test_stop_list_skips_empty_entries_and_refuses_a_three_value_point(tmp_path, capsys):
+    scenario = default_scenario()
+    text = "; ;".join(f"{p.x!r},{p.y!r}" for p in scenario.plan.stops) + ";"
+    loaded, _ = load_config(edited_config(tmp_path, "flight_plan", "stops", text))
+    assert loaded.plan.stops == scenario.plan.stops
+    path = edited_config(tmp_path, "flight_plan", "stops", "0,0; 1,2,3")
+    assert_refused(path, capsys, r"flight_plan\.stops: bad point '1,2,3'")
+
+
 @pytest.mark.parametrize("segments, legal", [("-1", False), ("16", False), ("15", True)])
 def test_forced_fault_segment_outside_the_plan_is_refused(tmp_path, capsys, segments, legal):
     # the worst-case plan flies 16 legs, indexed 0 to 15

@@ -304,6 +304,12 @@ def slow_uwb_worst_case():
     )
 
 
+@pytest.mark.parametrize("ticks", [[], [500]])
+def test_age_bound_under_two_ticks_is_the_constant(ticks):
+    # no tick gap to take the median of
+    assert uwb_age_bound_ms(np.array(ticks, dtype=np.int64)) == MAX_UWB_AGE_MS == 150
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_slow_uwb_age_bound_is_four_periods(seed, monkeypatch):
     # a 5 Hz tick is 200 ms old before the next one comes: under a 150 ms

@@ -122,6 +122,13 @@ def test_stop_accuracy_requires_window_coverage():
         stop_accuracy(samples, truth)
 
 
+def test_an_empty_track_covers_nothing():
+    empty = make_stream(np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+    for metric in (stop_accuracy, trajectory_rmse):
+        with pytest.raises(CoverageError, match="empty track"):
+            metric(empty, constant_truth())
+
+
 @pytest.mark.parametrize("edge", ["t0", "t1"])
 def test_a_sample_on_a_dwell_window_edge_covers_it(edge):
     # the dwell window [0, 10000] ms is closed: its nearest sample may lie
